@@ -11,8 +11,6 @@ import argparse
 import json
 import sys
 
-import numpy as np
-
 from .farey import (
     farey_intervals,
     farey_sequence,
@@ -20,7 +18,7 @@ from .farey import (
     fraction_to_json,
     parse_fraction,
 )
-from .lifting import FORCE_THRESHOLD, MAX_LIFT_DEGREE, generate_up_to, lift_fibers, project
+from .lifting import check_lift_degree, lift_once, lift_to, project
 from .perm_core import PermClass, Permutation, inverse
 from .perm_sets import (
     LABELS,
@@ -62,33 +60,21 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    target = args.to_m if args.to_m is not None else args.from_m + 1
-    if target < 1:
-        raise ValueError(f"target degree must be positive, got {target}")
-    if target > MAX_LIFT_DEGREE:
-        raise ValueError(f"lifting beyond degree {MAX_LIFT_DEGREE} is not supported")
-    if target > FORCE_THRESHOLD and not args.force:
-        raise ValueError(
-            f"lifting to degree {target} > {FORCE_THRESHOLD} needs --force"
-        )
-    if args.to_m is not None:
-        # keep only the previous level; the full level list would cost
-        # roughly target^4 / 13 bytes
-        level = np.array([[1]], dtype=np.uint8)
-        for _ in range(1, target):
-            level, _, _ = lift_fibers(level)
-        out = PermClass.from_array("V", target, level)
-    else:
-        if args.input:
+    if args.from_m is not None and args.from_m < 1:
+        raise ValueError(f"source degree must be positive, got {args.from_m}")
+    if args.from_m is not None and args.input:
+        check_lift_degree(args.from_m + 1, args.force)
+        try:
             with open(args.input) as fh:
                 members = [Permutation.from_json(json.loads(line)) for line in fh if line.strip()]
-            vprev = PermClass("V", args.from_m, members)
-            if len(vprev) == 0:
-                raise ValueError(f"no permutations read from {args.input}")
-        else:
-            vprev = generate_up_to(args.from_m, force=args.force)[-1]
-        children, _, _ = lift_fibers(vprev.as_array())
-        out = PermClass.from_array("V", args.from_m + 1, children)
+        except (OSError, KeyError, TypeError) as exc:
+            raise ValueError(f"cannot read {args.input}: {type(exc).__name__}: {exc}") from None
+        vprev = PermClass("V", args.from_m, members)
+        if len(vprev) == 0:
+            raise ValueError(f"no permutations read from {args.input}")
+        out = lift_once(vprev)
+    else:
+        out = lift_to(args.to_m if args.to_m is not None else args.from_m + 1, args.force)
     _print_class(out, args.format)
     return 0
 
@@ -151,13 +137,14 @@ def _cmd_verify_tree(args) -> int:
 def _cmd_sosrec(args) -> int:
     found = enumerate_sos_recurrence(args.m)
     v_inverses = PermClass("inv(V)", args.m, (inverse(p) for p in enumerate_class("V", args.m)))
+    sos = set(v_inverses.members)
     doc = {
         "m": args.m,
         "recurrence_count": len(found),
         "sos_count": len(v_inverses),
-        "recurrence_contains_sos": set(v_inverses.members) <= set(found.members),
+        "recurrence_contains_sos": sos <= set(found.members),
         "sets_equal": found == v_inverses,
-        "recurrence_only": [p.one_line() for p in found if p not in set(v_inverses.members)],
+        "recurrence_only": [p.one_line() for p in found if p not in sos],
     }
     if args.format == "json":
         print(json.dumps(doc, indent=2))

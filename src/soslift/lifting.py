@@ -14,9 +14,11 @@ fractions, no angles, no sorting of fractional parts anywhere.
 """
 from __future__ import annotations
 
+from typing import Iterator
+
 import numpy as np
 
-from .perm_core import PermClass, Permutation, _dtype_for, gamma, psi
+from .perm_core import PermClass, Permutation, _dtype_for, gamma, in_V, psi
 
 FORCE_THRESHOLD = 500
 MAX_LIFT_DEGREE = 2000
@@ -92,45 +94,52 @@ def lift_once(vprev: PermClass) -> PermClass:
     return PermClass.from_array("V", vprev.m + 1, children)
 
 
-def generate_up_to(M: int, force: bool = False) -> list[PermClass]:
-    """Run the lifting recursion from degree 1, returning every level.
-
-    Storage for all levels grows like M^4/13 bytes, which is why degrees
-    above 500 require force=True and degrees above 2000 are refused.
-    """
+def check_lift_degree(M: int, force: bool = False) -> None:
+    """Refuse degrees below 1, above 2000, and above 500 without force=True."""
     if M < 1:
         raise ValueError(f"target degree must be positive, got {M}")
     if M > MAX_LIFT_DEGREE:
         raise ValueError(f"lifting beyond degree {MAX_LIFT_DEGREE} is not supported")
     if M > FORCE_THRESHOLD and not force:
         raise ValueError(
-            f"lifting to degree {M} > {FORCE_THRESHOLD} needs force=True "
-            "(output grows quartically)"
+            f"lifting to degree {M} > {FORCE_THRESHOLD} needs force=True (soslift lift --force)"
         )
+
+
+def iter_levels(M: int, force: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Yield lift_fibers' (level, parent_index, tags) for degrees 1..M.
+
+    Degree 1 is the row [1] with parent 0 and tag TAG_SINGLE.  Only the
+    previous level is held.  The degree guard runs on the first next().
+    """
+    check_lift_degree(M, force)
     level = np.array([[1]], dtype=_dtype_for(1))
-    levels = [PermClass.from_array("V", 1, level)]
+    yield level, np.zeros(1, dtype=np.int64), np.array([TAG_SINGLE], dtype=np.int8)
     for _ in range(1, M):
-        level, _, _ = lift_fibers(level)
-        levels.append(PermClass.from_array("V", levels[-1].m + 1, level))
-    return levels
+        level, parent_index, tags = lift_fibers(level)
+        yield level, parent_index, tags
 
 
-def _in_v(theta: Permutation) -> bool:
-    # local congruence guard; the public predicate lives in perm_sets, which
-    # this module must not import
-    m = theta.m
-    vals = theta.values
-    first, last = vals[0], vals[-1]
-    return all(
-        (vals[i + 1] - vals[i]) % m == (first - (last <= vals[i])) % m
-        for i in range(m - 1)
-    )
+def lift_to(M: int, force: bool = False) -> PermClass:
+    """The class V of degree M, lifted from degree 1 one level at a time."""
+    for level, _, _ in iter_levels(M, force):
+        pass
+    return PermClass.from_array("V", M, level)
+
+
+def generate_up_to(M: int, force: bool = False) -> list[PermClass]:
+    """Run the lifting recursion from degree 1, returning every level.
+
+    Storage for all levels grows like M^4/13 bytes; lift_to keeps one.
+    """
+    return [PermClass.from_array("V", m, level)
+            for m, (level, _, _) in enumerate(iter_levels(M, force), start=1)]
 
 
 def project(theta: Permutation) -> Permutation:
     """Down the generation tree: the degree-(m-1) parent of a class-V member."""
     if theta.m < 2:
         raise ValueError("projection needs degree >= 2")
-    if not _in_v(theta):
+    if not in_V(theta):
         raise ValueError(f"{theta.one_line()} is not in the class V; projection undefined")
     return psi(gamma(theta))

@@ -218,6 +218,17 @@ def cds(theta: Permutation) -> frozenset[int]:
     return frozenset((vals[i + 1] - vals[i]) % m for i in range(m - 1))
 
 
+def in_V(theta: Permutation) -> bool:
+    """Congruential recurrence membership (the class V)."""
+    m = theta.m
+    vals = theta.values
+    first, last = vals[0], vals[-1]
+    return all(
+        (vals[i + 1] - vals[i]) % m == (first - (last <= vals[i])) % m
+        for i in range(m - 1)
+    )
+
+
 def inverse(theta: Permutation) -> Permutation:
     """Group inverse: position of each value."""
     out = [0] * theta.m

@@ -31,6 +31,7 @@ from .perm_core import (
     ascents,
     cds,
     delta,
+    in_V,
     inverse,
     psi,
     shift_closure,
@@ -42,17 +43,6 @@ LABELS = ("V", "W", "Y", "Yprime", "X", "Sstar", "SstarTilde", "VL0", "VL1", "Vm
 METHODS = ("brute", "lift", "farey")
 DEFAULT_MAX_BRUTE_M = 10
 ENV_MAX_BRUTE_M = "SOSLIFT_MAX_BRUTE_M"
-
-
-def in_V(theta: Permutation) -> bool:
-    """Congruential recurrence membership (the class V)."""
-    m = theta.m
-    vals = theta.values
-    first, last = vals[0], vals[-1]
-    return all(
-        (vals[i + 1] - vals[i]) % m == (first - (last <= vals[i])) % m
-        for i in range(m - 1)
-    )
 
 
 def in_W(theta: Permutation) -> bool:
@@ -146,8 +136,7 @@ def enumerate_class(label: str, m: int, method: str = "brute") -> PermClass:
         if label not in ("V", "Sstar"):
             raise ValueError(f"method {method!r} only enumerates V or Sstar, not {label}")
         if method == "lift":
-            lifted = lifting.generate_up_to(m)[-1]
-            return PermClass.from_array(label, m, lifted.as_array())
+            return PermClass.from_array(label, m, lifting.lift_to(m).as_array())
         return PermClass(label, m, suranyi_table(m).permutations())
 
     if label == "VL0":

@@ -16,7 +16,7 @@ from fractions import Fraction
 import numpy as np
 
 from .farey import FareyInterval, farey_intervals, format_fraction
-from .lifting import TAG_SINGLE, lift_fibers
+from .lifting import TAG_SINGLE, iter_levels
 from .perm_core import Permutation, cds, psi_inverse
 from .sos import suranyi_table
 
@@ -50,17 +50,15 @@ def build_gen_tree(M: int) -> GenTree:
     """Lift level by level from the single degree-1 node."""
     if M < 1:
         raise ValueError(f"depth must be positive, got {M}")
-    arrays = [np.array([[1]], dtype=np.uint8)]
-    tags_per_level: list[np.ndarray] = [np.array([TAG_SINGLE], dtype=np.int8)]
+    arrays: list[np.ndarray] = []
+    tags_per_level: list[np.ndarray] = []
     kids_per_level: list[list[tuple[int, ...]]] = []
-    for _ in range(1, M):
-        children, parent_index, tags = lift_fibers(arrays[-1])
-        counts = np.bincount(parent_index, minlength=arrays[-1].shape[0])
-        offsets = np.concatenate(([0], np.cumsum(counts)))
-        kids_per_level.append(
-            [tuple(range(offsets[j], offsets[j + 1])) for j in range(len(counts))]
-        )
-        arrays.append(children)
+    for level, parent_index, tags in iter_levels(M, force=True):
+        if arrays:
+            # parent_index is sorted: parent j's children are offsets[j]..offsets[j+1]-1
+            offsets = np.searchsorted(parent_index, np.arange(arrays[-1].shape[0] + 1))
+            kids_per_level.append([tuple(range(a, b)) for a, b in zip(offsets[:-1], offsets[1:])])
+        arrays.append(level)
         tags_per_level.append(tags)
     kids_per_level.append([() for _ in range(arrays[-1].shape[0])])
 

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from soslift.cli import main
+from soslift.farey import totient_sum
 
 V4_LINES = ["1234", "2341", "2413", "3142", "3214", "4321"]
 
@@ -71,6 +72,47 @@ def test_lift_from_file_rejects_non_members(tmp_path: Path, capsys: pytest.Captu
     src.write_text(json.dumps({"m": 4, "values": [1, 3, 2, 4]}) + "\n", encoding="utf-8")
     assert main(["lift", "--from-m", "4", "--input", str(src)]) == 2
     assert "not the class V" in capsys.readouterr().err
+
+
+def test_lift_from_m_matches_to_m(capsys: pytest.CaptureFixture) -> None:
+    assert main(["lift", "--from-m", "7"]) == 0
+    from_m = capsys.readouterr().out
+    assert main(["lift", "--to-m", "8"]) == 0
+    assert capsys.readouterr().out == from_m
+    assert len(from_m.splitlines()) == totient_sum(8)
+
+
+def test_lift_rejects_nonpositive_degrees(capsys: pytest.CaptureFixture) -> None:
+    for argv in (["--from-m", "0"], ["--from-m", "-3"], ["--to-m", "0"]):
+        assert main(["lift", *argv]) == 2
+        assert capsys.readouterr().err.startswith("error:")
+
+
+def test_lift_input_missing_file_is_usage_error(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
+    missing = tmp_path / "absent.jsonl"
+    assert main(["lift", "--from-m", "3", "--input", str(missing)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(missing) in err
+    assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("line", ['{"m": 3}', "[1, 2, 3]", '"123"'])
+def test_lift_input_malformed_line_is_usage_error(
+    tmp_path: Path, capsys: pytest.CaptureFixture, line: str
+) -> None:
+    src = tmp_path / "bad.jsonl"
+    src.write_text(line + "\n", encoding="utf-8")
+    assert main(["lift", "--from-m", "3", "--input", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and str(src) in err
+    assert len(err.splitlines()) == 1
+
+
+def test_enumerate_lift_refusal_names_the_flag(capsys: pytest.CaptureFixture) -> None:
+    assert main(["enumerate", "--set", "V", "--m", "501", "--method", "lift"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "lift --force" in err
 
 
 def test_lift_force_gate(capsys: pytest.CaptureFixture) -> None:

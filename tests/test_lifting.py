@@ -1,8 +1,12 @@
 from __future__ import annotations
 
+import ast
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from soslift import lifting
 from soslift.farey import totients, totient_sum
 from soslift.lifting import (
     FORCE_THRESHOLD,
@@ -11,8 +15,10 @@ from soslift.lifting import (
     TAG_RIGHT,
     TAG_SINGLE,
     generate_up_to,
+    iter_levels,
     lift_fibers,
     lift_once,
+    lift_to,
     project,
 )
 from soslift.perm_core import PermClass, Permutation, cds, psi_inverse
@@ -104,6 +110,54 @@ def test_generate_up_to_guards() -> None:
         generate_up_to(FORCE_THRESHOLD + 1)
     with pytest.raises(ValueError, match="not supported"):
         generate_up_to(MAX_LIFT_DEGREE + 1, force=True)
+
+
+def test_iter_levels_matches_generate_up_to_row_for_row() -> None:
+    levels = list(iter_levels(12))
+    assert len(levels) == 12
+    level, parent_index, tags = levels[0]
+    assert level.tolist() == [[1]]
+    assert parent_index.tolist() == [0]
+    assert tags.tolist() == [TAG_SINGLE]
+    for (level, parent_index, tags), kept in zip(levels, generate_up_to(12)):
+        assert np.array_equal(level, kept.as_array())
+        assert len(parent_index) == len(tags) == len(level)
+    for (parents, _, _), (children, parent_index, tags) in zip(levels, levels[1:]):
+        expected = lift_fibers(parents)
+        assert np.array_equal(children, expected[0])
+        assert np.array_equal(parent_index, expected[1])
+        assert np.array_equal(tags, expected[2])
+
+
+def test_lift_to_matches_brute_force() -> None:
+    for m in range(1, 9):
+        lifted = lift_to(m)
+        assert lifted.m == m
+        assert lifted == enumerate_class("V", m)
+
+
+def test_iter_levels_and_lift_to_guards() -> None:
+    levels = iter_levels(FORCE_THRESHOLD + 1)  # the guard runs on the first next()
+    with pytest.raises(ValueError, match="needs force"):
+        next(levels)
+    with pytest.raises(ValueError, match="target degree must be positive"):
+        lift_to(0)
+    with pytest.raises(ValueError, match=r"needs force=True \(soslift lift --force\)"):
+        lift_to(FORCE_THRESHOLD + 1)
+    with pytest.raises(ValueError, match="not supported"):
+        lift_to(MAX_LIFT_DEGREE + 1, force=True)
+
+
+def test_lifting_imports_only_numpy_and_perm_core() -> None:
+    """lifting must stay an independent route: no farey, no sos, no perm_sets."""
+    tree = ast.parse(Path(lifting.__file__).read_text(encoding="utf-8"))
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add("." * node.level + (node.module or ""))
+    assert imported <= {"__future__", "typing", "numpy", ".perm_core"}, imported
 
 
 def test_project_frozen_values() -> None:

@@ -5,6 +5,7 @@ import json
 import pytest
 
 from soslift.farey import farey_intervals, totient_sum
+from soslift.lifting import TAG_SINGLE, iter_levels
 from soslift.perm_core import Permutation
 from soslift.trees import (
     FareyTree,
@@ -88,6 +89,21 @@ def test_gen_tree_depth6_edges_match_golden() -> None:
             assert kids == GOLDEN_EDGES[node.perm.one_line()]
     for leaf in tree.levels[-1]:
         assert leaf.children == ()
+
+
+def test_gen_tree_agrees_with_iter_levels() -> None:
+    tree = build_gen_tree(8)
+    levels = list(iter_levels(8))
+    assert len(tree.levels) == len(levels)
+    for nodes, (rows, _, tags) in zip(tree.levels, levels):
+        assert [n.perm.values for n in nodes] == [tuple(r) for r in rows.tolist()]
+        assert [n.tag for n in nodes] == [None if t == TAG_SINGLE else t for t in tags.tolist()]
+    for nodes, (_, parent_index, _) in zip(tree.levels, levels[1:]):
+        children = [[] for _ in nodes]
+        for child, parent in enumerate(parent_index.tolist()):
+            children[parent].append(child)
+        assert [list(n.children) for n in nodes] == children
+    assert all(n.children == () for n in tree.levels[-1])
 
 
 def test_gen_tree_child_indices_partition_next_level() -> None:
