@@ -62,12 +62,14 @@ def _cmd_enumerate(args) -> int:
 def _cmd_lift(args) -> int:
     if args.from_m is not None and args.from_m < 1:
         raise ValueError(f"source degree must be positive, got {args.from_m}")
-    if args.from_m is not None and args.input:
+    if args.input and args.from_m is None:
+        raise ValueError("--input holds V of degree --from-m and cannot be combined with --to-m")
+    if args.input:
         check_lift_degree(args.from_m + 1, args.force)
         try:
             with open(args.input) as fh:
                 members = [Permutation.from_json(json.loads(line)) for line in fh if line.strip()]
-        except (OSError, KeyError, TypeError) as exc:
+        except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
             raise ValueError(f"cannot read {args.input}: {type(exc).__name__}: {exc}") from None
         vprev = PermClass("V", args.from_m, members)
         if len(vprev) == 0:
@@ -137,14 +139,13 @@ def _cmd_verify_tree(args) -> int:
 def _cmd_sosrec(args) -> int:
     found = enumerate_sos_recurrence(args.m)
     v_inverses = PermClass("inv(V)", args.m, (inverse(p) for p in enumerate_class("V", args.m)))
-    sos = set(v_inverses.members)
     doc = {
         "m": args.m,
         "recurrence_count": len(found),
         "sos_count": len(v_inverses),
-        "recurrence_contains_sos": sos <= set(found.members),
+        "recurrence_contains_sos": all(p in found for p in v_inverses),
         "sets_equal": found == v_inverses,
-        "recurrence_only": [p.one_line() for p in found if p not in sos],
+        "recurrence_only": [p.one_line() for p in found if p not in v_inverses],
     }
     if args.format == "json":
         print(json.dumps(doc, indent=2))

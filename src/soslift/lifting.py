@@ -1,13 +1,13 @@
 """Degree lifting: reconstruct the class V of degree m from degree m-1.
 
 The construction is purely arithmetic on integer sequences.  For each parent
-pi of degree m-1, prepend a fixed point and add one to get theta_pi; the set
-of adjacent differences of theta_pi mod m is either a singleton {a}, in which
-case the parent contributes the two affine children (a*i mod m and its
-shift), or a consecutive pair {a, a+1}, in which case it contributes the
-single child theta_pi shifted by a.  Children of a branching parent are
-emitted (0)-child first, (1)-child second; the tree module relies on that
-emission order.
+pi of degree m-1, prepend a fixed point and add one to get theta_pi, and let
+a be the smallest adjacent difference of theta_pi mod m.  Every child is a
+shift of theta_pi: if the difference set is the singleton {a}, the parent
+branches into the shifts by a-1 and by a; if it is the consecutive pair
+{a, a+1}, the parent has the single child theta_pi shifted by a.  Children of
+a branching parent are emitted (0)-child first, (1)-child second; the tree
+module relies on that emission order.
 
 This module deliberately depends on nothing but the permutation core: no
 fractions, no angles, no sorting of fractional parts anywhere.
@@ -41,13 +41,14 @@ def lift_fibers(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
         raise ValueError(f"expected a 2-d parent array, got shape {parents.shape}")
     n, prev_m = parents.shape
     m = prev_m + 1
-    work = parents.astype(np.int64)
 
     theta = np.empty((n, m), dtype=np.int64)
     theta[:, 0] = 1
-    theta[:, 1:] = work + 1
+    theta[:, 1:] = parents
+    theta[:, 1:] += 1
 
-    diffs = (theta[:, 1:] - theta[:, :-1]) % m
+    diffs = theta[:, 1:] - theta[:, :-1]
+    diffs %= m
     lo = diffs.min(axis=1)
     hi = diffs.max(axis=1)
     bad = hi - lo > 1
@@ -59,33 +60,24 @@ def lift_fibers(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
         )
 
     branching = lo == hi
-    counts = np.where(branching, 2, 1)
-    offsets = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(counts, out=offsets[1:])
-    total = int(offsets[-1])
-
-    dtype = _dtype_for(m)
-    children = np.empty((total, m), dtype=dtype)
-    tags = np.empty(total, dtype=np.int8)
+    counts = 1 + branching
+    ends = np.cumsum(counts)
     parent_index = np.repeat(np.arange(n, dtype=np.int64), counts)
+    left_rows = ends[branching] - 2
 
-    pair_rows = np.nonzero(~branching)[0]
-    if pair_rows.size:
-        a = lo[pair_rows, None]
-        children[offsets[pair_rows]] = ((theta[pair_rows] + a - 1) % m + 1).astype(dtype)
-        tags[offsets[pair_rows]] = TAG_SINGLE
+    # Every child is shift(theta_pi, k) = (theta_pi + k - 1) % m + 1 with
+    # k = a for the last child and k = a - 1 for a (0)-child.
+    shifts = lo[parent_index] - 1
+    shifts[left_rows] -= 1
+    children = theta[parent_index]
+    children += shifts[:, None]
+    children %= m
+    children += 1
 
-    branch_rows = np.nonzero(branching)[0]
-    if branch_rows.size:
-        a = lo[branch_rows, None]
-        i_range = np.arange(1, m + 1, dtype=np.int64)
-        left = (a * i_range - 1) % m + 1
-        children[offsets[branch_rows]] = left.astype(dtype)
-        children[offsets[branch_rows] + 1] = (left % m + 1).astype(dtype)
-        tags[offsets[branch_rows]] = TAG_LEFT
-        tags[offsets[branch_rows] + 1] = TAG_RIGHT
-
-    return children, parent_index, tags
+    tags = np.full(len(parent_index), TAG_SINGLE, dtype=np.int8)
+    tags[left_rows] = TAG_LEFT
+    tags[left_rows + 1] = TAG_RIGHT
+    return children.astype(_dtype_for(m)), parent_index, tags
 
 
 def lift_once(vprev: PermClass) -> PermClass:

@@ -7,6 +7,7 @@ object.
 """
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -296,7 +297,11 @@ class PermClass:
         return iter(self.members)
 
     def __contains__(self, item: object) -> bool:
-        return isinstance(item, Permutation) and item in set(self.members)
+        if not isinstance(item, Permutation):
+            return False
+        members = self.members
+        i = bisect_left(members, item)
+        return i < len(members) and members[i] == item
 
     def __eq__(self, other: object) -> bool:
         """Set equality on members; labels are not compared."""

@@ -8,6 +8,7 @@ is represented by the integer key (i*p) mod q, never by a float.
 from __future__ import annotations
 
 import random
+from bisect import bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
 from math import gcd
@@ -48,7 +49,8 @@ def sos_from_alpha(m: int, alpha: Fraction) -> Permutation:
 def tau_from_alpha(m: int, alpha: Fraction) -> Permutation:
     """tau_alpha(i) = |{j in [m] : {j alpha} <= {i alpha}}|, the inverse of sos_from_alpha."""
     keys = _keys(m, alpha)
-    return Permutation(sum(1 for kj in keys if kj <= ki) for ki in keys)
+    ranked = sorted(keys)
+    return Permutation(bisect_right(ranked, ki) for ki in keys)
 
 
 def tau_explicit(m: int, alpha: Fraction) -> Permutation:

@@ -101,12 +101,6 @@ def build_farey_tree(M: int) -> FareyTree:
     return FareyTree(M, tuple(levels))
 
 
-def _substituted_level(m: int) -> list[Permutation]:
-    if m == 1:
-        return [Permutation((1,))]
-    return suranyi_table(m).permutations()
-
-
 def check_isomorphism(M: int) -> list[dict]:
     """Compare the generation tree with the permutation-substituted interval tree.
 
@@ -125,7 +119,7 @@ def check_isomorphism(M: int) -> list[dict]:
     for m in range(1, M + 1):
         gen_level = gen.levels[m - 1]
         far_level = far.levels[m - 1]
-        substituted = _substituted_level(m)
+        substituted = suranyi_table(m).permutations()
         same_nodes = len(gen_level) == len(far_level) == len(substituted) and all(
             node.perm == perm for node, perm in zip(gen_level, substituted)
         )

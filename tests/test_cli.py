@@ -96,7 +96,7 @@ def test_lift_input_missing_file_is_usage_error(tmp_path: Path, capsys: pytest.C
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("line", ['{"m": 3}', "[1, 2, 3]", '"123"'])
+@pytest.mark.parametrize("line", ['{"m": 3}', "[1, 2, 3]", '"123"', "not json"])
 def test_lift_input_malformed_line_is_usage_error(
     tmp_path: Path, capsys: pytest.CaptureFixture, line: str
 ) -> None:
@@ -106,6 +106,16 @@ def test_lift_input_malformed_line_is_usage_error(
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(src) in err
     assert len(err.splitlines()) == 1
+
+
+def test_lift_input_with_to_m_is_usage_error(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
+    src = tmp_path / "v3.jsonl"
+    src.write_text(json.dumps({"m": 3, "values": [1, 2, 3]}) + "\n", encoding="utf-8")
+    assert main(["lift", "--to-m", "4", "--input", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--from-m" in captured.err
+    assert len(captured.err.splitlines()) == 1
 
 
 def test_enumerate_lift_refusal_names_the_flag(capsys: pytest.CaptureFixture) -> None:

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import ast
+import itertools
 from pathlib import Path
 
 import numpy as np
@@ -21,7 +22,7 @@ from soslift.lifting import (
     lift_to,
     project,
 )
-from soslift.perm_core import PermClass, Permutation, cds, psi_inverse
+from soslift.perm_core import PermClass, Permutation, cds, in_V, psi_inverse, shift
 from soslift.perm_sets import enumerate_class
 from soslift.sos import theta_ab
 
@@ -71,6 +72,25 @@ def test_branching_parents_have_singleton_difference_set() -> None:
                 assert len(cds(lifted)) == 1
             else:
                 assert len(cds(lifted)) == 2
+
+
+def test_lift_fibers_children_are_the_shifts_of_theta() -> None:
+    """Exhaustive over S_1..S_7: the kernel accepts exactly V, and each child is
+    psi_inverse(pi) shifted by a - 1 ((0)-child) or by a (last child)."""
+    for n in range(1, 8):
+        for values in itertools.permutations(range(1, n + 1)):
+            parent = Permutation(values)
+            theta = psi_inverse(parent)
+            rows = np.array([values], dtype=np.uint8)
+            if not in_V(parent):
+                with pytest.raises(ValueError, match="not the class V"):
+                    lift_fibers(rows)
+                continue
+            children, parent_index, tags = lift_fibers(rows)
+            assert parent_index.tolist() == [0] * len(children)
+            a = min(cds(theta))
+            for row, tag in zip(children.tolist(), tags.tolist()):
+                assert Permutation(row) == shift(theta, a - 1 if tag == TAG_LEFT else a)
 
 
 def test_lift_once_matches_brute_force() -> None:

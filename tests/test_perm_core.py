@@ -195,6 +195,11 @@ def test_perm_class_equality_ignores_label() -> None:
     b = PermClass("W", 2, [_p("21"), _p("12")])
     assert a == b
     assert a != PermClass("V", 2, [_p("12")])
+    single = PermClass("V", 2, [_p("12")])
+    assert _p("12") in single and _p("21") in a
+    assert _p("21") not in single
+    assert _p("1") not in single and _p("123") not in single
+    assert "12" not in single and (1, 2) not in single and None not in single
 
 
 def test_perm_class_rejects_degree_mismatch() -> None:
@@ -211,6 +216,11 @@ def test_perm_class_from_array_matches_eager() -> None:
     back = lazy.as_array()
     assert back.shape == (2, 2)
     assert sorted(map(tuple, back.tolist())) == [(1, 2), (2, 1)]
+    sparse = PermClass.from_array("V", 3, np.array([[2, 3, 1], [1, 2, 3]], dtype=np.uint8))
+    assert _p("123") in sparse and _p("231") in sparse
+    assert _p("132") not in sparse and _p("321") not in sparse
+    assert _p("12") not in sparse and _p("1234") not in sparse
+    assert "231" not in sparse and [2, 3, 1] not in sparse
 
 
 def test_shift_closure_of_iterable() -> None:
