@@ -19,7 +19,7 @@ from .farey import (
     parse_fraction,
 )
 from .lifting import check_lift_degree, lift_once, lift_to, project
-from .perm_core import PermClass, Permutation, inverse
+from .perm_core import PermClass, Permutation, format_rows, inverse
 from .perm_sets import (
     LABELS,
     METHODS,
@@ -35,11 +35,8 @@ DEFAULT_SEED = 1729
 
 
 def _print_class(cls: PermClass, fmt: str) -> None:
-    for perm in cls:
-        if fmt == "json":
-            print(json.dumps(perm.to_json()))
-        else:
-            print(perm.one_line())
+    for line in format_rows(cls.sorted_rows(), cls.m, fmt):
+        print(line)
 
 
 def _print_report(records: list[dict], fmt: str) -> int:
@@ -67,9 +64,9 @@ def _cmd_lift(args) -> int:
     if args.input:
         check_lift_degree(args.from_m + 1, args.force)
         try:
-            with open(args.input) as fh:
+            with open(args.input, encoding="utf-8") as fh:
                 members = [Permutation.from_json(json.loads(line)) for line in fh if line.strip()]
-        except (OSError, KeyError, TypeError, json.JSONDecodeError) as exc:
+        except (OSError, KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
             raise ValueError(f"cannot read {args.input}: {type(exc).__name__}: {exc}") from None
         vprev = PermClass("V", args.from_m, members)
         if len(vprev) == 0:

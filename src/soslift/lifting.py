@@ -9,6 +9,12 @@ branches into the shifts by a-1 and by a; if it is the consecutive pair
 a branching parent are emitted (0)-child first, (1)-child second; the tree
 module relies on that emission order.
 
+The kernel works on the zero-based int16 array theta_pi - 1 = (0, pi) and
+never takes a remainder: difference residues and shifted values lie in
+[-m, m), so adding m under the sign bit reduces them mod m.  The children
+are written once, plus one, into the level's own dtype (uint8 up to degree
+255, uint16 beyond).
+
 This module deliberately depends on nothing but the permutation core: no
 fractions, no angles, no sorting of fractional parts anywhere.
 """
@@ -18,7 +24,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .perm_core import PermClass, Permutation, _dtype_for, gamma, in_V, psi
+from .perm_core import MAX_DEGREE, PermClass, Permutation, _dtype_for, gamma, in_V, psi
 
 FORCE_THRESHOLD = 500
 MAX_LIFT_DEGREE = 2000
@@ -26,6 +32,16 @@ MAX_LIFT_DEGREE = 2000
 TAG_SINGLE = -1
 TAG_LEFT = 0
 TAG_RIGHT = 1
+
+
+def _wrap(x: np.ndarray, m: int) -> None:
+    """Reduce the int16 array x, with entries in [-m, m), mod m in place.
+
+    x >> 15 is -1 exactly where x is negative, so the mask adds m there.
+    """
+    mask = x >> 15
+    mask &= m
+    x += mask
 
 
 def lift_fibers(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -41,14 +57,17 @@ def lift_fibers(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
         raise ValueError(f"expected a 2-d parent array, got shape {parents.shape}")
     n, prev_m = parents.shape
     m = prev_m + 1
+    if m > MAX_DEGREE:
+        raise ValueError(f"degree {m} exceeds the supported ceiling {MAX_DEGREE}")
 
-    theta = np.empty((n, m), dtype=np.int64)
-    theta[:, 0] = 1
-    theta[:, 1:] = parents
-    theta[:, 1:] += 1
+    # theta0 = theta_pi - 1 = (0, pi); int16 holds every value, difference
+    # and shifted value up to MAX_DEGREE.
+    theta0 = np.empty((n, m), dtype=np.int16)
+    theta0[:, 0] = 0
+    theta0[:, 1:] = parents
 
-    diffs = theta[:, 1:] - theta[:, :-1]
-    diffs %= m
+    diffs = theta0[:, 1:] - theta0[:, :-1]
+    _wrap(diffs, m)
     lo = diffs.min(axis=1)
     hi = diffs.max(axis=1)
     bad = hi - lo > 1
@@ -65,19 +84,21 @@ def lift_fibers(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
     parent_index = np.repeat(np.arange(n, dtype=np.int64), counts)
     left_rows = ends[branching] - 2
 
-    # Every child is shift(theta_pi, k) = (theta_pi + k - 1) % m + 1 with
-    # k = a for the last child and k = a - 1 for a (0)-child.
-    shifts = lo[parent_index] - 1
+    # Every child is shift(theta_pi, k) = (theta0 + k) mod m + 1 with k = a
+    # for the last child and k = a - 1 for a (0)-child; theta0 + k - m lies
+    # in [-m, m).
+    shifts = (lo - m)[parent_index]
     shifts[left_rows] -= 1
-    children = theta[parent_index]
-    children += shifts[:, None]
-    children %= m
-    children += 1
+    wrapped = theta0[parent_index]
+    wrapped += shifts[:, None]
+    _wrap(wrapped, m)
+    children = np.empty(wrapped.shape, dtype=_dtype_for(m))
+    np.add(wrapped, 1, out=children, casting="unsafe")
 
     tags = np.full(len(parent_index), TAG_SINGLE, dtype=np.int8)
     tags[left_rows] = TAG_LEFT
     tags[left_rows + 1] = TAG_RIGHT
-    return children.astype(_dtype_for(m)), parent_index, tags
+    return children, parent_index, tags
 
 
 def lift_once(vprev: PermClass) -> PermClass:

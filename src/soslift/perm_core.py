@@ -8,7 +8,7 @@ object.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -97,9 +97,7 @@ class Permutation:
         return {"m": self.m, "values": list(self._values)}
 
     def one_line(self) -> str:
-        if self.m <= 9:
-            return "".join(str(v) for v in self._values)
-        return " ".join(str(v) for v in self._values)
+        return next(format_rows((self._values,), self.m, "oneline"))
 
     def __call__(self, i: int) -> int:
         """Value at 1-based position i."""
@@ -238,6 +236,22 @@ def inverse(theta: Permutation) -> Permutation:
     return Permutation(out)
 
 
+def format_rows(rows: Iterable[Sequence[int]], m: int, fmt: str) -> Iterator[str]:
+    """One line of text per degree-m row of values.
+
+    fmt "oneline": the values concatenated up to degree 9 and separated by
+    spaces beyond.  fmt "json": ``{"m": m, "values": [...]}`` exactly as
+    json.dumps writes Permutation.to_json().  Values are looked up in a
+    table of the m + 1 tokens "0".."m".
+    """
+    tokens = [str(v) for v in range(m + 1)]
+    if fmt == "json":
+        head, sep, tail = f'{{"m": {m}, "values": [', ", ", "]}"
+    else:
+        head, sep, tail = "", "" if m <= 9 else " ", ""
+    return (head + sep.join([tokens[v] for v in row]) + tail for row in rows)
+
+
 def _dtype_for(m: int) -> np.dtype:
     return np.dtype(np.uint8 if m <= 255 else np.uint16)
 
@@ -275,12 +289,28 @@ class PermClass:
     @property
     def members(self) -> tuple[Permutation, ...]:
         if self._members is None:
-            arr = self._array
-            if arr.shape[0] > 1:
-                order = np.lexsort(arr.T[::-1])
-                arr = arr[order]
-            self._members = tuple(Permutation(row) for row in arr.tolist())
+            self._members = tuple(Permutation(row) for row in self.sorted_rows())
         return self._members
+
+    def sorted_rows(self) -> list[Sequence[int]]:
+        """Member values in lexicographic order, one sequence of ints per member.
+
+        An array-backed class is lexsorted and checked without building
+        Permutation objects: a row that is not a permutation of 1..m raises
+        ValueError, as Permutation() would.
+        """
+        if self._members is not None:
+            return [p.values for p in self._members]
+        arr = self._array
+        if arr.shape[0] > 1:
+            arr = arr[np.lexsort(arr.T[::-1])]
+        # numpy sorts 16-bit lanes far faster than 8-bit ones; promote_types only widens
+        ranked = np.sort(arr.astype(np.promote_types(arr.dtype, np.uint16)), axis=1)
+        bad = (ranked != np.arange(1, self.m + 1)).any(axis=1)
+        if bad.any():
+            row = tuple(arr[int(np.argmax(bad))].tolist())
+            raise ValueError(f"not a permutation of 1..{self.m}: {row}")
+        return arr.tolist()
 
     def as_array(self) -> np.ndarray:
         """Member rows as an (N, m) integer array; row order unspecified."""

@@ -3,10 +3,14 @@ from __future__ import annotations
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 
+from soslift import cli
 from soslift.cli import main
 from soslift.farey import totient_sum
+from soslift.lifting import lift_to
+from soslift.perm_core import PermClass, Permutation
 
 V4_LINES = ["1234", "2341", "2413", "3142", "3214", "4321"]
 
@@ -96,12 +100,17 @@ def test_lift_input_missing_file_is_usage_error(tmp_path: Path, capsys: pytest.C
     assert len(err.splitlines()) == 1
 
 
-@pytest.mark.parametrize("line", ['{"m": 3}', "[1, 2, 3]", '"123"', "not json"])
+@pytest.mark.parametrize(
+    "line", ['{"m": 3}', "[1, 2, 3]", '"123"', "not json", b"\xff\xfe\n"]
+)
 def test_lift_input_malformed_line_is_usage_error(
-    tmp_path: Path, capsys: pytest.CaptureFixture, line: str
+    tmp_path: Path, capsys: pytest.CaptureFixture, line: str | bytes
 ) -> None:
     src = tmp_path / "bad.jsonl"
-    src.write_text(line + "\n", encoding="utf-8")
+    if isinstance(line, bytes):
+        src.write_bytes(line)
+    else:
+        src.write_text(line + "\n", encoding="utf-8")
     assert main(["lift", "--from-m", "3", "--input", str(src)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:") and str(src) in err
@@ -116,6 +125,37 @@ def test_lift_input_with_to_m_is_usage_error(tmp_path: Path, capsys: pytest.Capt
     assert captured.out == ""
     assert captured.err.startswith("error:") and "--from-m" in captured.err
     assert len(captured.err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("m", [1, 9, 10, 40])
+def test_class_output_matches_permutation_text(capsys: pytest.CaptureFixture, m: int) -> None:
+    members = sorted(Permutation(row) for row in lift_to(m).as_array().tolist())
+    for p in members:
+        assert p.one_line() == ("" if m <= 9 else " ").join(map(str, p.values))
+    expected = {
+        "oneline": "".join(p.one_line() + "\n" for p in members),
+        "json": "".join(json.dumps(p.to_json()) + "\n" for p in members),
+    }
+    for fmt, text in expected.items():
+        for argv in (["lift", "--to-m", str(m)],
+                     ["enumerate", "--set", "V", "--m", str(m), "--method", "lift"]):
+            assert main([*argv, "--format", fmt]) == 0
+            assert capsys.readouterr().out == text
+
+
+@pytest.mark.parametrize("bad_row", [[3, 3, 1], [2, 3, 4]])
+@pytest.mark.parametrize("fmt", ["oneline", "json"])
+def test_class_output_rejects_a_non_permutation_row(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture, bad_row: list[int], fmt: str
+) -> None:
+    rows = np.array([[1, 2, 3], [2, 3, 1], bad_row], dtype=np.uint8)
+    monkeypatch.setattr(cli, "lift_to", lambda M, force=False: PermClass.from_array("V", 3, rows))
+    assert main(["lift", "--to-m", "3", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "not a permutation of 1..3" in captured.err
+    with pytest.raises(ValueError, match="not a permutation"):
+        PermClass.from_array("V", 3, rows).members
 
 
 def test_enumerate_lift_refusal_names_the_flag(capsys: pytest.CaptureFixture) -> None:

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import itertools
+from math import gcd
 from pathlib import Path
 
 import numpy as np
@@ -22,7 +23,16 @@ from soslift.lifting import (
     lift_to,
     project,
 )
-from soslift.perm_core import PermClass, Permutation, cds, in_V, psi_inverse, shift
+from soslift.perm_core import (
+    MAX_DEGREE,
+    PermClass,
+    Permutation,
+    _dtype_for,
+    cds,
+    in_V,
+    psi_inverse,
+    shift,
+)
 from soslift.perm_sets import enumerate_class
 from soslift.sos import theta_ab
 
@@ -93,6 +103,36 @@ def test_lift_fibers_children_are_the_shifts_of_theta() -> None:
                 assert Permutation(row) == shift(theta, a - 1 if tag == TAG_LEFT else a)
 
 
+@pytest.mark.parametrize("prev_m", [127, 128, 255, 256, 1999])
+def test_lift_fibers_at_dtype_boundaries(prev_m: int) -> None:
+    """Affine parents i -> (s*i + b - 1) mod m' + 1, gcd(s, m') = 1, b in {0, 1},
+    lie in V.  Their children of degree m = m' + 1 cross the uint8 and uint16
+    limits of every intermediate: each must still be the shift of theta_pi
+    by a - 1 ((0)-child) or a, with a = min cds(theta_pi), in _dtype_for(m)."""
+    m = prev_m + 1
+    units = [s for s in range(1, prev_m) if gcd(s, prev_m) == 1]
+    affine = np.array([(s, b) for s in units for b in (0, 1)])
+    rng = np.random.default_rng(prev_m)
+    affine = affine[rng.choice(len(affine), size=min(32, len(affine)), replace=False)]
+    i = np.arange(1, prev_m + 1)
+    rows = (affine[:, :1] * i + affine[:, 1:] - 1) % prev_m + 1
+    children, parent_index, tags = lift_fibers(rows.astype(_dtype_for(prev_m)))
+    assert children.dtype == _dtype_for(m)
+    assert children.shape[1] == m
+    assert np.array_equal(np.unique(parent_index), np.arange(len(rows)))
+    thetas = []
+    for row in rows.tolist():
+        parent = Permutation(row)
+        assert in_V(parent)
+        theta = psi_inverse(parent)
+        thetas.append((theta, min(cds(theta))))
+    for row, parent, tag in zip(children.tolist(), parent_index.tolist(), tags.tolist()):
+        child = Permutation(row)
+        theta, a = thetas[parent]
+        assert child == shift(theta, a - 1 if tag == TAG_LEFT else a)
+        assert in_V(child)
+
+
 def test_lift_once_matches_brute_force() -> None:
     for m in range(2, 9):
         prev = enumerate_class("V", m - 1)
@@ -105,6 +145,8 @@ def test_lift_fibers_rejects_non_member_rows() -> None:
         lift_fibers(bad)
     with pytest.raises(ValueError, match="2-d parent array"):
         lift_fibers(np.array([1, 2], dtype=np.uint8))
+    with pytest.raises(ValueError, match="exceeds the supported ceiling"):
+        lift_fibers(np.arange(1, MAX_DEGREE + 1, dtype=np.uint16)[None, :])
 
 
 def test_lift_once_rejects_planted_non_member() -> None:
