@@ -1,14 +1,16 @@
 """Command-line entry point.
 
 Exit codes: 0 on success and when every verification check passes, 1 when a
-verification check fails, 2 on usage errors (including malformed permutation
-or fraction tokens).  Output is deterministic: sets print one permutation
-per line, trees and reports print a single JSON document.
+verification check fails or the reader closes stdout before the output ends
+(no traceback is printed), 2 on usage errors (including malformed
+permutation or fraction tokens).  Output is deterministic: sets print one
+permutation per line, trees and reports print a single JSON document.
 """
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .farey import (
@@ -35,8 +37,11 @@ DEFAULT_SEED = 1729
 
 
 def _print_class(cls: PermClass, fmt: str) -> None:
-    for line in format_rows(cls.sorted_rows(), cls.m, fmt):
-        print(line)
+    # a block at a time: tolist() holds a Python int pointer per value
+    rows = cls.as_array()
+    for start in range(0, len(rows), 1024):
+        for line in format_rows(rows[start:start + 1024].tolist(), cls.m, fmt):
+            print(line)
 
 
 def _print_report(records: list[dict], fmt: str) -> int:
@@ -222,10 +227,17 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        status = args.func(args)
+        sys.stdout.flush()
+        return status
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    except BrokenPipeError:
+        # the interpreter flushes stdout again at exit; a closed pipe would
+        # raise there too, so the rest of the output goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -143,7 +143,9 @@ def lift_to(M: int, force: bool = False) -> PermClass:
 def generate_up_to(M: int, force: bool = False) -> list[PermClass]:
     """Run the lifting recursion from degree 1, returning every level.
 
-    Storage for all levels grows like M^4/13 bytes; lift_to keeps one.
+    Each level is a PermClass, so its rows are lexsorted and checked when it
+    is built.  Storage for all levels grows like M^4/13 bytes; lift_to keeps
+    one, and iter_levels yields each level in generation order unsorted.
     """
     return [PermClass.from_array("V", m, level)
             for m, (level, _, _) in enumerate(iter_levels(M, force), start=1)]

@@ -89,6 +89,8 @@ class Permutation:
     @classmethod
     def from_json(cls, obj: dict) -> "Permutation":
         vals = obj["values"]
+        if not isinstance(vals, list) or not all(type(v) is int for v in vals):
+            raise TypeError(f"JSON permutation values must be a list of integers, got {vals!r}")
         if obj.get("m", len(vals)) != len(vals):
             raise ValueError(f"inconsistent JSON permutation: m={obj['m']} but {len(vals)} values")
         return cls(vals)
@@ -257,71 +259,66 @@ def _dtype_for(m: int) -> np.dtype:
 
 
 class PermClass:
-    """A finite set of same-degree permutations with a canonical order.
+    """A finite set of same-degree permutations, held in one canonical form.
 
-    Members are exposed sorted lexicographically and without duplicates.
-    Large classes produced by the lifting kernel are stored as a compact
-    integer array and only materialized into Permutation objects on first
-    access; ``len()`` never materializes.
+    The members are the rows of one read-only (N, m) array of dtype
+    _dtype_for(m): lexsorted, deduplicated and checked to be permutations of
+    1..m when the class is built.  ``members`` builds Permutation objects, in
+    the same order, on first access; nothing else does.
     """
 
     __slots__ = ("label", "m", "_members", "_array")
 
     def __init__(self, label: str, m: int, members: Iterable[Permutation] = ()):
-        self.label = label
-        self.m = m
-        self._members: tuple[Permutation, ...] | None = tuple(sorted(set(members)))
-        for p in self._members:
+        rows = []
+        for p in members:
             if p.m != m:
                 raise ValueError(f"degree mismatch in {label}: expected {m}, got {p.m}")
-        self._array: np.ndarray | None = None
+            rows.append(p.values)
+        self._set_rows(label, m, np.array(rows, dtype=_dtype_for(m)).reshape(len(rows), m))
 
     @classmethod
     def from_array(cls, label: str, m: int, array: np.ndarray) -> "PermClass":
-        """Wrap an (N, m) array of distinct permutation rows without copying."""
+        """The class of the rows of an (N, m) integer array, in any order and with repeats."""
         obj = cls.__new__(cls)
-        obj.label = label
-        obj.m = m
-        obj._members = None
-        obj._array = array
+        obj._set_rows(label, m, np.asarray(array))
         return obj
+
+    def _set_rows(self, label: str, m: int, array: np.ndarray) -> None:
+        if array.ndim != 2 or array.shape[1] != m or not np.issubdtype(array.dtype, np.integer):
+            raise ValueError(f"{label} of degree {m} needs an (N, {m}) integer array, "
+                             f"got shape {array.shape} of {array.dtype}")
+        if len(array) and (array.min() < 1 or array.max() > m):
+            rows, bad = array, ((array < 1) | (array > m)).any(axis=1)
+        else:
+            rows = array.astype(_dtype_for(m), copy=False)
+            rows = rows[np.lexsort(rows.T[::-1])]
+            distinct = np.ones(len(rows), dtype=bool)
+            distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+            if not distinct.all():
+                rows = rows[distinct]
+            # m values in 1..m form a permutation exactly when they hit every value
+            seen = np.zeros((len(rows), m + 1), dtype=bool)
+            seen[np.arange(len(rows))[:, None], rows] = True
+            bad = ~seen[:, 1:].all(axis=1)
+        if bad.any():
+            row = tuple(rows[int(np.argmax(bad))].tolist())
+            raise ValueError(f"not a permutation of 1..{m} in {label}: {row}")
+        rows.flags.writeable = False
+        self.label, self.m, self._array, self._members = label, m, rows, None
 
     @property
     def members(self) -> tuple[Permutation, ...]:
         if self._members is None:
-            self._members = tuple(Permutation(row) for row in self.sorted_rows())
+            self._members = tuple(map(Permutation, self._array.tolist()))
         return self._members
 
-    def sorted_rows(self) -> list[Sequence[int]]:
-        """Member values in lexicographic order, one sequence of ints per member.
-
-        An array-backed class is lexsorted and checked without building
-        Permutation objects: a row that is not a permutation of 1..m raises
-        ValueError, as Permutation() would.
-        """
-        if self._members is not None:
-            return [p.values for p in self._members]
-        arr = self._array
-        if arr.shape[0] > 1:
-            arr = arr[np.lexsort(arr.T[::-1])]
-        # numpy sorts 16-bit lanes far faster than 8-bit ones; promote_types only widens
-        ranked = np.sort(arr.astype(np.promote_types(arr.dtype, np.uint16)), axis=1)
-        bad = (ranked != np.arange(1, self.m + 1)).any(axis=1)
-        if bad.any():
-            row = tuple(arr[int(np.argmax(bad))].tolist())
-            raise ValueError(f"not a permutation of 1..{self.m}: {row}")
-        return arr.tolist()
-
     def as_array(self) -> np.ndarray:
-        """Member rows as an (N, m) integer array; row order unspecified."""
-        if self._array is None:
-            self._array = np.array([p.values for p in self._members], dtype=_dtype_for(self.m)).reshape(len(self._members), self.m)
+        """The members as lexsorted rows of a read-only (N, m) array of dtype _dtype_for(m)."""
         return self._array
 
     def __len__(self) -> int:
-        if self._members is not None:
-            return len(self._members)
-        return self._array.shape[0]
+        return len(self._array)
 
     def __iter__(self) -> Iterator[Permutation]:
         return iter(self.members)
@@ -337,10 +334,10 @@ class PermClass:
         """Set equality on members; labels are not compared."""
         if not isinstance(other, PermClass):
             return NotImplemented
-        return self.m == other.m and self.members == other.members
+        return self.m == other.m and np.array_equal(self._array, other._array)
 
     def __hash__(self) -> int:
-        return hash((self.m, self.members))
+        return hash((self.m, self._array.tobytes()))
 
     def __repr__(self) -> str:
         return f"PermClass({self.label!r}, m={self.m}, size={len(self)})"

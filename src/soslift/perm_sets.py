@@ -136,7 +136,9 @@ def enumerate_class(label: str, m: int, method: str = "brute") -> PermClass:
         if label not in ("V", "Sstar"):
             raise ValueError(f"method {method!r} only enumerates V or Sstar, not {label}")
         if method == "lift":
-            return PermClass.from_array(label, m, lifting.lift_to(m).as_array())
+            lifted = lifting.lift_to(m)
+            lifted.label = label
+            return lifted
         return PermClass(label, m, suranyi_table(m).permutations())
 
     if label == "VL0":

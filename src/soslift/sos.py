@@ -199,6 +199,8 @@ def verify_invariants(m_max: int, samples: int = 200, seed: int = 1729) -> list[
     psi(gamma(tau_m)) = tau_{m-1}; and the behavior of tau around each
     boundary fraction a/m.
     """
+    if samples < 0:
+        raise ValueError(f"samples must be non-negative, got {samples}")
     rng = random.Random(seed)
     records = []
 

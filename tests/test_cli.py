@@ -1,6 +1,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -101,7 +104,10 @@ def test_lift_input_missing_file_is_usage_error(tmp_path: Path, capsys: pytest.C
 
 
 @pytest.mark.parametrize(
-    "line", ['{"m": 3}', "[1, 2, 3]", '"123"', "not json", b"\xff\xfe\n"]
+    "line",
+    ['{"m": 3}', "[1, 2, 3]", '"123"', "not json", b"\xff\xfe\n",
+     '{"values": [1.9, 2.2, 3.0]}', '{"values": [true, 2, 3]}', '{"values": ["2", "1", "3"]}',
+     '{"values": "123"}'],
 )
 def test_lift_input_malformed_line_is_usage_error(
     tmp_path: Path, capsys: pytest.CaptureFixture, line: str | bytes
@@ -113,7 +119,7 @@ def test_lift_input_malformed_line_is_usage_error(
         src.write_text(line + "\n", encoding="utf-8")
     assert main(["lift", "--from-m", "3", "--input", str(src)]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("error:") and str(src) in err
+    assert err.startswith(f"error: cannot read {src}")
     assert len(err.splitlines()) == 1
 
 
@@ -242,6 +248,27 @@ def test_verify_json_passes(capsys: pytest.CaptureFixture) -> None:
     doc = json.loads(capsys.readouterr().out)
     assert doc["passed"] is True
     assert all(check["passed"] for check in doc["checks"])
+
+
+def test_verify_negative_samples_is_usage_error(capsys: pytest.CaptureFixture) -> None:
+    assert main(["verify", "--m-max", "3", "--samples", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "samples" in captured.err
+
+
+def test_closed_stdout_exits_1_without_traceback() -> None:
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "soslift.cli", "lift", "--to-m", "60"],
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+    # V_60 prints about 190 kB, more than a pipe holds, so the writer is
+    # still running when the reader goes away
+    assert proc.stdout.readline().split()[0] == b"1"
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=60)
+    assert proc.returncode == 1
+    assert b"Traceback" not in err
 
 
 def test_verify_is_deterministic(capsys: pytest.CaptureFixture) -> None:

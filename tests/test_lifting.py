@@ -181,8 +181,8 @@ def test_iter_levels_matches_generate_up_to_row_for_row() -> None:
     assert level.tolist() == [[1]]
     assert parent_index.tolist() == [0]
     assert tags.tolist() == [TAG_SINGLE]
-    for (level, parent_index, tags), kept in zip(levels, generate_up_to(12)):
-        assert np.array_equal(level, kept.as_array())
+    for m, ((level, parent_index, tags), kept) in enumerate(zip(levels, generate_up_to(12)), start=1):
+        assert kept == PermClass.from_array("V", m, level)
         assert len(parent_index) == len(tags) == len(level)
     for (parents, _, _), (children, parent_index, tags) in zip(levels, levels[1:]):
         expected = lift_fibers(parents)

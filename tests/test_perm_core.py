@@ -223,6 +223,32 @@ def test_perm_class_from_array_matches_eager() -> None:
     assert "231" not in sparse and [2, 3, 1] not in sparse
 
 
+def test_perm_class_from_array_dedups_and_compares_without_members() -> None:
+    eager = PermClass("V", 2, [_p("12")])
+    repeated = PermClass.from_array("V", 2, [[1, 2], [1, 2]])
+    other = PermClass.from_array("W", 2, np.array([[1, 2]], dtype=np.int64))
+    assert len(repeated) == len(eager) == 1
+    assert repeated == other and hash(repeated) == hash(other)
+    assert repeated._members is None and other._members is None
+    assert repeated == eager and hash(repeated) == hash(eager)
+    assert repeated.as_array().tolist() == [[1, 2]]
+
+
+def test_perm_class_from_array_rejects_every_non_permutation_row() -> None:
+    rows = [row for row in itertools.product(range(5), repeat=3) if sorted(row) != [1, 2, 3]]
+    assert len(rows) == 119
+    for row in rows:
+        for bad in ([row], [[1, 2, 3], row, [3, 1, 2]]):
+            with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3 in V"):
+                PermClass.from_array("V", 3, np.array(bad))
+
+
+def test_perm_class_from_array_rejects_wrong_shape_or_dtype() -> None:
+    for bad in (np.ones((2, 4), dtype=np.uint8), np.array([1, 2, 3]), np.array([[1.0, 2.0, 3.0]])):
+        with pytest.raises(ValueError, match=r"V of degree 3 needs an \(N, 3\) integer array"):
+            PermClass.from_array("V", 3, bad)
+
+
 def test_shift_closure_of_iterable() -> None:
     closed = shift_closure([_p("12")])
     assert closed == (_p("12"), _p("21"))

@@ -1,0 +1,56 @@
+"""Property tests: PermClass's canonical form and the projection of lifted children."""
+from __future__ import annotations
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from soslift.lifting import lift_fibers, lift_to, project
+from soslift.perm_core import PermClass, Permutation, _dtype_for
+
+INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
+
+
+@st.composite
+def repeated_rows(draw):
+    """(m, rows, dtype): permutation rows of degree m, shuffled, some repeated."""
+    m = draw(st.integers(1, 6))
+    perms = draw(st.lists(st.permutations(range(1, m + 1)), max_size=10))
+    repeats = draw(st.lists(st.sampled_from(perms), max_size=10)) if perms else []
+    rows = draw(st.permutations(perms + repeats))
+    dtype = draw(st.sampled_from([d for d in INT_DTYPES if np.iinfo(d).max >= m]))
+    return m, rows, dtype
+
+
+# degree 256 is the first stored as uint16; its rows are too costly to draw
+DEGREE_256 = (256, [list(range(256, 0, -1)), list(range(1, 257)), list(range(256, 0, -1))], np.int64)
+
+
+@given(repeated_rows())
+@example(DEGREE_256)
+def test_from_array_equals_the_eager_class(case) -> None:
+    m, rows, dtype = case
+    from_rows = PermClass.from_array("V", m, np.array(rows, dtype=dtype).reshape(len(rows), m))
+    eager = PermClass("V", m, map(Permutation, rows))
+    assert from_rows == eager
+    assert hash(from_rows) == hash(eager)
+    assert len(from_rows) == len(set(map(tuple, rows)))
+
+
+@given(repeated_rows())
+@example(DEGREE_256)
+def test_as_array_is_lexsorted_unique_and_narrow(case) -> None:
+    m, rows, dtype = case
+    arr = PermClass.from_array("V", m, np.array(rows, dtype=dtype).reshape(len(rows), m)).as_array()
+    assert arr.dtype == _dtype_for(m)
+    assert arr.shape == (len(set(map(tuple, rows))), m)
+    assert arr.tolist() == [list(row) for row in sorted(set(map(tuple, rows)))]
+
+
+@settings(deadline=None)
+@given(st.integers(2, 40), st.data())
+def test_project_maps_every_lifted_child_to_its_parent(m, data) -> None:
+    parents = lift_to(m - 1).as_array()
+    children, parent_index, _ = lift_fibers(parents)
+    i = data.draw(st.integers(0, len(children) - 1))
+    assert project(Permutation(children[i])) == Permutation(parents[parent_index[i]])
