@@ -71,9 +71,11 @@ def _cmd_lift(args) -> int:
         try:
             with open(args.input, encoding="utf-8") as fh:
                 members = [Permutation.from_json(json.loads(line)) for line in fh if line.strip()]
-        except (OSError, KeyError, TypeError, UnicodeDecodeError, json.JSONDecodeError) as exc:
+            vprev = PermClass("V", args.from_m, members)
+        except (OSError, KeyError, TypeError, ValueError) as exc:
+            # ValueError covers undecodable bytes, bad JSON, rows that are not
+            # permutations and rows whose degree is not --from-m
             raise ValueError(f"cannot read {args.input}: {type(exc).__name__}: {exc}") from None
-        vprev = PermClass("V", args.from_m, members)
         if len(vprev) == 0:
             raise ValueError(f"no permutations read from {args.input}")
         out = lift_once(vprev)

@@ -285,6 +285,8 @@ class PermClass:
         return obj
 
     def _set_rows(self, label: str, m: int, array: np.ndarray) -> None:
+        if m < 1:
+            raise ValueError(f"{label} needs a positive degree, got {m}")
         if array.ndim != 2 or array.shape[1] != m or not np.issubdtype(array.dtype, np.integer):
             raise ValueError(f"{label} of degree {m} needs an (N, {m}) integer array, "
                              f"got shape {array.shape} of {array.dtype}")
@@ -349,12 +351,7 @@ def shift_closure(perms):
     Accepts any iterable of Permutation; given a PermClass, returns a
     PermClass with the same label.  Idempotent.
     """
-    items = list(perms)
-    seen: set[Permutation] = set()
-    for p in items:
-        for k in range(p.m):
-            seen.add(shift(p, k))
-    closed = tuple(sorted(seen))
     if isinstance(perms, PermClass):
-        return PermClass(perms.label, perms.m, closed)
-    return closed
+        m, rows = perms.m, perms.as_array().astype(np.int32)
+        return PermClass.from_array(perms.label, m, np.concatenate([(rows + k) % m + 1 for k in range(m)]))
+    return tuple(sorted({shift(p, k) for p in perms for k in range(p.m)}))

@@ -13,8 +13,12 @@ Classes by label:
   Vminus  V minus VL1
   SosRec  permutations satisfying the three-case Sos recurrence (exploratory)
 
-Brute-force enumeration walks the symmetric group in lexicographic order and
-is capped at m = 10 unless the SOSLIFT_MAX_BRUTE_M environment variable
+Brute-force enumeration walks the symmetric group in lexicographic order as
+uint8 blocks, one per (theta(1), theta(2)) prefix, and tests every row of a
+block at once with an array form of the class predicate, in exact integer
+arithmetic; the per-row predicates (in_V, in_W, ...) are the reference the
+tests compare it with.  It is capped at m = 10, for enumerate_class and
+verify_theorems alike, unless the SOSLIFT_MAX_BRUTE_M environment variable
 raises the cap.
 """
 from __future__ import annotations
@@ -22,6 +26,8 @@ from __future__ import annotations
 import os
 from itertools import combinations, permutations as _sym_group
 from math import gcd
+
+import numpy as np
 
 from . import lifting
 from .farey import totient_sum, totients
@@ -32,12 +38,11 @@ from .perm_core import (
     cds,
     delta,
     in_V,
-    inverse,
     psi,
     shift_closure,
     shift_equivalent,
 )
-from .sos import satisfies_sos_recurrence, suranyi_table, theta_ab
+from .sos import suranyi_table, theta_ab
 
 LABELS = ("V", "W", "Y", "Yprime", "X", "Sstar", "SstarTilde", "VL0", "VL1", "Vminus", "SosRec")
 METHODS = ("brute", "lift", "farey")
@@ -98,24 +103,119 @@ def _check_brute_guard(m: int) -> None:
         )
 
 
+def _lex_perms(k: int) -> np.ndarray:
+    """All permutations of 0..k-1 as rows of a uint8 array, in lexicographic order."""
+    rows = np.zeros((1, 0), dtype=np.uint8)
+    for n in range(1, k + 1):
+        # rows holds the permutations of 0..n-2; rows + (rows >= i) maps them
+        # monotonically onto 0..n-1 without i, so each block stays in order
+        out = np.empty((n * len(rows), n), dtype=np.uint8)
+        for i, block in enumerate(np.split(out, n)):
+            block[:, 0] = i
+            block[:, 1:] = rows + (rows >= i)
+        rows = out
+    return rows
+
+
 def _sym(m: int):
-    for vals in _sym_group(range(1, m + 1)):
-        yield Permutation(vals)
+    """S_m in lexicographic order as uint8 blocks, one per (theta(1), theta(2)) prefix.
+
+    The tail permutations of S_{m-2} are built once; S_m is never held whole.
+    """
+    width = min(m, 2)
+    tail = _lex_perms(m - width)
+    for prefix in _sym_group(range(1, m + 1), width):
+        rest = np.array(sorted(set(range(1, m + 1)) - set(prefix)), dtype=np.uint8)
+        block = np.empty((len(tail), m), dtype=np.uint8)
+        block[:, :width] = prefix
+        block[:, width:] = rest[tail]
+        yield block
 
 
-def _brute(label: str, m: int) -> list[Permutation]:
+# Array forms of the per-row predicates: each takes an int16 (N, m) block and
+# returns the (N,) mask of accepted rows, from the same formula over the
+# columns cur = theta(i), nxt = theta(i+1), first = theta(1), last = theta(m).
+
+def _columns(t: np.ndarray):
+    return t[:, :-1], t[:, 1:], t[:, :1], t[:, -1:]
+
+
+def _delta_rows(t: np.ndarray, m: int) -> np.ndarray:
+    cur, nxt, first, last = _columns(t)
+    return nxt - cur + (last <= cur) - (first <= nxt) - (m - 1) * (cur <= nxt)
+
+
+def _v_rows(t: np.ndarray, m: int) -> np.ndarray:
+    cur, nxt, first, last = _columns(t)
+    return ((nxt - cur) % m == (first - (last <= cur)) % m).all(axis=1)
+
+
+def _w_rows(t: np.ndarray, m: int) -> np.ndarray:
+    cur, nxt, first, last = _columns(t)
+    return (nxt - cur == first - (last <= cur) + m * ((cur <= nxt) - 1)).all(axis=1)
+
+
+def _y_rows(t: np.ndarray, m: int) -> np.ndarray:
+    if m < 3:
+        return np.ones(len(t), dtype=bool)
+    d = _delta_rows(t, m)
+    return (d == d[:, :1]).all(axis=1)
+
+
+def _yprime_rows(t: np.ndarray, m: int) -> np.ndarray:
+    if m < 3:
+        raise ValueError(f"Yprime needs degree >= 3, got {m}")
+    cur, nxt, _, _ = _columns(t)
+    a = (cur <= nxt).sum(axis=1, keepdims=True)
+    return (_delta_rows(t, m) == -a).all(axis=1)
+
+
+def _x_rows(t: np.ndarray, m: int) -> np.ndarray:
+    cur, nxt, _, _ = _columns(t)
+    residues = (nxt - cur) % m
+    return (residues.max(axis=1) - residues.min(axis=1) <= 1) & (residues != 0).all(axis=1)
+
+
+def _sosrec_rows(t: np.ndarray, m: int) -> np.ndarray:
+    cur, nxt, first, last = _columns(t)
+    bad = (
+        ((cur <= m - first) & (nxt != cur + first))
+        | ((m - first < cur) & (cur < last) & (nxt != cur + first - last))
+        | ((last <= cur) & (nxt != cur - last))
+    )
+    return ~bad.any(axis=1)
+
+
+_ROW_TESTS = {
+    "V": _v_rows,
+    "W": _w_rows,
+    "Y": _y_rows,
+    "Yprime": _yprime_rows,
+    "X": _x_rows,
+    "SosRec": _sosrec_rows,
+}
+
+
+def _row_keys(rows: np.ndarray, m: int) -> np.ndarray:
+    """Each row of values in 1..m read as an exact int64 in base m + 1; keys sort like rows."""
+    if (m + 1) ** m >= 2 ** 63:
+        raise ValueError(f"row keys of degree {m} overflow int64")
+    keys = np.zeros(len(rows), dtype=np.int64)
+    for col in np.asarray(rows).T:
+        keys = keys * (m + 1) + col
+    return keys
+
+
+def _brute(label: str, m: int) -> np.ndarray:
+    """The rows of S_m in the class, as an (N, m) uint8 array in lexicographic order."""
     if label == "Sstar":
-        targets = set(suranyi_table(m).permutations())
-        return [p for p in _sym(m) if p in targets]
-    predicate = {
-        "V": in_V,
-        "W": in_W,
-        "Y": in_Y,
-        "Yprime": in_Yprime,
-        "X": in_X,
-        "SosRec": satisfies_sos_recurrence,
-    }[label]
-    return [p for p in _sym(m) if predicate(p)]
+        targets = _row_keys(np.array([p.values for p in suranyi_table(m).permutations()]), m)
+
+        def accept(t: np.ndarray, m: int) -> np.ndarray:
+            return np.isin(_row_keys(t, m), targets)
+    else:
+        accept = _ROW_TESTS[label]
+    return np.concatenate([block[accept(block.astype(np.int16), m)] for block in _sym(m)])
 
 
 def enumerate_class(label: str, m: int, method: str = "brute") -> PermClass:
@@ -152,13 +252,14 @@ def enumerate_class(label: str, m: int, method: str = "brute") -> PermClass:
         # which are undefined below degree 2
         if label in ("Yprime",):
             raise ValueError("Yprime needs degree >= 3")
-        return PermClass(label, 1, [Permutation((1,))])
+        return PermClass.from_array(label, 1, np.ones((1, 1), dtype=np.uint8))
     if label == "SstarTilde":
-        return shift_closure(PermClass(label, m, _brute("Sstar", m)))
+        return shift_closure(PermClass.from_array(label, m, _brute("Sstar", m)))
     if label == "Vminus":
-        vl1 = {theta_ab(m, a, 1) for a in range(1, m + 1) if gcd(a, m) == 1}
-        return PermClass(label, m, (p for p in _brute("V", m) if p not in vl1))
-    return PermClass(label, m, _brute(label, m))
+        v = _brute("V", m)
+        vl1 = enumerate_class("VL1", m).as_array()
+        return PermClass.from_array(label, m, v[~np.isin(_row_keys(v, m), _row_keys(vl1, m))])
+    return PermClass.from_array(label, m, _brute(label, m))
 
 
 def enumerate_sos_recurrence(m: int) -> PermClass:
@@ -177,8 +278,10 @@ def verify_theorems(m_max: int) -> list[dict]:
     Returns one record per check: {"m", "check", "passed", "detail"}.
     Failures become records, not exceptions.
     """
-    if not 2 <= m_max <= 10:
-        raise ValueError(f"m_max must lie in [2, 10] for exhaustive checks, got {m_max}")
+    cap = _max_brute_m()
+    if not 2 <= m_max <= cap:
+        raise ValueError(f"m_max must lie in [2, {cap}] for exhaustive checks, got {m_max}; "
+                         f"set {ENV_MAX_BRUTE_M} to raise the cap")
     phi = totients(m_max)
     records = []
 

@@ -107,7 +107,8 @@ def test_lift_input_missing_file_is_usage_error(tmp_path: Path, capsys: pytest.C
     "line",
     ['{"m": 3}', "[1, 2, 3]", '"123"', "not json", b"\xff\xfe\n",
      '{"values": [1.9, 2.2, 3.0]}', '{"values": [true, 2, 3]}', '{"values": ["2", "1", "3"]}',
-     '{"values": "123"}'],
+     '{"values": "123"}', '{"m": 3, "values": [1, 1, 2]}', '{"m": 4, "values": [1, 2, 3]}',
+     '{"m": 4, "values": [1, 2, 3, 4]}'],
 )
 def test_lift_input_malformed_line_is_usage_error(
     tmp_path: Path, capsys: pytest.CaptureFixture, line: str | bytes

@@ -249,6 +249,14 @@ def test_perm_class_from_array_rejects_wrong_shape_or_dtype() -> None:
             PermClass.from_array("V", 3, bad)
 
 
+def test_perm_class_rejects_nonpositive_degree() -> None:
+    with pytest.raises(ValueError, match="V needs a positive degree, got 0"):
+        PermClass("V", 0)
+    for m in (0, -1):
+        with pytest.raises(ValueError, match=f"V needs a positive degree, got {m}"):
+            PermClass.from_array("V", m, np.zeros((0, 0), dtype=np.uint8))
+
+
 def test_shift_closure_of_iterable() -> None:
     closed = shift_closure([_p("12")])
     assert closed == (_p("12"), _p("21"))

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import itertools
 
+import numpy as np
 import pytest
 
 from soslift.farey import totients, totient_sum
@@ -11,6 +12,9 @@ from soslift.perm_sets import (
     ENV_MAX_BRUTE_M,
     LABELS,
     METHODS,
+    _brute,
+    _row_keys,
+    _sym,
     enumerate_class,
     enumerate_sos_recurrence,
     in_V,
@@ -21,6 +25,7 @@ from soslift.perm_sets import (
     report_passed,
     verify_theorems,
 )
+from soslift.sos import satisfies_sos_recurrence, suranyi_table
 
 
 def _p(text: str) -> Permutation:
@@ -54,6 +59,46 @@ def test_yprime_agrees_with_constant_delta_value() -> None:
     for vals in itertools.permutations(range(1, 6)):
         theta = Permutation(vals)
         assert in_Yprime(theta) == in_Y(theta)
+
+
+def test_sym_blocks_are_the_symmetric_group_in_order() -> None:
+    for m in range(1, 8):
+        blocks = list(_sym(m))
+        assert len(blocks) == (m if m < 2 else m * (m - 1))
+        assert all(b.dtype == np.uint8 and b.shape[1] == m for b in blocks)
+        rows = np.concatenate(blocks).tolist()
+        assert rows == [list(p) for p in itertools.permutations(range(1, m + 1))]
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_array_predicates_accept_what_the_row_predicates_accept(m: int) -> None:
+    perms = [Permutation(p) for p in itertools.permutations(range(1, m + 1))]
+    row_tests = {
+        "V": in_V,
+        "W": in_W,
+        "Y": in_Y,
+        "Yprime": in_Yprime,
+        "X": in_X,
+        "SosRec": satisfies_sos_recurrence,
+        "Sstar": set(suranyi_table(m).permutations()).__contains__,
+    }
+    for label, accepts in row_tests.items():
+        # Yprime is defined from degree 3, and the difference set of X from 2
+        if (label, m) in (("Yprime", 1), ("Yprime", 2), ("X", 1)):
+            continue
+        got = _brute(label, m)
+        assert got.dtype == np.uint8 and got.shape[1] == m
+        assert got.tolist() == [list(p.values) for p in perms if accepts(p)], label
+
+
+def test_row_keys_are_exact_int64_or_refused() -> None:
+    rows = np.concatenate(list(_sym(6)))
+    keys = _row_keys(rows, 6)
+    assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
+    top = np.arange(15, 0, -1, dtype=np.uint8)[None, :]
+    assert _row_keys(top, 15)[0] == sum(v * 16 ** (14 - j) for j, v in enumerate(top[0].tolist()))
+    with pytest.raises(ValueError, match="row keys of degree 16 overflow int64"):
+        _row_keys(np.arange(1, 17, dtype=np.uint8)[None, :], 16)
 
 
 def test_enumerate_v4_frozen() -> None:
@@ -157,7 +202,7 @@ def test_labels_and_methods_tuples() -> None:
 
 
 def test_verify_theorems_passes_and_reports() -> None:
-    records = verify_theorems(6)
+    records = verify_theorems(9)
     assert records
     assert report_passed(records)
     checks = {r["check"] for r in records}
@@ -167,11 +212,16 @@ def test_verify_theorems_passes_and_reports() -> None:
         assert set(r) == {"m", "check", "passed", "detail"}
 
 
-def test_verify_theorems_validates_range() -> None:
+def test_verify_theorems_validates_range(monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.delenv(ENV_MAX_BRUTE_M, raising=False)
     with pytest.raises(ValueError, match="m_max must lie in"):
         verify_theorems(1)
-    with pytest.raises(ValueError, match="m_max must lie in"):
+    with pytest.raises(ValueError, match=r"m_max must lie in \[2, 10\].*SOSLIFT_MAX_BRUTE_M"):
         verify_theorems(11)
+    monkeypatch.setenv(ENV_MAX_BRUTE_M, "4")
+    with pytest.raises(ValueError, match=r"m_max must lie in \[2, 4\].*SOSLIFT_MAX_BRUTE_M"):
+        verify_theorems(5)
+    assert report_passed(verify_theorems(4))
 
 
 def test_report_passed() -> None:
