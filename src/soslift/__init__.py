@@ -4,6 +4,7 @@ from .farey import (
     FareyInterval,
     farey_intervals,
     farey_sequence,
+    farey_terms,
     format_fraction,
     mediant,
     parse_fraction,

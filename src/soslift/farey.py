@@ -1,13 +1,16 @@
 """Order-m Farey sequences, their open intervals, mediants, and totient sums.
 
-All arithmetic is exact: fractions are ``fractions.Fraction`` values, which
-are stored reduced and compare exactly.  Text form is always "p/q" (so 0 and
+All arithmetic is exact: the terms come as int64 numerator and denominator
+arrays (farey_terms), or as ``fractions.Fraction`` values, which are stored
+reduced and compare exactly.  Text form is always "p/q" (so 0 and
 1 print as "0/1" and "1/1"); JSON form is ``{"num": p, "den": q}``.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 
 def parse_fraction(text: str) -> Fraction:
@@ -50,26 +53,39 @@ class FareyInterval:
         return f"({format_fraction(self.lo)}, {format_fraction(self.hi)})"
 
 
-def farey_sequence(m: int) -> list[Fraction]:
-    """All reduced fractions p/q with 0 <= p <= q <= m, ascending.
+def farey_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
+    """Numerators and denominators of the order-m Farey terms, as int64 arrays.
 
+    The terms are the reduced fractions p/q with 0 <= p <= q <= m, ascending.
     Uses the classic next-term recurrence: from consecutive terms a/b < c/d
     the successor is (kc - a)/(kd - b) with k = (m + b) // d, so the whole
     sequence costs O(N) after the first two terms.
 
-    >>> [str(f) for f in farey_sequence(3)]
-    ['0', '1/3', '1/2', '2/3', '1']
+    >>> [f"{p}/{q}" for p, q in zip(*farey_terms(3))]
+    ['0/1', '1/3', '1/2', '2/3', '1/1']
     """
     if m < 1:
         raise ValueError(f"order must be positive, got {m}")
     a, b, c, d = 0, 1, 1, m
-    terms = [Fraction(0, 1)]
+    num, den = [0], [1]
     while c <= m and not (c == 1 and d == 1):
-        terms.append(Fraction(c, d))
+        num.append(c)
+        den.append(d)
         k = (m + b) // d
         a, b, c, d = c, d, k * c - a, k * d - b
-    terms.append(Fraction(1, 1))
-    return terms
+    num.append(1)
+    den.append(1)
+    return np.array(num, dtype=np.int64), np.array(den, dtype=np.int64)
+
+
+def farey_sequence(m: int) -> list[Fraction]:
+    """The order-m Farey terms of farey_terms as exact Fractions, ascending.
+
+    >>> [str(f) for f in farey_sequence(3)]
+    ['0', '1/3', '1/2', '2/3', '1']
+    """
+    num, den = farey_terms(m)
+    return [Fraction(p, q) for p, q in zip(num.tolist(), den.tolist())]
 
 
 def farey_intervals(m: int) -> list[FareyInterval]:

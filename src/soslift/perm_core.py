@@ -258,6 +258,11 @@ def _dtype_for(m: int) -> np.dtype:
     return np.dtype(np.uint8 if m <= 255 else np.uint16)
 
 
+def _check_degree(label: str, m: int) -> None:
+    if m < 1:
+        raise ValueError(f"{label} needs a positive degree, got {m}")
+
+
 class PermClass:
     """A finite set of same-degree permutations, held in one canonical form.
 
@@ -270,6 +275,7 @@ class PermClass:
     __slots__ = ("label", "m", "_members", "_array")
 
     def __init__(self, label: str, m: int, members: Iterable[Permutation] = ()):
+        _check_degree(label, m)
         rows = []
         for p in members:
             if p.m != m:
@@ -285,8 +291,7 @@ class PermClass:
         return obj
 
     def _set_rows(self, label: str, m: int, array: np.ndarray) -> None:
-        if m < 1:
-            raise ValueError(f"{label} needs a positive degree, got {m}")
+        _check_degree(label, m)
         if array.ndim != 2 or array.shape[1] != m or not np.issubdtype(array.dtype, np.integer):
             raise ValueError(f"{label} of degree {m} needs an (N, {m}) integer array, "
                              f"got shape {array.shape} of {array.dtype}")

@@ -209,7 +209,7 @@ def _row_keys(rows: np.ndarray, m: int) -> np.ndarray:
 def _brute(label: str, m: int) -> np.ndarray:
     """The rows of S_m in the class, as an (N, m) uint8 array in lexicographic order."""
     if label == "Sstar":
-        targets = _row_keys(np.array([p.values for p in suranyi_table(m).permutations()]), m)
+        targets = _row_keys(suranyi_table(m).as_array(), m)
 
         def accept(t: np.ndarray, m: int) -> np.ndarray:
             return np.isin(_row_keys(t, m), targets)
@@ -239,7 +239,7 @@ def enumerate_class(label: str, m: int, method: str = "brute") -> PermClass:
             lifted = lifting.lift_to(m)
             lifted.label = label
             return lifted
-        return PermClass(label, m, suranyi_table(m).permutations())
+        return PermClass.from_array(label, m, suranyi_table(m).as_array())
 
     if label == "VL0":
         return PermClass(label, m, (theta_ab(m, a, 0) for a in range(1, m + 1) if gcd(a, m) == 1))
@@ -247,18 +247,18 @@ def enumerate_class(label: str, m: int, method: str = "brute") -> PermClass:
         return PermClass(label, m, (theta_ab(m, a, 1) for a in range(1, m + 1) if gcd(a, m) == 1))
 
     _check_brute_guard(m)
+    if label == "Vminus":
+        v = _brute("V", m)
+        vl1 = enumerate_class("VL1", m).as_array()
+        return PermClass.from_array(label, m, v[~np.isin(_row_keys(v, m), _row_keys(vl1, m))])
     if m == 1:
-        # every class degenerates to S_1 except the delta-based ones,
+        # every other class degenerates to S_1 except the delta-based ones,
         # which are undefined below degree 2
         if label in ("Yprime",):
             raise ValueError("Yprime needs degree >= 3")
         return PermClass.from_array(label, 1, np.ones((1, 1), dtype=np.uint8))
     if label == "SstarTilde":
         return shift_closure(PermClass.from_array(label, m, _brute("Sstar", m)))
-    if label == "Vminus":
-        v = _brute("V", m)
-        vl1 = enumerate_class("VL1", m).as_array()
-        return PermClass.from_array(label, m, v[~np.isin(_row_keys(v, m), _row_keys(vl1, m))])
     return PermClass.from_array(label, m, _brute(label, m))
 
 

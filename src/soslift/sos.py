@@ -4,17 +4,25 @@ A Sos permutation sigma of degree m sorts the fractional parts {i*alpha},
 i in [m], increasingly; tau = sigma^{-1} is the object most constructions
 here work with.  All angle arithmetic is exact: the fractional part {i*p/q}
 is represented by the integer key (i*p) mod q, never by a float.
+
+Two paths evaluate tau.  tau_from_alpha takes one Fraction and builds one
+Permutation; it is the reference.  suranyi_table takes the order-m Farey
+terms as int64 arrays and ranks the keys at every mediant, a block of rows
+per argsort, into one (N, m) array: the Farey route to the class V, which
+uses no congruence and no lifting.
 """
 from __future__ import annotations
 
 import random
 from bisect import bisect_right
-from dataclasses import dataclass
+from collections.abc import Callable, Sequence
 from fractions import Fraction
 from math import gcd
 
-from .farey import FareyInterval, farey_intervals, mediant, totient_sum
-from .perm_core import Permutation, gamma, inverse, psi, supermod_m
+import numpy as np
+
+from .farey import FareyInterval, farey_intervals, farey_terms, mediant, totient_sum
+from .perm_core import Permutation, _dtype_for, gamma, inverse, psi, supermod_m
 
 SIDES = ("below", "at", "above")
 
@@ -118,44 +126,113 @@ def satisfies_sos_recurrence(sigma: Permutation) -> bool:
     return True
 
 
-@dataclass(frozen=True)
+TAU_BLOCK_ROWS = 4096
+
+
+def mediant_taus(m: int, num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """tau at the mediant of every interval between consecutive terms, one row each.
+
+    num, den: int64 arrays of the order-m Farey terms.  The mediant p/q of
+    interval t has q > m, so the keys (i*p) mod q, i in [m], are distinct
+    and tau(i) is the 1-based rank of key i: one argsort per block of
+    TAU_BLOCK_ROWS rows, inverted by a scatter.  Rows have dtype
+    _dtype_for(m).
+    """
+    p = num[:-1] + num[1:]
+    q = den[:-1] + den[1:]
+    i = np.arange(1, m + 1, dtype=np.int64)
+    rows = np.empty((len(p), m), dtype=_dtype_for(m))
+    ranks = np.arange(1, m + 1, dtype=rows.dtype)
+    for start in range(0, len(p), TAU_BLOCK_ROWS):
+        stop = start + TAU_BLOCK_ROWS
+        keys = np.multiply.outer(p[start:stop], i) % q[start:stop, None]
+        block = rows[start:stop]
+        # argsort gives sigma - 1 row by row; tau(sigma(j)) = j inverts it
+        block[np.arange(len(block))[:, None], np.argsort(keys, axis=1)] = ranks
+    return rows
+
+
+class _RowView(Sequence):
+    """A read-only sequence whose item t is built from row t of a table on access."""
+
+    def __init__(self, n: int, item: Callable[[int], object]):
+        self._n, self._item = n, item
+
+    def __len__(self) -> int:
+        return self._n
+
+    def __getitem__(self, t: int):
+        if not -self._n <= t < self._n:
+            raise IndexError(f"row {t} outside a table of {self._n}")
+        return self._item(t % self._n)
+
+
 class SuranyiTable:
     """The order-m pairing of Farey intervals with their tau permutations.
 
-    ``entries[t-1]`` is (F_t, tau at the mediant of F_t); the permutation
-    column is pairwise distinct and enumerates the degree-m class V.
+    Interval t (1-based) lies between the order-m Farey terms num[t-1]/den[t-1]
+    and num[t]/den[t] (read-only int64 arrays); row t-1 of as_array() is tau
+    at its mediant.  The rows are pairwise distinct and enumerate the
+    degree-m class V, in the order of the generation tree.  ``entries[t-1]``
+    is (F_t, tau) and ``permutations()`` the tau column; both build their
+    objects on access.
     """
 
-    m: int
-    entries: tuple[tuple[FareyInterval, Permutation], ...]
+    __slots__ = ("m", "num", "den", "_rows")
 
-    def permutations(self) -> list[Permutation]:
-        return [perm for _, perm in self.entries]
+    def __init__(self, m: int, num: np.ndarray, den: np.ndarray, rows: np.ndarray):
+        for arr in (num, den, rows):
+            arr.flags.writeable = False
+        self.m, self.num, self.den, self._rows = m, num, den, rows
+
+    def as_array(self) -> np.ndarray:
+        """The tau rows in interval order, a read-only (N, m) array of dtype _dtype_for(m)."""
+        return self._rows
+
+    def interval(self, t: int) -> FareyInterval:
+        """The order-m interval of 1-based index t."""
+        lo = Fraction(int(self.num[t - 1]), int(self.den[t - 1]))
+        return FareyInterval(lo, Fraction(int(self.num[t]), int(self.den[t])), t)
+
+    def _perm(self, t: int) -> Permutation:
+        return Permutation(self._rows[t].tolist())
+
+    @property
+    def entries(self) -> Sequence[tuple[FareyInterval, Permutation]]:
+        return _RowView(len(self._rows), lambda t: (self.interval(t + 1), self._perm(t)))
+
+    def permutations(self) -> Sequence[Permutation]:
+        return _RowView(len(self._rows), self._perm)
 
     def interval_of(self, perm: Permutation) -> FareyInterval:
-        for interval, p in self.entries:
-            if p == perm:
-                return interval
-        raise KeyError(f"{perm.one_line()} is not in the order-{self.m} table")
+        rows = self._rows
+        hits = np.flatnonzero((rows == perm.values).all(axis=1)) if perm.m == self.m else ()
+        if not len(hits):
+            raise KeyError(f"{perm.one_line()} is not in the order-{self.m} table")
+        return self.interval(int(hits[0]) + 1)
 
 
 def suranyi_table(m: int) -> SuranyiTable:
-    """Evaluate tau at the mediant of every order-m Farey interval, in order."""
+    """Evaluate tau at the mediant of every order-m Farey interval, in order.
+
+    Checks that consecutive terms a/b < c/d are order-m neighbours
+    (bc - ad = 1 and b + d > m), that no two intervals share a tau and that
+    there are totient_sum(m) intervals.
+    """
     if m < 1:
         raise ValueError(f"degree must be positive, got {m}")
-    entries = []
-    prev_hi = None
-    for interval in farey_intervals(m):
-        if prev_hi is not None and interval.lo != prev_hi:
-            raise AssertionError(f"non-adjacent Farey intervals at index {interval.index}")
-        prev_hi = interval.hi
-        entries.append((interval, tau_from_alpha(m, mediant(interval))))
-    perms = [perm for _, perm in entries]
-    if len(set(perms)) != len(perms):
+    num, den = farey_terms(m)
+    apart = (num[1:] * den[:-1] - num[:-1] * den[1:] != 1) | (den[:-1] + den[1:] <= m)
+    if apart.any():
+        raise AssertionError(f"non-adjacent Farey intervals at index {int(np.argmax(apart)) + 1}")
+    rows = mediant_taus(m, num, den)
+    # rows are bytes of one width: sorting them as opaque items finds repeats
+    items = np.sort(np.ascontiguousarray(rows).view(np.dtype((np.void, rows[0].nbytes))).ravel())
+    if (items[1:] == items[:-1]).any():
         raise AssertionError(f"tau collision in the order-{m} table")
-    if len(entries) != totient_sum(m):
-        raise AssertionError(f"expected {totient_sum(m)} intervals, built {len(entries)}")
-    return SuranyiTable(m, tuple(entries))
+    if len(rows) != totient_sum(m):
+        raise AssertionError(f"expected {totient_sum(m)} intervals, built {len(rows)}")
+    return SuranyiTable(m, num, den, rows)
 
 
 def tau_near_fraction(m: int, a: int, side: str) -> Permutation:

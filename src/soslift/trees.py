@@ -5,7 +5,9 @@ order: children of one parent sit next to each other, (0)-child left of
 (1)-child, which is the same left-to-right order the interval tree induces.
 The isomorphism check replaces every interval with its paired permutation
 from the order-m table and asserts literal node-by-node equality, including
-edge structure and horizontal order.
+edge structure and horizontal order.  It streams the lifted levels and
+compares integer arrays, so it never builds either tree; GenTree and
+FareyTree serve the tree export.
 """
 from __future__ import annotations
 
@@ -15,10 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from .farey import FareyInterval, farey_intervals, format_fraction
-from .lifting import TAG_SINGLE, iter_levels
-from .perm_core import Permutation, cds, psi_inverse
-from .sos import suranyi_table
+from .farey import FareyInterval, farey_intervals
+from .lifting import TAG_LEFT, TAG_RIGHT, TAG_SINGLE, iter_levels
+from .perm_core import Permutation, format_rows, psi_inverse
+from .sos import SuranyiTable, suranyi_table
 
 
 @dataclass(frozen=True)
@@ -101,64 +103,96 @@ def build_farey_tree(M: int) -> FareyTree:
     return FareyTree(M, tuple(levels))
 
 
+def _same_edges(m: int, parent_index: np.ndarray, parents: SuranyiTable,
+                children: SuranyiTable) -> bool:
+    """Generation edges into level m equal interval containment, as integer arrays."""
+    pnum, pden, num, den = parents.num, parents.den, children.num, children.den
+    # an order-m interval's parent: the order-(m-1) terms (denominator < m)
+    # among its own and the earlier left endpoints, less one
+    far_index = np.cumsum(den[:-1] < m) - 1
+    if not np.array_equal(parent_index, far_index):
+        return False
+    # lo_parent <= lo_child and hi_child <= hi_parent, cross-multiplied
+    return bool(((pnum[far_index] * den[:-1] <= num[:-1] * pden[far_index])
+                 & (num[1:] * pden[far_index + 1] <= pnum[far_index + 1] * den[1:])).all())
+
+
+def _division(m: int, parent_rows: np.ndarray, parent_index: np.ndarray, tags: np.ndarray,
+              parents: SuranyiTable, children: SuranyiTable) -> tuple[bool, str]:
+    """The split rule at level m, on the generation side's tags and edges.
+
+    A single child keeps its parent's interval.  A branching parent pi has
+    the difference set {pi(1)}, and its new term is pi(1)/m: the right
+    endpoint of its (0)-child and the left endpoint of its (1)-child.
+    """
+    pnum, pden, num, den = parents.num, parents.den, children.num, children.den
+    n = len(parent_rows)
+    if (n != len(pnum) - 1 or len(parent_index) != len(num) - 1 or len(tags) != len(parent_index)
+            or ((parent_index < 0) | (parent_index >= n)).any()):
+        return False, f"generation level {m} does not index the order-{m - 1} intervals"
+    first = parent_rows[:, 0].astype(np.int64)
+    j, split = parent_index, first[parent_index]
+    lo_kept = (num[:-1] == pnum[j]) & (den[:-1] == pden[j])
+    hi_kept = (num[1:] == pnum[j + 1]) & (den[1:] == pden[j + 1])
+    lo_split = (num[:-1] == split) & (den[:-1] == m)
+    hi_split = (num[1:] == split) & (den[1:] == m)
+    child_ok = np.select([tags == TAG_SINGLE, tags == TAG_LEFT, tags == TAG_RIGHT],
+                         [lo_kept & hi_kept, lo_kept & hi_split, lo_split & hi_kept], False)
+
+    branching = np.zeros(n, dtype=bool)
+    branching[j[tags != TAG_SINGLE]] = True
+    # theta_pi = (1, pi + 1) has the differences pi(1) and those of pi
+    no_singleton = np.zeros(n, dtype=bool)
+    residues = np.diff(parent_rows[branching].astype(np.int64), axis=1) % m
+    no_singleton[branching] = (residues != first[branching, None]).any(axis=1)
+    bad = no_singleton.copy()
+    bad[j[~child_ok]] = True
+    if not bad.any():
+        return True, ""
+    k = int(np.argmax(bad))
+    interval = parents.interval(k + 1)
+    if not branching[k]:
+        return False, f"single child of {interval} moved"
+    if no_singleton[k]:
+        perm = next(format_rows([parent_rows[k].tolist()], m - 1, "oneline"))
+        return False, f"branching parent {perm} lacks singleton difference set"
+    return False, f"split of {interval} is not at {Fraction(int(first[k]), m)}"
+
+
 def check_isomorphism(M: int) -> list[dict]:
     """Compare the generation tree with the permutation-substituted interval tree.
 
-    Returns one record per check; failures are records, not exceptions.
-    Also verifies the interval-splitting rule: a non-branching parent hands
-    its interval to its only child unchanged, a branching parent splits at
-    the new fraction a/m determined by the parent's difference set.
+    Streams the lifted levels, holding two at a time, against the order-m
+    tables, and compares exact integer arrays: each level with the tau rows
+    of its table, row for row; the generation edges with interval
+    containment; and the interval-splitting rule: a non-branching parent
+    hands its interval to its only child unchanged, a branching parent
+    splits at the new fraction a/m, a the singleton of its difference set.
+    Returns one record per check, every level's records before the
+    splitting records; failures are records, not exceptions.
     """
-    gen = build_gen_tree(M)
-    far = build_farey_tree(M)
-    records = []
+    if M < 1:
+        raise ValueError(f"depth must be positive, got {M}")
+    records: list[dict] = []
+    divisions: list[dict] = []
 
-    def record(m: int, check: str, passed: bool, detail: str = "") -> None:
-        records.append({"m": m, "check": check, "passed": passed, "detail": detail})
+    def record(out: list[dict], m: int, check: str, passed: bool, detail: str = "") -> None:
+        out.append({"m": m, "check": check, "passed": bool(passed), "detail": detail})
 
-    for m in range(1, M + 1):
-        gen_level = gen.levels[m - 1]
-        far_level = far.levels[m - 1]
-        substituted = suranyi_table(m).permutations()
-        same_nodes = len(gen_level) == len(far_level) == len(substituted) and all(
-            node.perm == perm for node, perm in zip(gen_level, substituted)
-        )
-        record(m, "substituted level equals generation level, in order", same_nodes,
-               f"width {len(gen_level)}")
-        same_edges = len(gen_level) == len(far_level) and all(
-            g.children == f.children for g, f in zip(gen_level, far_level)
-        )
-        record(m, "edge lists agree node-by-node", same_edges)
-
-    for m in range(2, M + 1):
-        parents_gen = gen.levels[m - 2]
-        parents_far = far.levels[m - 2]
-        child_far = far.levels[m - 1]
-        ok = True
-        detail = ""
-        for g_node, f_node in zip(parents_gen, parents_far):
-            kid_ivs = [child_far[j].interval for j in f_node.children]
-            if len(kid_ivs) == 1:
-                if (kid_ivs[0].lo, kid_ivs[0].hi) != (f_node.interval.lo, f_node.interval.hi):
-                    ok, detail = False, f"single child of {f_node.interval} moved"
-                    break
-            else:
-                residues = cds(psi_inverse(g_node.perm))
-                if len(residues) != 1:
-                    ok, detail = False, f"branching parent {g_node.perm} lacks singleton difference set"
-                    break
-                a = next(iter(residues))
-                split = Fraction(a, m)
-                left, right = kid_ivs
-                if not (
-                    left.lo == f_node.interval.lo
-                    and left.hi == split == right.lo
-                    and right.hi == f_node.interval.hi
-                ):
-                    ok, detail = False, f"split of {f_node.interval} is not at {split}"
-                    break
-        record(m, "interval division at branching/non-branching parents", ok, detail)
-    return records
+    prev_level = prev_table = None
+    for m, (level, parent_index, tags) in enumerate(iter_levels(M, force=True), start=1):
+        table = suranyi_table(m)
+        if prev_table is not None:
+            same_width = len(prev_level) == len(prev_table.as_array())
+            record(records, m - 1, "edge lists agree node-by-node",
+                   same_width and _same_edges(m, parent_index, prev_table, table))
+            record(divisions, m, "interval division at branching/non-branching parents",
+                   *_division(m, prev_level, parent_index, tags, prev_table, table))
+        record(records, m, "substituted level equals generation level, in order",
+               np.array_equal(level, table.as_array()), f"width {len(level)}")
+        prev_level, prev_table = level, table
+    record(records, M, "edge lists agree node-by-node", len(prev_level) == len(prev_table.as_array()))
+    return records + divisions
 
 
 def _gen_label(node: GenNode) -> str:

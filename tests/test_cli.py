@@ -284,6 +284,9 @@ def test_verify_tree(capsys: pytest.CaptureFixture) -> None:
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
+    for depth, message in (("0", "depth must be positive"), ("2001", "beyond degree 2000")):
+        assert main(["verify-tree", "--depth", depth]) == 2
+        assert message in capsys.readouterr().err
 
 
 def test_sosrec_report(capsys: pytest.CaptureFixture) -> None:

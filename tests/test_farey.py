@@ -2,12 +2,14 @@ from __future__ import annotations
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
 from soslift.farey import (
     FareyInterval,
     farey_intervals,
     farey_sequence,
+    farey_terms,
     format_fraction,
     fraction_from_json,
     fraction_to_json,
@@ -58,9 +60,18 @@ def test_consecutive_terms_are_unimodular() -> None:
             assert lo.denominator * hi.numerator - lo.numerator * hi.denominator == 1
 
 
+def test_sequence_is_the_fractions_of_the_term_arrays() -> None:
+    for m in range(1, 41):
+        num, den = farey_terms(m)
+        assert num.dtype == den.dtype == np.int64
+        assert farey_sequence(m) == [Fraction(p, q) for p, q in zip(num.tolist(), den.tolist())]
+
+
 def test_sequence_rejects_nonpositive_order() -> None:
     with pytest.raises(ValueError, match="order must be positive"):
         farey_sequence(0)
+    with pytest.raises(ValueError, match="order must be positive"):
+        farey_terms(0)
 
 
 def test_intervals_are_indexed_and_adjacent() -> None:

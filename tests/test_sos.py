@@ -4,10 +4,12 @@ import random
 from fractions import Fraction
 from math import gcd
 
+import numpy as np
 import pytest
 
-from soslift.farey import farey_intervals, mediant
-from soslift.perm_core import Permutation, gamma, inverse, psi
+from soslift import sos
+from soslift.farey import farey_intervals, farey_terms, mediant, totient_sum
+from soslift.perm_core import Permutation, _dtype_for, gamma, inverse, psi
 from soslift.sos import (
     SuranyiTable,
     random_interior_rational,
@@ -164,6 +166,56 @@ def test_suranyi_table_is_injective_and_indexed() -> None:
         for iv, p in table.entries:
             assert table.interval_of(p) == iv
             assert tau_from_alpha(m, mediant(iv)) == p
+
+
+def test_table_rows_are_tau_at_every_mediant() -> None:
+    # the Fraction path is the oracle for the array rows
+    for m in range(1, 31):
+        rows = suranyi_table(m).as_array()
+        assert rows.dtype == _dtype_for(m)
+        assert not rows.flags.writeable
+        expected = [tau_from_alpha(m, mediant(iv)).values for iv in farey_intervals(m)]
+        assert [tuple(r) for r in rows.tolist()] == expected
+
+
+def test_table_views_build_rows_on_access() -> None:
+    table = suranyi_table(9)
+    n = totient_sum(9)
+    assert len(table.entries) == len(table.permutations()) == n
+    assert table.entries[-1] == table.entries[n - 1]
+    assert table.entries[0][0] == farey_intervals(9)[0]
+    with pytest.raises(IndexError):
+        table.permutations()[n]
+    with pytest.raises(KeyError, match="not in the order-9 table"):
+        table.interval_of(_p("1234"))
+
+
+def test_suranyi_table_checks_its_rows(monkeypatch: pytest.MonkeyPatch) -> None:
+    def dropping(k):
+        def terms(m):
+            num, den = farey_terms(m)
+            return np.delete(num, k), np.delete(den, k)
+        return terms
+
+    with monkeypatch.context() as patch:
+        patch.setattr(sos, "farey_terms", dropping(3))
+        with pytest.raises(AssertionError, match="non-adjacent Farey intervals at index 3"):
+            suranyi_table(6)
+    with monkeypatch.context() as patch:
+        # dropping the last term 1/1 leaves neighbours, one interval short
+        patch.setattr(sos, "farey_terms", dropping(-1))
+        with pytest.raises(AssertionError, match="expected 12 intervals, built 11"):
+            suranyi_table(6)
+    with monkeypatch.context() as patch:
+        real = sos.mediant_taus
+
+        def colliding(m, num, den):
+            rows = real(m, num, den)
+            rows[-1] = rows[0]
+            return rows
+        patch.setattr(sos, "mediant_taus", colliding)
+        with pytest.raises(AssertionError, match="tau collision in the order-6 table"):
+            suranyi_table(6)
 
 
 def test_suranyi_column_is_constant_on_each_interval() -> None:

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import json
+import weakref
 
+import numpy as np
 import pytest
 
+from soslift import trees
 from soslift.farey import farey_intervals, totient_sum
-from soslift.lifting import TAG_SINGLE, iter_levels
+from soslift.lifting import TAG_LEFT, TAG_RIGHT, TAG_SINGLE, iter_levels
 from soslift.perm_core import Permutation
+from soslift.sos import suranyi_table
 from soslift.trees import (
     FareyTree,
     GenTree,
@@ -166,6 +170,81 @@ def test_check_isomorphism_passes() -> None:
     assert "substituted level equals generation level, in order" in checks
     assert "edge lists agree node-by-node" in checks
     assert any("interval division" in c for c in checks)
+
+
+def test_farey_rows_are_the_generation_levels_in_order() -> None:
+    for m, (level, _, _) in enumerate(iter_levels(120), start=1):
+        assert np.array_equal(level, suranyi_table(m).as_array()), m
+
+
+def _swap_rows(level, parent_index, tags):
+    level = level.copy()
+    level[[0, 1]] = level[[1, 0]]
+    return level, parent_index, tags
+
+
+def _flip_tags(level, parent_index, tags):
+    tags = tags.copy()
+    left = int(np.argmax(tags == TAG_LEFT))
+    tags[left], tags[left + 1] = TAG_RIGHT, TAG_LEFT
+    return level, parent_index, tags
+
+
+def _move_parent(level, parent_index, tags):
+    # hand the first child of parent 1 to parent 0
+    parent_index = parent_index.copy()
+    parent_index[int(np.argmax(parent_index == 1))] = 0
+    return level, parent_index, tags
+
+
+@pytest.mark.parametrize("fault, failing", [
+    (_swap_rows, (6, "substituted level equals generation level, in order")),
+    (_flip_tags, (6, "interval division at branching/non-branching parents")),
+    (_move_parent, (5, "edge lists agree node-by-node")),
+])
+def test_check_isomorphism_reports_injected_faults(monkeypatch, fault, failing) -> None:
+    real = trees.iter_levels
+
+    def faulty(M, force=False):
+        for m, out in enumerate(real(M, force), start=1):
+            yield fault(*out) if m == 6 else out
+
+    monkeypatch.setattr(trees, "iter_levels", faulty)
+    records = check_isomorphism(8)
+    failed = {(r["m"], r["check"]) for r in records if not r["passed"]}
+    assert failing in failed
+    assert len(records) == 3 * 8 - 1
+
+
+def test_check_isomorphism_names_the_split_that_moved(monkeypatch) -> None:
+    real = trees.iter_levels
+
+    def faulty(M, force=False):
+        for m, out in enumerate(real(M, force), start=1):
+            yield _flip_tags(*out) if m == 3 else out
+
+    monkeypatch.setattr(trees, "iter_levels", faulty)
+    division = [r for r in check_isomorphism(4) if not r["passed"]]
+    # the first branching parent at degree 2 is 12, on (0/1, 1/2); its split is 1/3
+    assert division == [{"m": 3, "check": "interval division at branching/non-branching parents",
+                         "passed": False, "detail": "split of (0/1, 1/2) is not at 1/3"}]
+
+
+def test_check_isomorphism_holds_two_levels(monkeypatch) -> None:
+    real = trees.iter_levels
+    held = []
+
+    def watched(M, force=False):
+        refs = []
+        for level, parent_index, tags in real(M, force):
+            held.append(sum(ref() is not None for ref in refs))
+            refs.append(weakref.ref(level))
+            yield level, parent_index, tags
+
+    monkeypatch.setattr(trees, "iter_levels", watched)
+    assert all(r["passed"] for r in check_isomorphism(30))
+    # when level m arrives, only level m - 1 is still held
+    assert max(held) == 1
 
 
 def test_export_dot_gen_tree() -> None:
