@@ -197,26 +197,34 @@ def _move_parent(level, parent_index, tags):
     return level, parent_index, tags
 
 
-@pytest.mark.parametrize("fault, failing", [
-    (_swap_rows, (6, "substituted level equals generation level, in order")),
-    (_flip_tags, (6, "interval division at branching/non-branching parents")),
-    (_move_parent, (5, "edge lists agree node-by-node")),
+def _drop_row(level, parent_index, tags):
+    return level[:-1], parent_index[:-1], tags[:-1]
+
+
+@pytest.mark.parametrize("fault, degree, failing", [
+    (_swap_rows, 6, "substituted level equals generation level, in order"),
+    (_flip_tags, 6, "interval division at branching/non-branching parents"),
+    (_move_parent, 5, "edge lists agree node-by-node"),
+    # a leaf level one row short has no edges, but its widths disagree
+    (_drop_row, 8, "edge lists agree node-by-node"),
 ])
-def test_check_isomorphism_reports_injected_faults(monkeypatch, fault, failing) -> None:
+def test_check_isomorphism_reports_injected_faults(
+    monkeypatch: pytest.MonkeyPatch, fault, degree: int, failing: str
+) -> None:
     real = trees.iter_levels
 
     def faulty(M, force=False):
         for m, out in enumerate(real(M, force), start=1):
-            yield fault(*out) if m == 6 else out
+            yield fault(*out) if m == max(degree, 6) else out
 
     monkeypatch.setattr(trees, "iter_levels", faulty)
     records = check_isomorphism(8)
     failed = {(r["m"], r["check"]) for r in records if not r["passed"]}
-    assert failing in failed
+    assert (degree, failing) in failed
     assert len(records) == 3 * 8 - 1
 
 
-def test_check_isomorphism_names_the_split_that_moved(monkeypatch) -> None:
+def test_check_isomorphism_names_the_split_that_moved(monkeypatch: pytest.MonkeyPatch) -> None:
     real = trees.iter_levels
 
     def faulty(M, force=False):
@@ -230,7 +238,7 @@ def test_check_isomorphism_names_the_split_that_moved(monkeypatch) -> None:
                          "passed": False, "detail": "split of (0/1, 1/2) is not at 1/3"}]
 
 
-def test_check_isomorphism_holds_two_levels(monkeypatch) -> None:
+def test_check_isomorphism_holds_two_levels(monkeypatch: pytest.MonkeyPatch) -> None:
     real = trees.iter_levels
     held = []
 
