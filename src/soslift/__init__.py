@@ -50,8 +50,7 @@ from .sos import (
     verify_invariants,
 )
 from .trees import (
-    FareyTree,
-    GenTree,
+    Tree,
     build_farey_tree,
     build_gen_tree,
     check_isomorphism,

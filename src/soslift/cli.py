@@ -118,15 +118,14 @@ def _cmd_farey(args) -> int:
 
 
 def _cmd_tree(args) -> int:
-    docs = []
+    if args.with_y_levels and args.kind == "farey":
+        raise ValueError("--with-y-levels applies to the generation tree, not to --kind farey")
+    trees = []
     if args.kind in ("gen", "both"):
-        docs.append(export_tree(build_gen_tree(args.depth), args.format, args.with_y_levels))
+        trees.append(build_gen_tree(args.depth))
     if args.kind in ("farey", "both"):
-        docs.append(export_tree(build_farey_tree(args.depth), args.format))
-    if args.format == "json" and args.kind == "both":
-        print(json.dumps({"gen": json.loads(docs[0]), "farey": json.loads(docs[1])}, indent=2))
-    else:
-        print("\n".join(docs))
+        trees.append(build_farey_tree(args.depth))
+    print(export_tree(*trees, format=args.format, with_y_levels=args.with_y_levels))
     return 0
 
 

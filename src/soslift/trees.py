@@ -3,11 +3,12 @@
 Level m of the generation tree holds the degree-m class V in construction
 order: children of one parent sit next to each other, (0)-child left of
 (1)-child, which is the same left-to-right order the interval tree induces.
-The isomorphism check replaces every interval with its paired permutation
-from the order-m table and asserts literal node-by-node equality, including
-edge structure and horizontal order.  It streams the lifted levels and
-compares integer arrays, so it never builds either tree; GenTree and
-FareyTree serve the tree export.
+Both trees are a Tree of labels, tags and child offsets built from integer
+arrays, and export_tree writes either or both.  The isomorphism check
+replaces every interval with its paired permutation from the order-m table
+and asserts literal node-by-node equality, including edge structure and
+horizontal order.  It streams the lifted levels and compares integer
+arrays, so it builds neither tree.
 """
 from __future__ import annotations
 
@@ -17,104 +18,98 @@ from fractions import Fraction
 
 import numpy as np
 
-from .farey import FareyInterval, farey_intervals
-from .lifting import TAG_LEFT, TAG_RIGHT, TAG_SINGLE, iter_levels
-from .perm_core import Permutation, format_rows, psi_inverse
+from .farey import farey_terms
+from .lifting import TAG_LEFT, TAG_RIGHT, TAG_SINGLE, check_lift_degree, iter_levels
+from .perm_core import format_rows
 from .sos import SuranyiTable, suranyi_table
 
 
-@dataclass(frozen=True)
-class GenNode:
-    perm: Permutation
-    tag: int | None
-    children: tuple[int, ...]
+@dataclass(frozen=True, eq=False)
+class Tree:
+    """A plane tree stored level by level, from the root at level 1 to depth M.
 
+    levels[m-1] holds the labels of the level-m nodes, left to right, and
+    tags[m-1] their TAG_* values.  Node i of level m has the children
+    offsets[m-1][i] .. offsets[m-1][i+1]-1 of level m+1; the leaf level's
+    offsets are all 0.  rows[m-1] holds the generation tree's degree-m rows,
+    from which the lifted rows (1, pi+1) are labelled; the interval tree has
+    no rows.
+    """
 
-@dataclass(frozen=True)
-class GenTree:
+    kind: str
     M: int
-    levels: tuple[tuple[GenNode, ...], ...]
+    levels: tuple[list[str], ...]
+    tags: tuple[np.ndarray, ...]
+    offsets: tuple[np.ndarray, ...]
+    rows: tuple[np.ndarray, ...] = ()
 
 
-@dataclass(frozen=True)
-class FareyNode:
-    interval: FareyInterval
-    children: tuple[int, ...]
+def _check_depth(M: int) -> None:
+    """Refuse depths below 1 and above the lifting ceiling, before any work."""
+    if M < 1:
+        raise ValueError(f"depth must be positive, got {M}")
+    check_lift_degree(M, force=True)
 
 
-@dataclass(frozen=True)
-class FareyTree:
-    M: int
-    levels: tuple[tuple[FareyNode, ...], ...]
+_LEAVES = np.zeros(0, dtype=np.int64)  # the parent index below the last level
 
 
-def build_gen_tree(M: int) -> GenTree:
+def _offsets(parent_index: np.ndarray, n: int) -> np.ndarray:
+    """Offsets of the children of n parents, from the children's sorted parent_index."""
+    return np.searchsorted(parent_index, np.arange(n + 1))
+
+
+def _farey_parents(m: int, den: np.ndarray) -> np.ndarray:
+    """Each order-m interval's parent: the order-(m-1) terms (denominator < m)
+    up to its left endpoint, counted, less one."""
+    return np.cumsum(den[:-1] < m) - 1
+
+
+def _contained(pnum: np.ndarray, pden: np.ndarray, num: np.ndarray, den: np.ndarray,
+               parent: np.ndarray) -> np.ndarray:
+    """Whether lo_parent <= lo_child and hi_child <= hi_parent, cross-multiplied."""
+    return ((pnum[parent] * den[:-1] <= num[:-1] * pden[parent])
+            & (num[1:] * pden[parent + 1] <= pnum[parent + 1] * den[1:]))
+
+
+def build_gen_tree(M: int) -> Tree:
     """Lift level by level from the single degree-1 node."""
-    if M < 1:
-        raise ValueError(f"depth must be positive, got {M}")
-    arrays: list[np.ndarray] = []
-    tags_per_level: list[np.ndarray] = []
-    kids_per_level: list[list[tuple[int, ...]]] = []
-    for level, parent_index, tags in iter_levels(M, force=True):
-        if arrays:
-            # parent_index is sorted: parent j's children are offsets[j]..offsets[j+1]-1
-            offsets = np.searchsorted(parent_index, np.arange(arrays[-1].shape[0] + 1))
-            kids_per_level.append([tuple(range(a, b)) for a, b in zip(offsets[:-1], offsets[1:])])
-        arrays.append(level)
-        tags_per_level.append(tags)
-    kids_per_level.append([() for _ in range(arrays[-1].shape[0])])
-
-    levels = []
-    for arr, tags, kids in zip(arrays, tags_per_level, kids_per_level):
-        nodes = tuple(
-            GenNode(Permutation(row), None if t == TAG_SINGLE else int(t), child_idx)
-            for row, t, child_idx in zip(arr.tolist(), tags.tolist(), kids)
-        )
-        levels.append(nodes)
-    return GenTree(M, tuple(levels))
+    _check_depth(M)
+    rows, parents, tags = zip(*iter_levels(M, force=True))
+    offsets = tuple(_offsets(p, len(r)) for r, p in zip(rows, parents[1:] + (_LEAVES,)))
+    levels = tuple(list(format_rows(r.tolist(), m, "oneline")) for m, r in enumerate(rows, start=1))
+    return Tree("gen", M, levels, tags, offsets, rows)
 
 
-def build_farey_tree(M: int) -> FareyTree:
+def build_farey_tree(M: int) -> Tree:
     """Level m lists the order-m intervals left to right; edges are containment."""
-    if M < 1:
-        raise ValueError(f"depth must be positive, got {M}")
-    interval_levels = [farey_intervals(m) for m in range(1, M + 1)]
-    levels: list[tuple[FareyNode, ...]] = []
-    for m_idx, intervals in enumerate(interval_levels):
-        if m_idx + 1 == M:
-            levels.append(tuple(FareyNode(iv, ()) for iv in intervals))
-            break
-        nxt = interval_levels[m_idx + 1]
-        nodes = []
-        j = 0
-        for iv in intervals:
-            kids = []
-            while j < len(nxt) and nxt[j].hi <= iv.hi:
-                if nxt[j].lo < iv.lo:
-                    raise AssertionError(f"interval {nxt[j]} escapes parent {iv}")
-                kids.append(j)
-                j += 1
-            if not 1 <= len(kids) <= 2:
-                raise AssertionError(f"parent {iv} has {len(kids)} children")
-            nodes.append(FareyNode(iv, tuple(kids)))
-        if j != len(nxt):
-            raise AssertionError("unassigned child intervals remain")
-        levels.append(tuple(nodes))
-    return FareyTree(M, tuple(levels))
+    _check_depth(M)
+    terms = [farey_terms(m) for m in range(1, M + 1)]
+    parents = [_farey_parents(m, den) for m, (_, den) in enumerate(terms[1:], start=2)]
+    offsets = tuple(_offsets(p, len(den) - 1) for (_, den), p in zip(terms, parents + [_LEAVES]))
+    for m, ((pnum, pden), (num, den), parent, first) in enumerate(
+            zip(terms, terms[1:], parents, offsets), start=2):
+        if first[0] != 0 or first[-1] != len(parent):
+            raise AssertionError(f"unassigned order-{m} intervals remain")
+        if not _contained(pnum, pden, num, den, parent).all():
+            raise AssertionError(f"an order-{m} interval escapes its parent")
+        if not np.isin(np.diff(first), (1, 2)).all():
+            raise AssertionError(f"an order-{m - 1} interval has neither 1 nor 2 children")
+    levels = []
+    for num, den in terms:
+        ends = [f"{p}/{q}" for p, q in zip(num.tolist(), den.tolist())]
+        levels.append([f"({lo}, {hi})" for lo, hi in zip(ends, ends[1:])])
+    tags = tuple(np.full(len(level), TAG_SINGLE, dtype=np.int8) for level in levels)
+    return Tree("farey", M, tuple(levels), tags, offsets)
 
 
 def _same_edges(m: int, parent_index: np.ndarray, parents: SuranyiTable,
                 children: SuranyiTable) -> bool:
     """Generation edges into level m equal interval containment, as integer arrays."""
-    pnum, pden, num, den = parents.num, parents.den, children.num, children.den
-    # an order-m interval's parent: the order-(m-1) terms (denominator < m)
-    # among its own and the earlier left endpoints, less one
-    far_index = np.cumsum(den[:-1] < m) - 1
-    if not np.array_equal(parent_index, far_index):
-        return False
-    # lo_parent <= lo_child and hi_child <= hi_parent, cross-multiplied
-    return bool(((pnum[far_index] * den[:-1] <= num[:-1] * pden[far_index])
-                 & (num[1:] * pden[far_index + 1] <= pnum[far_index + 1] * den[1:])).all())
+    far_index = _farey_parents(m, children.den)
+    return bool(np.array_equal(parent_index, far_index)
+                and _contained(parents.num, parents.den, children.num, children.den,
+                               far_index).all())
 
 
 def _division(m: int, parent_rows: np.ndarray, parent_index: np.ndarray, tags: np.ndarray,
@@ -171,8 +166,7 @@ def check_isomorphism(M: int) -> list[dict]:
     Returns one record per check, every level's records before the
     splitting records; failures are records, not exceptions.
     """
-    if M < 1:
-        raise ValueError(f"depth must be positive, got {M}")
+    _check_depth(M)
     records: list[dict] = []
     divisions: list[dict] = []
 
@@ -195,63 +189,65 @@ def check_isomorphism(M: int) -> list[dict]:
     return records + divisions
 
 
-def _gen_label(node: GenNode) -> str:
-    if node.tag is None:
-        return node.perm.one_line()
-    return f"{node.perm.one_line()}^({node.tag})"
+def _tagged(label: str, tag: int) -> str:
+    return label if tag == TAG_SINGLE else f"{label}^({tag})"
 
 
-def _nested_gen(tree: GenTree, m: int, idx: int, with_y_levels: bool) -> dict:
-    node = tree.levels[m - 1][idx]
-    kids = [_nested_gen(tree, m + 1, j, with_y_levels) for j in node.children]
-    if with_y_levels and kids:
-        lifted = psi_inverse(node.perm)
-        kids = [{"label": lifted.one_line(), "tag": None, "children": kids}]
-    tag = None if node.tag is None else f"({node.tag})"
-    return {"label": node.perm.one_line(), "tag": tag, "children": kids}
+def _y_labels(tree: Tree) -> list[list[str] | None]:
+    """Per level, the labels of the lifted rows (1, pi+1); none below the leaves."""
+    lifted = [np.pad(rows.astype(np.int64) + 1, ((0, 0), (1, 0)), constant_values=1)
+              for rows in tree.rows[:-1]]
+    return [list(format_rows(theta.tolist(), m + 1, "oneline"))
+            for m, theta in enumerate(lifted, start=1)] + [None]
 
 
-def _nested_farey(tree: FareyTree, m: int, idx: int) -> dict:
-    node = tree.levels[m - 1][idx]
-    kids = [_nested_farey(tree, m + 1, j) for j in node.children]
-    return {"label": str(node.interval), "tag": None, "children": kids}
-
-
-def export_tree(tree, format: str = "dot", with_y_levels: bool = False) -> str:
-    """Serialize a tree as DOT text or as one nested JSON document."""
-    if format not in ("dot", "json"):
-        raise ValueError(f"format must be 'dot' or 'json', got {format!r}")
-    if with_y_levels and not isinstance(tree, GenTree):
-        raise ValueError("with_y_levels only applies to the generation tree")
-
-    if format == "json":
-        if isinstance(tree, GenTree):
-            return json.dumps(_nested_gen(tree, 1, 0, with_y_levels), indent=2)
-        return json.dumps(_nested_farey(tree, 1, 0), indent=2)
-
+def _dot(tree: Tree, ys: list[list[str] | None]) -> str:
     lines = ["digraph tree {", "  node [shape=box];"]
-    if isinstance(tree, GenTree):
-        for m, level in enumerate(tree.levels, start=1):
-            for i, node in enumerate(level):
-                lines.append(f'  n{m}_{i} [label="{_gen_label(node)}"];')
-        for m, level in enumerate(tree.levels, start=1):
-            for i, node in enumerate(level):
-                if with_y_levels and node.children:
-                    lifted = psi_inverse(node.perm).one_line()
-                    lines.append(f'  y{m}_{i} [label="{lifted}"];')
-                    lines.append(f"  n{m}_{i} -> y{m}_{i};")
-                    for j in node.children:
-                        lines.append(f"  y{m}_{i} -> n{m + 1}_{j};")
-                else:
-                    for j in node.children:
-                        lines.append(f"  n{m}_{i} -> n{m + 1}_{j};")
-    else:
-        for m, level in enumerate(tree.levels, start=1):
-            for i, node in enumerate(level):
-                lines.append(f'  n{m}_{i} [label="{node.interval}"];')
-        for m, level in enumerate(tree.levels, start=1):
-            for i, node in enumerate(level):
-                for j in node.children:
-                    lines.append(f"  n{m}_{i} -> n{m + 1}_{j};")
+    for m, (labels, tags) in enumerate(zip(tree.levels, tree.tags), start=1):
+        lines += [f'  n{m}_{i} [label="{_tagged(label, tag)}"];'
+                  for i, (label, tag) in enumerate(zip(labels, tags.tolist()))]
+    for m, (offsets, y) in enumerate(zip(tree.offsets[:-1], ys), start=1):
+        offsets = offsets.tolist()
+        for i, (a, b) in enumerate(zip(offsets, offsets[1:])):
+            src = f"n{m}_{i}"
+            if y is not None:
+                lines += [f'  y{m}_{i} [label="{y[i]}"];', f"  {src} -> y{m}_{i};"]
+                src = f"y{m}_{i}"
+            lines += [f"  {src} -> n{m + 1}_{j};" for j in range(a, b)]
     lines.append("}")
     return "\n".join(lines)
+
+
+def _nested(tree: Tree, ys: list[list[str] | None]) -> dict:
+    """The root as a dict of label, tag and children, built from the leaves up."""
+    below: list[dict] = []
+    for labels, tags, offsets, y in reversed(list(zip(tree.levels, tree.tags, tree.offsets, ys))):
+        offsets = offsets.tolist()
+        nodes = []
+        for i, (label, tag) in enumerate(zip(labels, tags.tolist())):
+            kids = below[offsets[i]:offsets[i + 1]]
+            if y is not None:
+                kids = [{"label": y[i], "tag": None, "children": kids}]
+            nodes.append({"label": label, "tag": None if tag == TAG_SINGLE else f"({tag})",
+                          "children": kids})
+        below = nodes
+    return below[0]
+
+
+def export_tree(*trees: Tree, format: str = "dot", with_y_levels: bool = False) -> str:
+    """The trees as DOT graphs, one after another, or as one JSON document.
+
+    One tree's JSON document is its nested root; several trees are nested
+    under their kinds.  with_y_levels puts the lifted row (1, pi+1) between
+    each generation-tree node pi and its children.
+    """
+    if format not in ("dot", "json"):
+        raise ValueError(f"format must be 'dot' or 'json', got {format!r}")
+    if with_y_levels and not any(tree.rows for tree in trees):
+        raise ValueError("with_y_levels only applies to the generation tree")
+    ys = [_y_labels(tree) if with_y_levels and tree.rows else [None] * tree.M for tree in trees]
+    if format == "dot":
+        return "\n".join(_dot(tree, y) for tree, y in zip(trees, ys))
+    docs = [_nested(tree, y) for tree, y in zip(trees, ys)]
+    doc = docs[0] if len(docs) == 1 else {tree.kind: d for tree, d in zip(trees, docs)}
+    return json.dumps(doc, indent=2)

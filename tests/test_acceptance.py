@@ -135,7 +135,7 @@ def test_criterion_06_scaling_to_degree_200_with_fiber_census() -> None:
 
 def test_criterion_07_generation_tree_matches_golden_rows() -> None:
     tree = build_gen_tree(6)
-    rows = [[node.perm.one_line() for node in level] for level in tree.levels]
+    rows = [list(level) for level in tree.levels]
     ok = rows == GOLDEN_LEVELS
     _report(7, ok, "depth-6 generation tree levels match the golden rows left to right")
     assert rows == GOLDEN_LEVELS

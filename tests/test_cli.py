@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soslift import cli
+from soslift import cli, trees
 from soslift.cli import main
 from soslift.farey import totient_sum
 from soslift.lifting import lift_to
@@ -235,6 +236,104 @@ def test_tree_dot_is_deterministic(capsys: pytest.CaptureFixture) -> None:
     assert main(["tree", "--depth", "5", "--kind", "both"]) == 0
     assert capsys.readouterr().out == first
     assert first.count("digraph") == 2
+
+
+
+def test_tree_farey_with_y_levels_is_usage_error(capsys: pytest.CaptureFixture) -> None:
+    assert main(["tree", "--depth", "3", "--kind", "farey", "--with-y-levels"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and "--with-y-levels" in captured.err
+
+
+def test_tree_both_with_y_levels_lifts_the_gen_document_only(capsys: pytest.CaptureFixture) -> None:
+    assert main(["tree", "--depth", "3", "--kind", "both", "--format", "json",
+                 "--with-y-levels"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    # the root 1 lifts to the y row 12, which holds the degree-2 nodes
+    assert [kid["label"] for kid in doc["gen"]["children"]] == ["12"]
+    assert [kid["label"] for kid in doc["gen"]["children"][0]["children"]] == ["12", "21"]
+    assert [kid["label"] for kid in doc["farey"]["children"]] == ["(0/1, 1/2)", "(1/2, 1/1)"]
+
+
+@pytest.mark.parametrize("kind", ["gen", "farey", "both"])
+@pytest.mark.parametrize("depth, message", [("0", "depth must be positive"),
+                                            ("2001", "beyond degree 2000")])
+def test_tree_depth_outside_1_to_2000_builds_nothing(
+        monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture,
+        kind: str, depth: str, message: str) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("a tree was built")
+
+    monkeypatch.setattr(trees, "iter_levels", refuse)
+    monkeypatch.setattr(trees, "farey_terms", refuse)
+    assert main(["tree", "--depth", depth, "--kind", kind]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert message in captured.err
+
+# SHA-256 of `tree` stdout, recorded before the tree export moved onto
+# arrays; depths 10 and above print space-separated labels
+TREE_STDOUT_SHA256 = [
+    (1, "gen", "dot", False, "26dd728e2314476c00aa9bc8c7895b95a1e85707dd623b2ee2025e629bb9d1b7"),
+    (1, "gen", "dot", True, "26dd728e2314476c00aa9bc8c7895b95a1e85707dd623b2ee2025e629bb9d1b7"),
+    (1, "gen", "json", False, "136e3c24219e12bf74b3b43f76ff3a769b97737507cfee3b0c9ab080eb8e0dde"),
+    (1, "gen", "json", True, "136e3c24219e12bf74b3b43f76ff3a769b97737507cfee3b0c9ab080eb8e0dde"),
+    (1, "farey", "dot", False, "9ff7cda36c26593efa936e4e142ae3a9854baf565abb031639f82b8d30f8e056"),
+    (1, "farey", "json", False, "c8993966a17e65331253304ad24b4a52b4631de833799fc1b783fe735518d1eb"),
+    (1, "both", "dot", False, "1fc8112538e17dc1f96abbd36def802fd718b249cb4fd3f21f4cc4eeed90cba3"),
+    (1, "both", "dot", True, "1fc8112538e17dc1f96abbd36def802fd718b249cb4fd3f21f4cc4eeed90cba3"),
+    (1, "both", "json", False, "5de0df12d952760fc6e4e88b5963f96dc1127ce73f22826e6b1ec2eb50655271"),
+    (1, "both", "json", True, "5de0df12d952760fc6e4e88b5963f96dc1127ce73f22826e6b1ec2eb50655271"),
+    (2, "gen", "dot", False, "b0ac80bffcbd653a855229798a5234dce705202e4ea2f69e791508e689c5c1ec"),
+    (2, "gen", "dot", True, "917e37a110c79bbefc12dcabc975242f7415d57f4b1d59d7a319bac436e5a673"),
+    (2, "gen", "json", False, "fa4801fbf8503de382541d1d68dbf9b16f4d7fa85a68b52e8ad80ce178a08355"),
+    (2, "gen", "json", True, "f7e638c02c5e4470021c4a806159116a2c91382e1401caacd70ec0f87f2158de"),
+    (2, "farey", "dot", False, "d4a454f5921163bd8b33950844125e31478ffa0b91c23ae2412b70cbb23b652c"),
+    (2, "farey", "json", False, "9e7feade2952c918b6083bc51ee90a7ee626e84c6b48b7cf7d0eda615b368281"),
+    (2, "both", "dot", False, "b4266cbf643817173193e985aa82db00392223c74c27f978a721ea10e2122fe7"),
+    (2, "both", "dot", True, "3e196531b013d0ba1592cd16513011beac02d5e523c2e0ff52ea3688778ddf83"),
+    (2, "both", "json", False, "3badc0f16e252949e4d26ae1e6dad66c24519aca686de7e9463b5af48f9d6957"),
+    (2, "both", "json", True, "052676495721b97f639e3daf2d007e13bd199deb5376e1537143076883bcb4a7"),
+    (9, "gen", "dot", False, "13193deb0ff1bc9b373a8efbb677c8717ad3900f7e527f3efae8e2e1c1229cdc"),
+    (9, "gen", "dot", True, "112cfb745fc668eacf23f6ad388aa3040f466942dc4c58ea4b2e1c317156a46e"),
+    (9, "gen", "json", False, "7bace22bd42fd957423d35487603c8d93b283265482e83195bbddf61541c6786"),
+    (9, "gen", "json", True, "38aa1ae1d51493f0cd28f9b4d6033bfa35e7cccd39515b3574ca48f6bcfd18b6"),
+    (9, "farey", "dot", False, "79e180a434f51aacfc49fb42d23997237f2a70ee102f38cfd7eee8be5c385fbd"),
+    (9, "farey", "json", False, "1c716ffb0a9078d7e40ff74871e9c78a66797a199183895f3dcd3a380ca54f1b"),
+    (9, "both", "dot", False, "28c54c926345a3531d04f0bdc47bdb312df62b3e3d9337ead60d11f3adeb7249"),
+    (9, "both", "dot", True, "94d56f6f146e7429f4d9301488fe4df46cc98fde6729e717b95be6d20ccf116d"),
+    (9, "both", "json", False, "df5a6b5c32b9b6871202f0c40aeb2ab70b0aadb386c6b528baf3cb9951f32d40"),
+    (9, "both", "json", True, "f56a1b1f7283352ca6f6f11a15cbee8e4560d2cbed9072a7813990917b06b602"),
+    (10, "gen", "dot", False, "099d78c0a5d42ec4930a14f2ea2d54a27366962d5c57e09e20446731bf9d556c"),
+    (10, "gen", "dot", True, "30563ace73bc4ed72701d3ec5fdde11192820008178b4dbc336685966aca686f"),
+    (10, "gen", "json", False, "9b8ca07b8b64d42aff74b4c63ad38ef2c009a76ccecbab0e095bf03ef74ef8a6"),
+    (10, "gen", "json", True, "b293b31abf706caf20391645dda8dc550e97fbb1a82ae5abb79e4bf496925f4a"),
+    (10, "farey", "dot", False, "b4c0bca0a7bb0d3988e5bc3e40b273eb0c1f5b1f80aab7d4ad1adbf346e27160"),
+    (10, "farey", "json", False, "d7d836cfb7363c1d2736ba6bd324809e280b7019256ec07d54edd05ce555f024"),
+    (10, "both", "dot", False, "2138bd10ea6f7854311635dd4a8dc0af1dc621f73725c56219a1db8891690745"),
+    (10, "both", "dot", True, "17c1802d5823e4df018fb34f19b3edc2d239c1b7fee4df6c1e4dfbcf5fae74a7"),
+    (10, "both", "json", False, "c1addea7b67ff19f125469b8ce8f1afefa4ae3cf222a2ae82509f5c1a570ce0a"),
+    (10, "both", "json", True, "04b3f74ed3b433ed267c6af4443e15f57558e741701cdbb63d3f0130364fedfc"),
+    (14, "gen", "dot", False, "3ce3d6b473b3b548f87f54a4e9dc714410fd462b59080d8d10e81050ad2d038d"),
+    (14, "gen", "dot", True, "8996b8520cb20e6b2fd948c6618b33a1d0ef996a060e5a1ac6753ed3e9e30f18"),
+    (14, "gen", "json", False, "7afdd492c14e0152a2fd7ae620794fcc8faa4fac80c125a5098cdc2a1cbe8199"),
+    (14, "gen", "json", True, "04cf2c19afc1b0041901012d03504b0915e6a057e73d43aea3d1291fd3af8222"),
+    (14, "farey", "dot", False, "5a1acd47d0a18039b4dde2ee35b4fffbd6fbade6a36e0e71e2750c335c518c73"),
+    (14, "farey", "json", False, "9480ff90d4fc1dc170e8c315f5f328cf6166f0dc6df6bad7f37262eac90c5998"),
+    (14, "both", "dot", False, "622b59b824851bbc9aff8db5d12fe13a52f11d1778fff7bbf519a65e2cec455a"),
+    (14, "both", "dot", True, "9552d5c7708f94b64ee7c41272579ace9f0477c43878adedf31b9e90eaaa94d8"),
+    (14, "both", "json", False, "3686f08e77dc347c8e8cc9815eeef4c15b12c1018e42b3d627724ad40b68d101"),
+    (14, "both", "json", True, "4ad9a43bc815669316a79537ad24abce785ef1eea23fbf6af1f480ee05ced2b9"),
+]
+
+
+@pytest.mark.parametrize("depth, kind, fmt, y_levels, digest", TREE_STDOUT_SHA256)
+def test_tree_stdout_is_byte_identical(capsys: pytest.CaptureFixture, depth: int, kind: str,
+                                       fmt: str, y_levels: bool, digest: str) -> None:
+    argv = ["tree", "--depth", str(depth), "--kind", kind, "--format", fmt]
+    assert main(argv + ["--with-y-levels"] * y_levels) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_verify_text_passes(capsys: pytest.CaptureFixture) -> None:

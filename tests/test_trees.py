@@ -12,8 +12,7 @@ from soslift.lifting import TAG_LEFT, TAG_RIGHT, TAG_SINGLE, iter_levels
 from soslift.perm_core import Permutation
 from soslift.sos import suranyi_table
 from soslift.trees import (
-    FareyTree,
-    GenTree,
+    Tree,
     build_farey_tree,
     build_gen_tree,
     check_isomorphism,
@@ -70,17 +69,21 @@ GOLDEN_EDGES = {
 }
 
 
+def _children(tree: Tree, li: int, i: int) -> list[int]:
+    offsets = tree.offsets[li]
+    return list(range(offsets[i], offsets[i + 1]))
+
+
 def test_gen_tree_depth6_levels_match_golden() -> None:
     tree = build_gen_tree(6)
-    assert isinstance(tree, GenTree)
-    assert tree.M == 6
-    got = [[n.perm.one_line() for n in level] for level in tree.levels]
-    assert got == GOLDEN_LEVELS
+    assert isinstance(tree, Tree)
+    assert (tree.kind, tree.M) == ("gen", 6)
+    assert [list(level) for level in tree.levels] == GOLDEN_LEVELS
 
 
 def test_gen_tree_depth6_tags_match_golden() -> None:
     tree = build_gen_tree(6)
-    got = [[n.tag for n in level] for level in tree.levels]
+    got = [[None if t == TAG_SINGLE else t for t in tags.tolist()] for tags in tree.tags]
     assert got == GOLDEN_TAGS
 
 
@@ -88,71 +91,101 @@ def test_gen_tree_depth6_edges_match_golden() -> None:
     tree = build_gen_tree(6)
     for li, level in enumerate(tree.levels[:-1]):
         nxt = tree.levels[li + 1]
-        for node in level:
-            kids = [nxt[j].perm.one_line() for j in node.children]
-            assert kids == GOLDEN_EDGES[node.perm.one_line()]
-    for leaf in tree.levels[-1]:
-        assert leaf.children == ()
+        for i, label in enumerate(level):
+            kids = [nxt[j] for j in _children(tree, li, i)]
+            assert kids == GOLDEN_EDGES[label]
+    for i in range(len(tree.levels[-1])):
+        assert _children(tree, 5, i) == []
 
 
 def test_gen_tree_agrees_with_iter_levels() -> None:
     tree = build_gen_tree(8)
     levels = list(iter_levels(8))
-    assert len(tree.levels) == len(levels)
-    for nodes, (rows, _, tags) in zip(tree.levels, levels):
-        assert [n.perm.values for n in nodes] == [tuple(r) for r in rows.tolist()]
-        assert [n.tag for n in nodes] == [None if t == TAG_SINGLE else t for t in tags.tolist()]
-    for nodes, (_, parent_index, _) in zip(tree.levels, levels[1:]):
-        children = [[] for _ in nodes]
+    assert len(tree.levels) == len(tree.rows) == len(levels)
+    for labels, tree_rows, tree_tags, (rows, _, tags) in zip(
+            tree.levels, tree.rows, tree.tags, levels):
+        assert np.array_equal(tree_rows, rows)
+        assert labels == [Permutation(r).one_line() for r in rows.tolist()]
+        assert np.array_equal(tree_tags, tags)
+    for li, (labels, (_, parent_index, _)) in enumerate(zip(tree.levels, levels[1:])):
+        children = [[] for _ in labels]
         for child, parent in enumerate(parent_index.tolist()):
             children[parent].append(child)
-        assert [list(n.children) for n in nodes] == children
-    assert all(n.children == () for n in tree.levels[-1])
+        assert [_children(tree, li, i) for i in range(len(labels))] == children
+    assert not tree.offsets[-1].any()
 
 
 def test_gen_tree_child_indices_partition_next_level() -> None:
     tree = build_gen_tree(8)
     for li, level in enumerate(tree.levels[:-1]):
         seen: list[int] = []
-        for node in level:
-            assert len(node.children) in (1, 2)
-            seen.extend(node.children)
+        for i in range(len(level)):
+            kids = _children(tree, li, i)
+            assert len(kids) in (1, 2)
+            seen.extend(kids)
         assert seen == list(range(len(tree.levels[li + 1])))
 
 
 def test_farey_tree_small_depth_frozen() -> None:
     tree = build_farey_tree(3)
-    assert isinstance(tree, FareyTree)
-    rows = [[str(n.interval) for n in level] for level in tree.levels]
-    assert rows == [
+    assert isinstance(tree, Tree)
+    assert (tree.kind, tree.M, tree.rows) == ("farey", 3, ())
+    assert [list(level) for level in tree.levels] == [
         ["(0/1, 1/1)"],
         ["(0/1, 1/2)", "(1/2, 1/1)"],
         ["(0/1, 1/3)", "(1/3, 1/2)", "(1/2, 2/3)", "(2/3, 1/1)"],
     ]
-    root = tree.levels[0][0]
-    assert root.children == (0, 1)
+    assert _children(tree, 0, 0) == [0, 1]
+    assert all((tags == TAG_SINGLE).all() for tags in tree.tags)
 
 
 def test_farey_tree_edges_are_containments() -> None:
     tree = build_farey_tree(9)
     for li, level in enumerate(tree.levels[:-1]):
-        nxt = tree.levels[li + 1]
+        parents, nxt = farey_intervals(li + 1), farey_intervals(li + 2)
         assigned: list[int] = []
-        for node in level:
-            assert 1 <= len(node.children) <= 2
-            for j in node.children:
-                child = nxt[j].interval
-                assert node.interval.lo <= child.lo
-                assert child.hi <= node.interval.hi
-            assigned.extend(node.children)
+        for i, parent in enumerate(parents):
+            kids = _children(tree, li, i)
+            assert 1 <= len(kids) <= 2
+            for j in kids:
+                assert parent.lo <= nxt[j].lo
+                assert nxt[j].hi <= parent.hi
+            assigned.extend(kids)
         assert assigned == list(range(len(nxt)))
-        assert len(nxt) == totient_sum(li + 2)
+        assert len(tree.levels[li + 1]) == len(nxt) == totient_sum(li + 2)
 
 
 def test_farey_tree_levels_are_the_interval_rows() -> None:
     tree = build_farey_tree(7)
     for m, level in enumerate(tree.levels, start=1):
-        assert [n.interval for n in level] == list(farey_intervals(m))
+        assert level == [str(iv) for iv in farey_intervals(m)]
+
+
+@pytest.mark.parametrize("m, terms, message", [
+    # a first term of denominator 5 is no order-1 term, so interval 1 has no parent
+    (2, ([0, 1, 1], [5, 2, 1]), "unassigned order-2 intervals remain"),
+    # order-2 terms 0/1 < 1/3 < 1/1: the order-3 interval (1/3, 1/2) leaves (0/1, 1/3)
+    (2, ([0, 1, 1], [1, 3, 1]), "an order-3 interval escapes its parent"),
+    # an extra order-3 term 1/4 gives (0/1, 1/2) three children
+    (3, ([0, 1, 1, 1, 2, 1], [1, 4, 3, 2, 3, 1]), "an order-2 interval has neither 1 nor 2"),
+])
+def test_farey_tree_integrity_checks_fire(monkeypatch: pytest.MonkeyPatch, m: int, terms,
+                                          message: str) -> None:
+    real = trees.farey_terms
+
+    def faulty(order):
+        return tuple(np.array(t, dtype=np.int64) for t in terms) if order == m else real(order)
+
+    monkeypatch.setattr(trees, "farey_terms", faulty)
+    with pytest.raises(AssertionError, match=message):
+        build_farey_tree(4)
+
+
+def test_gen_and_farey_child_offsets_are_equal() -> None:
+    gen, far = build_gen_tree(40), build_farey_tree(40)
+    assert len(gen.offsets) == len(far.offsets) == 40
+    for m, (a, b) in enumerate(zip(gen.offsets, far.offsets), start=1):
+        assert np.array_equal(a, b), m
 
 
 def test_trees_reject_nonpositive_depth() -> None:
@@ -160,6 +193,12 @@ def test_trees_reject_nonpositive_depth() -> None:
         build_gen_tree(0)
     with pytest.raises(ValueError, match="depth must be positive"):
         build_farey_tree(0)
+
+
+def test_trees_reject_depth_above_2000() -> None:
+    for build in (build_gen_tree, build_farey_tree, check_isomorphism):
+        with pytest.raises(ValueError, match="beyond degree 2000"):
+            build(2001)
 
 
 def test_check_isomorphism_passes() -> None:
