@@ -11,7 +11,7 @@ from .farey import (
     totient_sum,
     totients,
 )
-from .lifting import generate_up_to, iter_levels, lift_fibers, lift_once, lift_to, project
+from .lifting import Level, generate_up_to, iter_levels, lift_fibers, lift_once, lift_to, project
 from .perm_core import (
     PermClass,
     Permutation,

@@ -56,7 +56,7 @@ def _print_report(records: list[dict], fmt: str) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    cls = enumerate_class(args.set, args.m, args.method)
+    cls = enumerate_class(args.set, args.m, args.method, args.force)
     _print_class(cls, args.format)
     return 0
 
@@ -171,6 +171,8 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--set", required=True, choices=LABELS)
     p.add_argument("--m", type=int, required=True)
     p.add_argument("--method", choices=METHODS, default="brute")
+    p.add_argument("--force", action="store_true",
+                   help="allow degrees above 500 for --method lift or farey")
     p.add_argument("--format", choices=("oneline", "json"), default="oneline")
     p.set_defaults(func=_cmd_enumerate)
 

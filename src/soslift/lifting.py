@@ -9,11 +9,20 @@ branches into the shifts by a-1 and by a; if it is the consecutive pair
 a branching parent are emitted (0)-child first, (1)-child second; the tree
 module relies on that emission order.
 
-The kernel works on the zero-based int16 array theta_pi - 1 = (0, pi) and
-never takes a remainder: difference residues and shifted values lie in
-[-m, m), so adding m under the sign bit reduces them mod m.  The children
-are written once, plus one, into the level's own dtype (uint8 up to degree
-255, uint16 beyond).
+A member theta of V is fixed by theta(1) and theta(m): the congruence
+theta(i+1) = theta(i) + theta(1) - [theta(m) <= theta(i)] (mod m) rebuilds
+the rest of the row.  A Level therefore holds only these two columns, and
+the shift rule acts on them alone.  With f' = pi(1), l' = pi(m-1) and
+s = f' + l', the differences of theta_pi lie in {f'-1, f', f'+1}, and which
+of them occur depends on s only:
+
+  s < m   one child (f', s)
+  s > m   one child (f'+1, s+1-m)
+  s = m   a branching parent: the (0)-child (f', m), the (1)-child (f'+1, 1)
+
+so the branching parents are exactly those with f' + l' = m, phi(m) of them.
+A level costs O(N) to lift, and Level.rows decodes full rows, column by
+column, only where they are printed or compared.
 
 This module deliberately depends on nothing but the permutation core: no
 fractions, no angles, no sorting of fractional parts anywhere.
@@ -24,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .perm_core import MAX_DEGREE, PermClass, Permutation, _dtype_for, gamma, in_V, psi
+from .perm_core import PermClass, Permutation, _dtype_for, gamma, in_V, psi
 
 FORCE_THRESHOLD = 500
 MAX_LIFT_DEGREE = 2000
@@ -34,67 +43,119 @@ TAG_LEFT = 0
 TAG_RIGHT = 1
 
 
-def _wrap(x: np.ndarray, m: int) -> None:
-    """Reduce the int16 array x, with entries in [-m, m), mod m in place.
+class Level:
+    """The class V of degree m, in generation order, as its first and last columns.
 
-    x >> 15 is -1 exactly where x is negative, so the mask adds m there.
+    first[k] and last[k] are theta(1) and theta(m) of member k, held
+    read-only; neither they nor m can be rebound.  ``shape`` and ``nbytes``
+    read as for the (N, m) array of rows the level stands for and for the
+    bytes it holds.
     """
-    mask = x >> 15
-    mask &= m
-    x += mask
+
+    __slots__ = ("m", "first", "last", "__weakref__")
+
+    def __init__(self, m: int, first: np.ndarray, last: np.ndarray):
+        for name, value in (("first", first), ("last", last)):
+            value = value.view()
+            value.flags.writeable = False
+            object.__setattr__(self, name, value)
+        object.__setattr__(self, "m", m)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"a Level is read-only; cannot set {name}")
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return len(self.first), self.m
+
+    @property
+    def nbytes(self) -> int:
+        return self.first.nbytes + self.last.nbytes
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
+        """Members start..stop-1 as an (n, m) array of dtype _dtype_for(m).
+
+        Decoded one column at a time through the congruence on an int16
+        column: theta(i) + theta(1) - [theta(m) <= theta(i)] lies in
+        [1, 2m], so one subtraction of m reduces it into [1, m].
+        """
+        m = self.m
+        first = self.first[start:stop].astype(np.int16)
+        last = self.last[start:stop].astype(np.int16)
+        columns = np.empty((m, len(first)), dtype=_dtype_for(m))
+        theta = first.copy()
+        carry = np.empty(len(first), dtype=bool)
+        columns[0] = first
+        for column in columns[1:]:
+            np.greater_equal(theta, last, out=carry)
+            theta += first
+            theta -= carry
+            np.greater(theta, m, out=carry)
+            np.subtract(theta, m, out=theta, where=carry)
+            column[:] = theta
+        return columns.T
+
+    @classmethod
+    def from_rows(cls, array: np.ndarray) -> "Level":
+        """The level of the rows of an (N, m) integer array, each checked to lie in V."""
+        array = np.asarray(array)
+        if array.ndim != 2 or array.shape[1] < 1 or not np.issubdtype(array.dtype, np.integer):
+            raise ValueError(f"expected a 2-d parent array of integers, got shape {array.shape} "
+                             f"of {array.dtype}")
+        m = array.shape[1]
+        if m > MAX_LIFT_DEGREE:
+            raise ValueError(f"degree {m} exceeds the supported ceiling {MAX_LIFT_DEGREE}")
+        bad = _outside_V(array)
+        if bad.any():
+            k = int(np.argmax(bad))
+            raise ValueError(f"row {k} ({' '.join(map(str, array[k].tolist()))}) is not a "
+                             f"permutation that satisfies the V congruence; input is not the class V")
+        dtype = _dtype_for(m)
+        return cls(m, array[:, 0].astype(dtype), array[:, -1].astype(dtype))
 
 
-def lift_fibers(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized one-level lift kernel.
+def _outside_V(array: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an (N, m) integer array that are not members of V.
 
-    parents: (N, m-1) integer array whose rows are the degree-(m-1) class V,
-    in any row order.  Returns (children, parent_index, tags): children is
-    (N', m) with each parent's children consecutive and in (0)/(1) order,
-    parent_index maps each child row back to its parent row, and tags holds
-    -1 for a single child, 0 and 1 for a branching pair.
+    A row is a member when the congruence run from its first and last
+    values gives it back and is a permutation of 1..m.  The decoded rows
+    lie in 1..m whatever the input, so they, not the input, are scattered.
     """
-    if parents.ndim != 2:
-        raise ValueError(f"expected a 2-d parent array, got shape {parents.shape}")
-    n, prev_m = parents.shape
-    m = prev_m + 1
-    if m > MAX_DEGREE:
-        raise ValueError(f"degree {m} exceeds the supported ceiling {MAX_DEGREE}")
+    n, m = array.shape
+    ends = np.clip(array[:, [0, -1]].astype(np.int64), 1, m).astype(_dtype_for(m))
+    decoded = Level(m, ends[:, 0], ends[:, 1]).rows()
+    seen = np.zeros((n, m + 1), dtype=bool)
+    seen[np.arange(n)[:, None], decoded] = True
+    return (decoded != array).any(axis=1) | ~seen[:, 1:].all(axis=1)
 
-    # theta0 = theta_pi - 1 = (0, pi); int16 holds every value, difference
-    # and shifted value up to MAX_DEGREE.
-    theta0 = np.empty((n, m), dtype=np.int16)
-    theta0[:, 0] = 0
-    theta0[:, 1:] = parents
 
-    diffs = theta0[:, 1:] - theta0[:, :-1]
-    _wrap(diffs, m)
-    lo = diffs.min(axis=1)
-    hi = diffs.max(axis=1)
-    bad = hi - lo > 1
-    if bad.any():
-        row = parents[int(np.argmax(bad))]
-        raise ValueError(
-            "difference set is neither a singleton nor a consecutive pair "
-            f"for parent {' '.join(map(str, row.tolist()))}; input is not the class V"
-        )
+def lift_fibers(parents: Level) -> tuple[Level, np.ndarray, np.ndarray]:
+    """Vectorized one-level lift kernel, on (first, last) pairs.
 
-    branching = lo == hi
-    counts = 1 + branching
-    ends = np.cumsum(counts)
-    parent_index = np.repeat(np.arange(n, dtype=np.int64), counts)
-    left_rows = ends[branching] - 2
+    parents: the degree-(m-1) class V, in any row order.  Returns (children,
+    parent_index, tags): children is the degree-m Level with each parent's
+    children consecutive and in (0)/(1) order, parent_index maps each child
+    row back to its parent row, and tags holds -1 for a single child, 0 and
+    1 for a branching pair.
+    """
+    m = parents.m + 1
+    first = parents.first.astype(np.int16)
+    s = first + parents.last
+    up = s > m
+    branching = np.flatnonzero(s == m)
 
-    # Every child is shift(theta_pi, k) = (theta0 + k) mod m + 1 with k = a
-    # for the last child and k = a - 1 for a (0)-child; theta0 + k - m lies
-    # in [-m, m).
-    shifts = (lo - m)[parent_index]
-    shifts[left_rows] -= 1
-    wrapped = theta0[parent_index]
-    wrapped += shifts[:, None]
-    _wrap(wrapped, m)
-    children = np.empty(wrapped.shape, dtype=_dtype_for(m))
-    np.add(wrapped, 1, out=children, casting="unsafe")
+    # every parent's first child is (f', s), or (f'+1, s+1-m) when s > m; a
+    # branching parent's (1)-child (f'+1, 1) is inserted right after it
+    after = branching + 1
+    dtype = _dtype_for(m)
+    children = Level(m, np.insert(first + up, after, first[branching] + 1).astype(dtype),
+                     np.insert(np.where(up, s + (1 - m), s), after, 1).astype(dtype))
+    parent_index = np.insert(np.arange(len(s), dtype=np.int64), after, branching)
 
+    left_rows = branching + np.arange(len(branching))
     tags = np.full(len(parent_index), TAG_SINGLE, dtype=np.int8)
     tags[left_rows] = TAG_LEFT
     tags[left_rows + 1] = TAG_RIGHT
@@ -103,30 +164,34 @@ def lift_fibers(parents: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray
 
 def lift_once(vprev: PermClass) -> PermClass:
     """Lift the degree-(m-1) class V to degree m."""
-    children, _, _ = lift_fibers(vprev.as_array())
-    return PermClass.from_array("V", vprev.m + 1, children)
+    children, _, _ = lift_fibers(Level.from_rows(vprev.as_array()))
+    return PermClass.from_array("V", children.m, children.rows())
 
 
 def check_lift_degree(M: int, force: bool = False) -> None:
-    """Refuse degrees below 1, above 2000, and above 500 without force=True."""
+    """Refuse degrees below 1, above 2000, and above 500 without force=True.
+
+    Both routes to V_M that build whole levels, lifting and the Farey
+    table, take their degree through this guard.
+    """
     if M < 1:
         raise ValueError(f"target degree must be positive, got {M}")
     if M > MAX_LIFT_DEGREE:
-        raise ValueError(f"lifting beyond degree {MAX_LIFT_DEGREE} is not supported")
+        raise ValueError(f"degrees beyond degree {MAX_LIFT_DEGREE} are not supported")
     if M > FORCE_THRESHOLD and not force:
-        raise ValueError(
-            f"lifting to degree {M} > {FORCE_THRESHOLD} needs force=True (soslift lift --force)"
-        )
+        raise ValueError(f"degree {M} > {FORCE_THRESHOLD} needs force=True "
+                         "(soslift lift --force, soslift enumerate --force)")
 
 
-def iter_levels(M: int, force: bool = False) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+def iter_levels(M: int, force: bool = False) -> Iterator[tuple[Level, np.ndarray, np.ndarray]]:
     """Yield lift_fibers' (level, parent_index, tags) for degrees 1..M.
 
     Degree 1 is the row [1] with parent 0 and tag TAG_SINGLE.  Only the
     previous level is held.  The degree guard runs on the first next().
     """
     check_lift_degree(M, force)
-    level = np.array([[1]], dtype=_dtype_for(1))
+    one = np.ones(1, dtype=_dtype_for(1))
+    level = Level(1, one, one)
     yield level, np.zeros(1, dtype=np.int64), np.array([TAG_SINGLE], dtype=np.int8)
     for _ in range(1, M):
         level, parent_index, tags = lift_fibers(level)
@@ -137,7 +202,7 @@ def lift_to(M: int, force: bool = False) -> PermClass:
     """The class V of degree M, lifted from degree 1 one level at a time."""
     for level, _, _ in iter_levels(M, force):
         pass
-    return PermClass.from_array("V", M, level)
+    return PermClass.from_array("V", M, level.rows())
 
 
 def generate_up_to(M: int, force: bool = False) -> list[PermClass]:
@@ -145,10 +210,11 @@ def generate_up_to(M: int, force: bool = False) -> list[PermClass]:
 
     Each level is a PermClass, so its rows are lexsorted and checked when it
     is built.  Storage for all levels grows like M^4/13 bytes; lift_to keeps
-    one, and iter_levels yields each level in generation order unsorted.
+    one, and iter_levels yields each level in generation order unsorted, as
+    two columns.
     """
-    return [PermClass.from_array("V", m, level)
-            for m, (level, _, _) in enumerate(iter_levels(M, force), start=1)]
+    return [PermClass.from_array("V", level.m, level.rows())
+            for level, _, _ in iter_levels(M, force)]
 
 
 def project(theta: Permutation) -> Permutation:

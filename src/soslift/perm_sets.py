@@ -218,12 +218,13 @@ def _brute(label: str, m: int) -> np.ndarray:
     return np.concatenate([block[accept(block.astype(np.int16), m)] for block in _sym(m)])
 
 
-def enumerate_class(label: str, m: int, method: str = "brute") -> PermClass:
+def enumerate_class(label: str, m: int, method: str = "brute", force: bool = False) -> PermClass:
     """Enumerate one labeled class of degree m.
 
     method 'brute' filters the symmetric group (guarded; see module doc),
     'lift' runs the degree-lifting recursion, and 'farey' reads the interval
-    table; the latter two apply to V and Sstar only.
+    table; the latter two apply to V and Sstar only, and refuse degrees
+    above 500 unless force=True, and above 2000 (lifting.check_lift_degree).
     """
     if label not in LABELS:
         raise ValueError(f"unknown class label {label!r}; expected one of {LABELS}")
@@ -235,8 +236,9 @@ def enumerate_class(label: str, m: int, method: str = "brute") -> PermClass:
     if method in ("lift", "farey"):
         if label not in ("V", "Sstar"):
             raise ValueError(f"method {method!r} only enumerates V or Sstar, not {label}")
+        lifting.check_lift_degree(m, force)
         if method == "lift":
-            lifted = lifting.lift_to(m)
+            lifted = lifting.lift_to(m, force)
             lifted.label = label
             return lifted
         return PermClass.from_array(label, m, suranyi_table(m).as_array())

@@ -136,19 +136,25 @@ def mediant_taus(m: int, num: np.ndarray, den: np.ndarray) -> np.ndarray:
     interval t has q > m, so the keys (i*p) mod q, i in [m], are distinct
     and tau(i) is the 1-based rank of key i: one argsort per block of
     TAU_BLOCK_ROWS rows, inverted by a scatter.  Rows have dtype
-    _dtype_for(m).
+    _dtype_for(m).  p <= q <= 2m, so below degree 2^15 the products i*p
+    fit int32 and the keys uint16, which a stable argsort ranks by radix.
     """
-    p = num[:-1] + num[1:]
-    q = den[:-1] + den[1:]
-    i = np.arange(1, m + 1, dtype=np.int64)
+    if m >= 1 << 15:
+        raise ValueError(f"tau keys of degree {m} do not fit uint16")
+    p = (num[:-1] + num[1:]).astype(np.int32)
+    q = (den[:-1] + den[1:]).astype(np.int32)
+    i = np.arange(1, m + 1, dtype=np.int32)
     rows = np.empty((len(p), m), dtype=_dtype_for(m))
     ranks = np.arange(1, m + 1, dtype=rows.dtype)
+    keys = np.empty((min(len(p), TAU_BLOCK_ROWS), m), dtype=np.uint16)
     for start in range(0, len(p), TAU_BLOCK_ROWS):
         stop = start + TAU_BLOCK_ROWS
-        keys = np.multiply.outer(p[start:stop], i) % q[start:stop, None]
         block = rows[start:stop]
+        block_keys = keys[:len(block)]
+        np.remainder(np.multiply.outer(p[start:stop], i), q[start:stop, None],
+                     out=block_keys, casting="unsafe")
         # argsort gives sigma - 1 row by row; tau(sigma(j)) = j inverts it
-        block[np.arange(len(block))[:, None], np.argsort(keys, axis=1)] = ranks
+        block[np.arange(len(block))[:, None], np.argsort(block_keys, axis=1, kind="stable")] = ranks
     return rows
 
 

@@ -75,10 +75,11 @@ def _contained(pnum: np.ndarray, pden: np.ndarray, num: np.ndarray, den: np.ndar
 def build_gen_tree(M: int) -> Tree:
     """Lift level by level from the single degree-1 node."""
     _check_depth(M)
-    rows, parents, tags = zip(*iter_levels(M, force=True))
-    offsets = tuple(_offsets(p, len(r)) for r, p in zip(rows, parents[1:] + (_LEAVES,)))
-    levels = tuple(list(format_rows(r.tolist(), m, "oneline")) for m, r in enumerate(rows, start=1))
-    return Tree("gen", M, levels, tags, offsets, rows)
+    levels, parents, tags = zip(*iter_levels(M, force=True))
+    offsets = tuple(_offsets(p, len(level)) for level, p in zip(levels, parents[1:] + (_LEAVES,)))
+    rows = tuple(level.rows() for level in levels)
+    labels = tuple(list(format_rows(r.tolist(), m, "oneline")) for m, r in enumerate(rows, start=1))
+    return Tree("gen", M, labels, tags, offsets, rows)
 
 
 def build_farey_tree(M: int) -> Tree:
@@ -174,7 +175,8 @@ def check_isomorphism(M: int) -> list[dict]:
         out.append({"m": m, "check": check, "passed": bool(passed), "detail": detail})
 
     prev_level = prev_table = None
-    for m, (level, parent_index, tags) in enumerate(iter_levels(M, force=True), start=1):
+    for m, (lifted, parent_index, tags) in enumerate(iter_levels(M, force=True), start=1):
+        level = lifted.rows()
         table = suranyi_table(m)
         if prev_table is not None:
             same_width = len(prev_level) == len(prev_table.as_array())

@@ -12,7 +12,7 @@ import time
 import numpy as np
 
 from soslift.farey import totient_sum, totients
-from soslift.lifting import generate_up_to, lift_fibers
+from soslift.lifting import Level, generate_up_to, lift_fibers
 from soslift.perm_core import PermClass, Permutation, inverse, shift_closure
 from soslift.perm_sets import enumerate_class
 from soslift.sos import satisfies_sos_recurrence, suranyi_table, verify_invariants
@@ -116,7 +116,7 @@ def test_criterion_06_scaling_to_degree_200_with_fiber_census() -> None:
     census_ok = True
     for m in range(2, 201):
         parents = levels[m - 2].as_array()
-        _, parent_index, _ = lift_fibers(parents)
+        _, parent_index, _ = lift_fibers(Level.from_rows(parents))
         counts = np.bincount(parent_index, minlength=len(parents))
         census_ok = census_ok and set(np.unique(counts).tolist()) <= {1, 2}
         census_ok = census_ok and int((counts == 2).sum()) == phi[m]

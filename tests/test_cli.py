@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soslift import cli, trees
+from soslift import cli, lifting, perm_sets, trees
 from soslift.cli import main
 from soslift.farey import totient_sum
 from soslift.lifting import lift_to
@@ -171,6 +171,49 @@ def test_enumerate_lift_refusal_names_the_flag(capsys: pytest.CaptureFixture) ->
     err = capsys.readouterr().err
     assert err.startswith("error:")
     assert "lift --force" in err
+
+
+@pytest.mark.parametrize("method", ["lift", "farey"])
+@pytest.mark.parametrize("argv, message", [
+    (["--m", "0"], "degree must be positive"),
+    (["--m", "501"], "needs force=True (soslift lift --force, soslift enumerate --force)"),
+    (["--m", "2001"], "beyond degree 2000"),
+    (["--m", "2001", "--force"], "beyond degree 2000"),
+])
+def test_enumerate_degree_refusals_build_nothing(
+        monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture,
+        method: str, argv: list[str], message: str) -> None:
+    def refuse(*args, **kwargs):
+        raise AssertionError("a level was built")
+
+    monkeypatch.setattr(lifting, "iter_levels", refuse)
+    monkeypatch.setattr(perm_sets, "suranyi_table", refuse)
+    assert main(["enumerate", "--set", "V", *argv, "--method", method]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error:") and message in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("method", ["lift", "farey"])
+def test_enumerate_force_admits_degree_501(monkeypatch: pytest.MonkeyPatch,
+                                           capsys: pytest.CaptureFixture, method: str) -> None:
+    identity = np.arange(1, 502, dtype=np.uint16)[None, :]  # a member of V_501
+    built = []
+
+    def lift_to(M, force=False):
+        built.append((M, force))
+        return PermClass.from_array("V", M, identity)
+
+    def suranyi_table(m):
+        built.append((m, None))
+        return type("Table", (), {"as_array": lambda self: identity})()
+
+    monkeypatch.setattr(lifting, "lift_to", lift_to)
+    monkeypatch.setattr(perm_sets, "suranyi_table", suranyi_table)
+    assert main(["enumerate", "--set", "V", "--m", "501", "--method", method, "--force"]) == 0
+    assert capsys.readouterr().out == " ".join(map(str, range(1, 502))) + "\n"
+    assert built == [(501, True if method == "lift" else None)]
 
 
 def test_lift_force_gate(capsys: pytest.CaptureFixture) -> None:

@@ -1,14 +1,16 @@
 from __future__ import annotations
 
 import ast
+import hashlib
 import itertools
+import tracemalloc
 from math import gcd
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from soslift import lifting
+from soslift import cli, lifting
 from soslift.farey import totients, totient_sum
 from soslift.lifting import (
     FORCE_THRESHOLD,
@@ -16,6 +18,7 @@ from soslift.lifting import (
     TAG_LEFT,
     TAG_RIGHT,
     TAG_SINGLE,
+    Level,
     generate_up_to,
     iter_levels,
     lift_fibers,
@@ -33,7 +36,7 @@ from soslift.perm_core import (
     psi_inverse,
     shift,
 )
-from soslift.perm_sets import enumerate_class
+from soslift.perm_sets import _lex_perms, enumerate_class
 from soslift.sos import theta_ab
 
 
@@ -42,23 +45,24 @@ def _p(text: str) -> Permutation:
 
 
 def test_lift_fibers_from_degree_one() -> None:
-    parents = np.array([[1]], dtype=np.uint8)
+    parents = Level.from_rows(np.array([[1]], dtype=np.uint8))
     children, parent_index, tags = lift_fibers(parents)
-    assert children.tolist() == [[1, 2], [2, 1]]
+    assert children.rows().tolist() == [[1, 2], [2, 1]]
     assert parent_index.tolist() == [0, 0]
     assert tags.tolist() == [TAG_LEFT, TAG_RIGHT]
 
 
 def test_lift_fibers_branching_structure() -> None:
     parents = enumerate_class("V", 4).as_array()
-    children, parent_index, tags = lift_fibers(parents)
+    children, parent_index, tags = lift_fibers(Level.from_rows(parents))
     m = 5
     assert children.shape == (totient_sum(m), m)
+    assert children.nbytes == children.first.nbytes + children.last.nbytes
     assert parent_index.tolist() == sorted(parent_index.tolist())
     counts = np.bincount(parent_index, minlength=len(parents))
     assert set(counts.tolist()) <= {1, 2}
     assert int((counts == 2).sum()) == totients(m)[m]
-    for row, tag in zip(children, tags):
+    for row, tag in zip(children.rows(), tags):
         child = Permutation(tuple(int(x) for x in row))
         if tag == TAG_LEFT:
             a = child(1)
@@ -73,7 +77,7 @@ def test_lift_fibers_branching_structure() -> None:
 def test_branching_parents_have_singleton_difference_set() -> None:
     for m in range(2, 8):
         parents = enumerate_class("V", m).as_array()
-        _, parent_index, _ = lift_fibers(parents)
+        _, parent_index, _ = lift_fibers(Level.from_rows(parents))
         counts = np.bincount(parent_index, minlength=len(parents))
         for row, n_children in zip(parents, counts):
             parent = Permutation(tuple(int(x) for x in row))
@@ -85,8 +89,8 @@ def test_branching_parents_have_singleton_difference_set() -> None:
 
 
 def test_lift_fibers_children_are_the_shifts_of_theta() -> None:
-    """Exhaustive over S_1..S_7: the kernel accepts exactly V, and each child is
-    psi_inverse(pi) shifted by a - 1 ((0)-child) or by a (last child)."""
+    """Exhaustive over S_1..S_7: Level.from_rows accepts exactly V, and each
+    child is psi_inverse(pi) shifted by a - 1 ((0)-child) or by a (last child)."""
     for n in range(1, 8):
         for values in itertools.permutations(range(1, n + 1)):
             parent = Permutation(values)
@@ -94,12 +98,12 @@ def test_lift_fibers_children_are_the_shifts_of_theta() -> None:
             rows = np.array([values], dtype=np.uint8)
             if not in_V(parent):
                 with pytest.raises(ValueError, match="not the class V"):
-                    lift_fibers(rows)
+                    Level.from_rows(rows)
                 continue
-            children, parent_index, tags = lift_fibers(rows)
+            children, parent_index, tags = lift_fibers(Level.from_rows(rows))
             assert parent_index.tolist() == [0] * len(children)
             a = min(cds(theta))
-            for row, tag in zip(children.tolist(), tags.tolist()):
+            for row, tag in zip(children.rows().tolist(), tags.tolist()):
                 assert Permutation(row) == shift(theta, a - 1 if tag == TAG_LEFT else a)
 
 
@@ -116,9 +120,10 @@ def test_lift_fibers_at_dtype_boundaries(prev_m: int) -> None:
     affine = affine[rng.choice(len(affine), size=min(32, len(affine)), replace=False)]
     i = np.arange(1, prev_m + 1)
     rows = (affine[:, :1] * i + affine[:, 1:] - 1) % prev_m + 1
-    children, parent_index, tags = lift_fibers(rows.astype(_dtype_for(prev_m)))
-    assert children.dtype == _dtype_for(m)
+    children, parent_index, tags = lift_fibers(Level.from_rows(rows.astype(_dtype_for(prev_m))))
     assert children.shape[1] == m
+    children = children.rows()
+    assert children.dtype == _dtype_for(m)
     assert np.array_equal(np.unique(parent_index), np.arange(len(rows)))
     thetas = []
     for row in rows.tolist():
@@ -142,16 +147,16 @@ def test_lift_once_matches_brute_force() -> None:
 def test_lift_fibers_rejects_non_member_rows() -> None:
     bad = np.array([[1, 3, 2, 4]], dtype=np.uint8)
     with pytest.raises(ValueError, match="not the class V"):
-        lift_fibers(bad)
+        Level.from_rows(bad)
     with pytest.raises(ValueError, match="2-d parent array"):
-        lift_fibers(np.array([1, 2], dtype=np.uint8))
+        Level.from_rows(np.array([1, 2], dtype=np.uint8))
     with pytest.raises(ValueError, match="exceeds the supported ceiling"):
-        lift_fibers(np.arange(1, MAX_DEGREE + 1, dtype=np.uint16)[None, :])
+        Level.from_rows(np.arange(1, MAX_DEGREE + 1, dtype=np.uint16)[None, :])
 
 
 def test_lift_once_rejects_planted_non_member() -> None:
     planted = PermClass("V", 4, [_p("1324")])
-    with pytest.raises(ValueError, match="neither a singleton nor a consecutive pair"):
+    with pytest.raises(ValueError, match=r"row 0 \(1 3 2 4\) .*; input is not the class V"):
         lift_once(planted)
 
 
@@ -178,15 +183,16 @@ def test_iter_levels_matches_generate_up_to_row_for_row() -> None:
     levels = list(iter_levels(12))
     assert len(levels) == 12
     level, parent_index, tags = levels[0]
-    assert level.tolist() == [[1]]
+    assert level.rows().tolist() == [[1]]
     assert parent_index.tolist() == [0]
     assert tags.tolist() == [TAG_SINGLE]
     for m, ((level, parent_index, tags), kept) in enumerate(zip(levels, generate_up_to(12)), start=1):
-        assert kept == PermClass.from_array("V", m, level)
+        assert kept == PermClass.from_array("V", m, level.rows())
         assert len(parent_index) == len(tags) == len(level)
     for (parents, _, _), (children, parent_index, tags) in zip(levels, levels[1:]):
         expected = lift_fibers(parents)
-        assert np.array_equal(children, expected[0])
+        assert np.array_equal(children.first, expected[0].first)
+        assert np.array_equal(children.last, expected[0].last)
         assert np.array_equal(parent_index, expected[1])
         assert np.array_equal(tags, expected[2])
 
@@ -204,7 +210,8 @@ def test_iter_levels_and_lift_to_guards() -> None:
         next(levels)
     with pytest.raises(ValueError, match="target degree must be positive"):
         lift_to(0)
-    with pytest.raises(ValueError, match=r"needs force=True \(soslift lift --force\)"):
+    with pytest.raises(ValueError, match=r"needs force=True "
+                       r"\(soslift lift --force, soslift enumerate --force\)"):
         lift_to(FORCE_THRESHOLD + 1)
     with pytest.raises(ValueError, match="not supported"):
         lift_to(MAX_LIFT_DEGREE + 1, force=True)
@@ -240,3 +247,115 @@ def test_project_rejects_non_members_and_root() -> None:
         project(_p("1324"))
     with pytest.raises(ValueError, match="projection needs degree >= 2"):
         project(_p("1"))
+
+
+# SHA-256 over degrees 1..200 of iter_levels' rows (as little-endian uint16,
+# row-major), parent_index (int64) and tags (int8), recorded from the earlier
+# lift kernel, which rewrote every full row at every degree
+LEVELS_200_SHA256 = "12a02a46eda8f2045271f9d0a3b847ca8ac2d3e6362293c9840f87b8cc52ec85"
+
+
+def test_levels_to_200_equal_the_full_row_kernel() -> None:
+    digest = hashlib.sha256()
+    for level, parent_index, tags in iter_levels(200):
+        digest.update(np.ascontiguousarray(level.rows(), dtype="<u2").tobytes())
+        digest.update(np.ascontiguousarray(parent_index, dtype="<i8").tobytes())
+        digest.update(np.ascontiguousarray(tags, dtype="i1").tobytes())
+    assert digest.hexdigest() == LEVELS_200_SHA256
+
+
+def test_branching_parents_are_those_with_first_plus_last_m() -> None:
+    phi = totients(500)
+    parents = None
+    for level, parent_index, tags in iter_levels(500, force=True):
+        m = level.m
+        assert level.shape == (totient_sum(m), m)
+        if parents is not None:
+            branching = np.zeros(len(parents), dtype=bool)
+            branching[parent_index[tags == TAG_LEFT]] = True
+            assert np.array_equal(np.bincount(parent_index, minlength=len(parents)), 1 + branching)
+            assert np.array_equal(branching, parents.first.astype(np.int64) + parents.last == m), m
+            assert int(branching.sum()) == phi[m], m
+        parents = level
+
+
+def test_from_rows_rejects_exactly_the_rows_outside_V() -> None:
+    """Exhaustive over S_1..S_8: the rows from_rows refuses are those in_V rejects,
+    and it names the first of them."""
+    for n in range(1, 9):
+        rows = _lex_perms(n) + 1
+        member = np.array([in_V(Permutation(row)) for row in rows.tolist()])
+        assert np.array_equal(lifting._outside_V(rows), ~member), n
+        level = Level.from_rows(rows[member])
+        assert np.array_equal(level.rows(), rows[member])
+        if not member.all():
+            k = int(np.argmin(member))
+            with pytest.raises(ValueError, match=rf"^row {k} \(.*not the class V$"):
+                Level.from_rows(rows)
+
+
+@pytest.mark.parametrize("row", [
+    [1, 1, 1, 1],  # satisfies the congruence from (1, 1), but is no permutation
+    [0, 2, 3, 4],
+    [5, 1, 2, 3],
+    [300, 1, 2, 3],
+    [-1, 2, 3, 4],
+])
+def test_from_rows_rejects_rows_that_are_not_permutations(row: list[int]) -> None:
+    rows = np.array([[1, 2, 3, 4], row])
+    with pytest.raises(ValueError, match=r"^row 1 \(.*not the class V$"):
+        Level.from_rows(rows)
+
+
+def test_level_is_read_only() -> None:
+    level = Level.from_rows(enumerate_class("V", 5).as_array())
+    with pytest.raises(AttributeError, match="read-only"):
+        level.m = 6
+    with pytest.raises(ValueError, match="read-only"):
+        level.first[0] = 2
+    assert level.shape == (10, 5) and len(level) == 10
+    assert level.nbytes == 20
+
+
+def test_rows_decodes_any_block() -> None:
+    for level, _, _ in iter_levels(30):
+        pass
+    full = level.rows()
+    assert full.shape == level.shape
+    for start, stop in ((0, 1), (5, 17), (len(level) - 3, None), (7, 7)):
+        assert np.array_equal(level.rows(start, stop), full[start:stop])
+
+
+def test_rows_holds_little_beyond_its_output() -> None:
+    for level, _, _ in iter_levels(200):
+        pass
+    tracemalloc.start()
+    try:
+        rows = level.rows()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    # beside the uint8 output, a few int16 and bool columns of N entries
+    assert rows.nbytes == 200 * totient_sum(200)
+    assert peak <= rows.nbytes + 16 * len(level)
+
+
+def test_lift_runs_the_kernel_once_per_degree(monkeypatch: pytest.MonkeyPatch,
+                                              capsys: pytest.CaptureFixture) -> None:
+    """The benchmark's checked pass wraps lifting.lift_fibers by rebinding the
+    module attribute and checks each lifted level's width and branching count;
+    a lift must reach that name once per degree."""
+    calls = []
+    real = lifting.lift_fibers
+
+    def wrapped(parents):
+        out = real(parents)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(lifting, "lift_fibers", wrapped)
+    assert cli.main(["lift", "--to-m", "40"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == totient_sum(40)
+    assert [children.shape for children, _, _ in calls] == [
+        (totient_sum(m), m) for m in range(2, 41)]
+    assert [int((tags == 0).sum()) for _, _, tags in calls] == totients(40)[2:]

@@ -5,7 +5,7 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from soslift.lifting import lift_fibers, lift_to, project
+from soslift.lifting import Level, lift_fibers, lift_to, project
 from soslift.perm_core import PermClass, Permutation, _dtype_for
 
 INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
@@ -51,6 +51,6 @@ def test_as_array_is_lexsorted_unique_and_narrow(case) -> None:
 @given(st.integers(2, 40), st.data())
 def test_project_maps_every_lifted_child_to_its_parent(m, data) -> None:
     parents = lift_to(m - 1).as_array()
-    children, parent_index, _ = lift_fibers(parents)
+    children, parent_index, _ = lift_fibers(Level.from_rows(parents))
     i = data.draw(st.integers(0, len(children) - 1))
-    assert project(Permutation(children[i])) == Permutation(parents[parent_index[i]])
+    assert project(Permutation(children.rows(i, i + 1)[0])) == Permutation(parents[parent_index[i]])

@@ -8,7 +8,7 @@ import pytest
 
 from soslift import trees
 from soslift.farey import farey_intervals, totient_sum
-from soslift.lifting import TAG_LEFT, TAG_RIGHT, TAG_SINGLE, iter_levels
+from soslift.lifting import TAG_LEFT, TAG_RIGHT, TAG_SINGLE, Level, iter_levels
 from soslift.perm_core import Permutation
 from soslift.sos import suranyi_table
 from soslift.trees import (
@@ -102,8 +102,9 @@ def test_gen_tree_agrees_with_iter_levels() -> None:
     tree = build_gen_tree(8)
     levels = list(iter_levels(8))
     assert len(tree.levels) == len(tree.rows) == len(levels)
-    for labels, tree_rows, tree_tags, (rows, _, tags) in zip(
+    for labels, tree_rows, tree_tags, (level, _, tags) in zip(
             tree.levels, tree.rows, tree.tags, levels):
+        rows = level.rows()
         assert np.array_equal(tree_rows, rows)
         assert labels == [Permutation(r).one_line() for r in rows.tolist()]
         assert np.array_equal(tree_tags, tags)
@@ -213,13 +214,13 @@ def test_check_isomorphism_passes() -> None:
 
 def test_farey_rows_are_the_generation_levels_in_order() -> None:
     for m, (level, _, _) in enumerate(iter_levels(120), start=1):
-        assert np.array_equal(level, suranyi_table(m).as_array()), m
+        assert np.array_equal(level.rows(), suranyi_table(m).as_array()), m
 
 
 def _swap_rows(level, parent_index, tags):
-    level = level.copy()
-    level[[0, 1]] = level[[1, 0]]
-    return level, parent_index, tags
+    # swap the (first, last) pairs of rows 0 and 1
+    return Level(level.m, level.first[[1, 0, *range(2, len(level))]],
+                 level.last[[1, 0, *range(2, len(level))]]), parent_index, tags
 
 
 def _flip_tags(level, parent_index, tags):
@@ -237,7 +238,7 @@ def _move_parent(level, parent_index, tags):
 
 
 def _drop_row(level, parent_index, tags):
-    return level[:-1], parent_index[:-1], tags[:-1]
+    return Level(level.m, level.first[:-1], level.last[:-1]), parent_index[:-1], tags[:-1]
 
 
 @pytest.mark.parametrize("fault, degree, failing", [
@@ -288,10 +289,23 @@ def test_check_isomorphism_holds_two_levels(monkeypatch: pytest.MonkeyPatch) -> 
             refs.append(weakref.ref(level))
             yield level, parent_index, tags
 
+    # the decoded rows, not the (first, last) levels, hold the bytes
+    decoded = []
+    rows_held = []
+    real_rows = Level.rows
+
+    def watched_rows(level, *args):
+        rows_held.append(sum(ref() is not None for ref in decoded))
+        rows = real_rows(level, *args)
+        decoded.append(weakref.ref(rows))
+        return rows
+
     monkeypatch.setattr(trees, "iter_levels", watched)
+    monkeypatch.setattr(Level, "rows", watched_rows)
     assert all(r["passed"] for r in check_isomorphism(30))
     # when level m arrives, only level m - 1 is still held
     assert max(held) == 1
+    assert len(rows_held) == 30 and max(rows_held) == 1
 
 
 def test_export_dot_gen_tree() -> None:
