@@ -27,7 +27,6 @@ from soslift.lifting import (
     project,
 )
 from soslift.perm_core import (
-    MAX_DEGREE,
     PermClass,
     Permutation,
     _dtype_for,
@@ -150,8 +149,8 @@ def test_lift_fibers_rejects_non_member_rows() -> None:
         Level.from_rows(bad)
     with pytest.raises(ValueError, match="2-d parent array"):
         Level.from_rows(np.array([1, 2], dtype=np.uint8))
-    with pytest.raises(ValueError, match="exceeds the supported ceiling"):
-        Level.from_rows(np.arange(1, MAX_DEGREE + 1, dtype=np.uint16)[None, :])
+    with pytest.raises(ValueError, match=f"degree {MAX_LIFT_DEGREE + 1} exceeds the supported ceiling"):
+        Level.from_rows(np.arange(1, MAX_LIFT_DEGREE + 2, dtype=np.uint16)[None, :])
 
 
 def test_lift_once_rejects_planted_non_member() -> None:
