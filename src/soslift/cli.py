@@ -37,11 +37,14 @@ DEFAULT_SEED = 1729
 
 
 def _print_class(cls: PermClass, fmt: str) -> None:
-    # a block at a time: tolist() holds a Python int pointer per value
+    """One write to the text stream sys.stdout per block of 1024 rows.
+
+    format_rows holds a block's text several times over, so the blocks
+    bound what printing holds beyond the class itself.
+    """
     rows = cls.as_array()
     for start in range(0, len(rows), 1024):
-        for line in format_rows(rows[start:start + 1024].tolist(), cls.m, fmt):
-            print(line)
+        sys.stdout.write(format_rows(rows[start:start + 1024], cls.m, fmt))
 
 
 def _print_report(records: list[dict], fmt: str) -> int:

@@ -8,7 +8,7 @@ object.
 from __future__ import annotations
 
 from bisect import bisect_left
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 import numpy as np
 
@@ -99,7 +99,7 @@ class Permutation:
         return {"m": self.m, "values": list(self._values)}
 
     def one_line(self) -> str:
-        return next(format_rows((self._values,), self.m, "oneline"))
+        return format_rows((self._values,), self.m, "oneline")[:-1]
 
     def __call__(self, i: int) -> int:
         """Value at 1-based position i."""
@@ -238,20 +238,39 @@ def inverse(theta: Permutation) -> Permutation:
     return Permutation(out)
 
 
-def format_rows(rows: Iterable[Sequence[int]], m: int, fmt: str) -> Iterator[str]:
-    """One line of text per degree-m row of values.
+def _token_table(tokens: list[str]) -> np.ndarray:
+    """The tokens NUL-padded to one width w in {1, 2, 4, 8}, one uint(8w) each."""
+    w = 1 << (max(map(len, tokens)) - 1).bit_length()
+    return np.frombuffer("".join(t.ljust(w, "\0") for t in tokens).encode("ascii"), dtype=f"u{w}")
+
+
+def format_rows(rows: np.ndarray, m: int, fmt: str) -> str:
+    """The rows of an (n, m) integer array with values in 1..m, one
+    newline-terminated line each, as one string.
 
     fmt "oneline": the values concatenated up to degree 9 and separated by
     spaces beyond.  fmt "json": ``{"m": m, "values": [...]}`` exactly as
-    json.dumps writes Permutation.to_json().  Values are looked up in a
-    table of the m + 1 tokens "0".."m".
+    json.dumps writes Permutation.to_json().  The block is encoded at once:
+    each value v of the first m - 1 columns is looked up as "v" + separator
+    in a table of NUL-padded tokens, the last column in a second table of
+    "v" + tail + newline, the head goes in front of every row, and the
+    padding is deleted from the bytes of the whole block (no token holds a
+    NUL).  A block takes up to 8 bytes per value, several times over, so
+    callers pass blocks of bounded size.
     """
-    tokens = [str(v) for v in range(m + 1)]
+    rows = np.asarray(rows)
     if fmt == "json":
         head, sep, tail = f'{{"m": {m}, "values": [', ", ", "]}"
     else:
         head, sep, tail = "", "" if m <= 9 else " ", ""
-    return (head + sep.join([tokens[v] for v in row]) + tail for row in rows)
+    n = len(rows)
+    # take() returns C-contiguous (n, k) arrays, which view as (n, k*w) bytes
+    inner = _token_table([f"{v}{sep}" for v in range(m + 1)]).take(rows[:, :-1])
+    last = _token_table([f"{v}{tail}\n" for v in range(m + 1)]).take(rows[:, -1:])
+    head_bytes = np.frombuffer(head.encode("ascii"), dtype=np.uint8)
+    block = np.concatenate([np.broadcast_to(head_bytes, (n, len(head_bytes))),
+                            inner.view(np.uint8), last.view(np.uint8)], axis=1)
+    return block.tobytes().translate(None, b"\0").decode("ascii")
 
 
 def _dtype_for(m: int) -> np.dtype:

@@ -78,7 +78,7 @@ def build_gen_tree(M: int) -> Tree:
     levels, parents, tags = zip(*iter_levels(M, force=True))
     offsets = tuple(_offsets(p, len(level)) for level, p in zip(levels, parents[1:] + (_LEAVES,)))
     rows = tuple(level.rows() for level in levels)
-    labels = tuple(list(format_rows(r.tolist(), m, "oneline")) for m, r in enumerate(rows, start=1))
+    labels = tuple(format_rows(r, m, "oneline").splitlines() for m, r in enumerate(rows, start=1))
     return Tree("gen", M, labels, tags, offsets, rows)
 
 
@@ -150,7 +150,7 @@ def _division(m: int, parent_rows: np.ndarray, parent_index: np.ndarray, tags: n
     if not branching[k]:
         return False, f"single child of {interval} moved"
     if no_singleton[k]:
-        perm = next(format_rows([parent_rows[k].tolist()], m - 1, "oneline"))
+        perm = format_rows(parent_rows[k:k + 1], m - 1, "oneline").splitlines()[0]
         return False, f"branching parent {perm} lacks singleton difference set"
     return False, f"split of {interval} is not at {Fraction(int(first[k]), m)}"
 
@@ -199,7 +199,7 @@ def _y_labels(tree: Tree) -> list[list[str] | None]:
     """Per level, the labels of the lifted rows (1, pi+1); none below the leaves."""
     lifted = [np.pad(rows.astype(np.int64) + 1, ((0, 0), (1, 0)), constant_values=1)
               for rows in tree.rows[:-1]]
-    return [list(format_rows(theta.tolist(), m + 1, "oneline"))
+    return [format_rows(theta, m + 1, "oneline").splitlines()
             for m, theta in enumerate(lifted, start=1)] + [None]
 
 

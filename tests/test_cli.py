@@ -403,15 +403,18 @@ def test_verify_negative_samples_is_usage_error(capsys: pytest.CaptureFixture) -
 def test_closed_stdout_exits_1_without_traceback() -> None:
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.Popen([sys.executable, "-m", "soslift.cli", "lift", "--to-m", "60"],
-                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
-    # V_60 prints about 190 kB, more than a pipe holds, so the writer is
-    # still running when the reader goes away
-    assert proc.stdout.readline().split()[0] == b"1"
-    proc.stdout.close()
-    _, err = proc.communicate(timeout=60)
-    assert proc.returncode == 1
-    assert b"Traceback" not in err
+    # V_60 prints about 190 kB as one-line text and 280 kB as JSON, more than
+    # a pipe holds, so the writer is still running when the reader goes away
+    for argv, first in ((["lift", "--to-m", "60"], b"1 2 "),
+                        (["enumerate", "--set", "V", "--m", "60", "--method", "lift",
+                          "--format", "json"], b'{"m": 60, "values": [1, 2, ')):
+        proc = subprocess.Popen([sys.executable, "-m", "soslift.cli", *argv],
+                                stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        assert proc.stdout.readline().startswith(first)
+        proc.stdout.close()
+        _, err = proc.communicate(timeout=60)
+        assert proc.returncode == 1
+        assert b"Traceback" not in err
 
 
 def test_verify_is_deterministic(capsys: pytest.CaptureFixture) -> None:

@@ -12,7 +12,9 @@ from soslift.perm_core import (
     Permutation,
     ascents,
     cds,
+    _dtype_for,
     delta,
+    format_rows,
     gamma,
     inverse,
     mod_m,
@@ -256,6 +258,29 @@ def test_perm_class_rejects_nonpositive_degree() -> None:
     for m in (0, -1):
         with pytest.raises(ValueError, match=f"V needs a positive degree, got {m}"):
             PermClass.from_array("V", m, np.zeros((0, 0), dtype=np.uint8))
+
+
+def _reference_lines(rows: np.ndarray, fmt: str) -> str:
+    """format_rows one row at a time, the way Permutation's fields spell it."""
+    m = rows.shape[1]
+    if fmt == "json":
+        lines = [json.dumps(Permutation(row).to_json()) for row in rows.tolist()]
+    else:
+        lines = [("" if m <= 9 else " ").join(map(str, row)) for row in rows.tolist()]
+    return "".join(line + "\n" for line in lines)
+
+
+# token widths change at 10, 100 and 1000, and the row dtype at 256
+@pytest.mark.parametrize("m", [1, 2, 9, 10, 99, 100, 255, 256, 999, 1000, 2000])
+@pytest.mark.parametrize("fmt", ["oneline", "json"])
+def test_format_rows_equals_the_per_row_reference(m: int, fmt: str) -> None:
+    identity = np.arange(1, m + 1)
+    rows = np.stack([identity, identity[::-1]] + [np.roll(identity, k) for k in (1, m // 2, -1)])
+    for dtype in (_dtype_for(m), np.int64):
+        block = rows.astype(dtype)
+        assert format_rows(block, m, fmt) == _reference_lines(block, fmt)
+        assert format_rows(block[:0], m, fmt) == ""
+    assert Permutation(rows[1]).one_line() == _reference_lines(rows[1:2], "oneline")[:-1]
 
 
 def test_shift_closure_of_iterable() -> None:

@@ -1,12 +1,15 @@
-"""Property tests: PermClass's canonical form and the projection of lifted children."""
+"""Property tests: PermClass's canonical form, the projection of lifted children and
+the round trip of formatted rows."""
 from __future__ import annotations
+
+import json
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soslift.lifting import Level, lift_fibers, lift_to, project
-from soslift.perm_core import PermClass, Permutation, _dtype_for
+from soslift.perm_core import PermClass, Permutation, _dtype_for, format_rows
 
 INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
 
@@ -54,3 +57,23 @@ def test_project_maps_every_lifted_child_to_its_parent(m, data) -> None:
     children, parent_index, _ = lift_fibers(Level.from_rows(parents))
     i = data.draw(st.integers(0, len(children) - 1))
     assert project(Permutation(children.rows(i, i + 1)[0])) == Permutation(parents[parent_index[i]])
+
+
+@st.composite
+def row_blocks(draw):
+    """(m, rows): a block of degree-m permutation rows as an array of _dtype_for(m)."""
+    m = draw(st.one_of(st.integers(1, 12), st.integers(13, 300)))
+    perms = draw(st.lists(st.permutations(range(1, m + 1)), max_size=6))
+    return m, np.array(perms, dtype=_dtype_for(m)).reshape(len(perms), m)
+
+
+@settings(deadline=None)
+@given(row_blocks())
+def test_formatted_lines_parse_back_to_their_rows(case) -> None:
+    m, rows = case
+    parsers = {"json": lambda line: Permutation.from_json(json.loads(line)),
+               "oneline": Permutation.parse}
+    for fmt, parse in parsers.items():
+        text = format_rows(rows, m, fmt)
+        assert text.endswith("\n") or not len(rows)
+        assert [parse(line).values for line in text.splitlines()] == list(map(tuple, rows.tolist()))
