@@ -10,9 +10,9 @@ from soslift.perm_core import (
     MAX_DEGREE,
     PermClass,
     Permutation,
+    _dtype_for,
     ascents,
     cds,
-    _dtype_for,
     delta,
     format_rows,
     gamma,

@@ -62,6 +62,7 @@ def test_project_maps_every_lifted_child_to_its_parent(m, data) -> None:
 @st.composite
 def row_blocks(draw):
     """(m, rows): a block of degree-m permutation rows as an array of _dtype_for(m)."""
+    # as many draws around the digit-string degrees (m <= 9) as beyond them
     m = draw(st.one_of(st.integers(1, 12), st.integers(13, 300)))
     perms = draw(st.lists(st.permutations(range(1, m + 1)), max_size=6))
     return m, np.array(perms, dtype=_dtype_for(m)).reshape(len(perms), m)

@@ -278,6 +278,16 @@ def test_check_isomorphism_names_the_split_that_moved(monkeypatch: pytest.Monkey
                          "passed": False, "detail": "split of (0/1, 1/2) is not at 1/3"}]
 
 
+def test_division_names_a_branching_parent_without_singleton_difference_set() -> None:
+    (v3, _, _), (_, parent_index, tags) = list(iter_levels(4))[2:]
+    rows = v3.rows().copy()
+    k = int(parent_index[tags != TAG_SINGLE][0])
+    # differences 2 and 3 mod 4: no singleton difference set
+    rows[k] = (1, 3, 2)
+    assert trees._division(4, rows, parent_index, tags, suranyi_table(3), suranyi_table(4)) == (
+        False, "branching parent 132 lacks singleton difference set")
+
+
 def test_check_isomorphism_holds_two_levels(monkeypatch: pytest.MonkeyPatch) -> None:
     real = trees.iter_levels
     held = []
