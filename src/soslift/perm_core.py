@@ -8,6 +8,7 @@ object.
 from __future__ import annotations
 
 from bisect import bisect_left
+from functools import lru_cache
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -244,6 +245,21 @@ def _token_table(tokens: list[str]) -> np.ndarray:
     return np.frombuffer("".join(t.ljust(w, "\0") for t in tokens).encode("ascii"), dtype=f"u{w}")
 
 
+@lru_cache(maxsize=32)
+def _encoding(m: int, fmt: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The head bytes and the inner and last token tables of degree m in fmt.
+
+    All three are read-only (frombuffer of bytes), so one copy serves every call.
+    """
+    if fmt == "json":
+        head, sep, tail = f'{{"m": {m}, "values": [', ", ", "]}"
+    else:
+        head, sep, tail = "", "" if m <= 9 else " ", ""
+    return (np.frombuffer(head.encode("ascii"), dtype=np.uint8),
+            _token_table([f"{v}{sep}" for v in range(m + 1)]),
+            _token_table([f"{v}{tail}\n" for v in range(m + 1)]))
+
+
 def format_rows(rows: np.ndarray, m: int, fmt: str) -> str:
     """The rows of an (n, m) integer array with values in 1..m, one
     newline-terminated line each, as one string.
@@ -259,15 +275,10 @@ def format_rows(rows: np.ndarray, m: int, fmt: str) -> str:
     callers pass blocks of bounded size.
     """
     rows = np.asarray(rows)
-    if fmt == "json":
-        head, sep, tail = f'{{"m": {m}, "values": [', ", ", "]}"
-    else:
-        head, sep, tail = "", "" if m <= 9 else " ", ""
     n = len(rows)
+    head_bytes, inner, last = _encoding(m, fmt)
     # take() returns C-contiguous (n, k) arrays, which view as (n, k*w) bytes
-    inner = _token_table([f"{v}{sep}" for v in range(m + 1)]).take(rows[:, :-1])
-    last = _token_table([f"{v}{tail}\n" for v in range(m + 1)]).take(rows[:, -1:])
-    head_bytes = np.frombuffer(head.encode("ascii"), dtype=np.uint8)
+    inner, last = inner.take(rows[:, :-1]), last.take(rows[:, -1:])
     block = np.concatenate([np.broadcast_to(head_bytes, (n, len(head_bytes))),
                             inner.view(np.uint8), last.view(np.uint8)], axis=1)
     return block.tobytes().translate(None, b"\0").decode("ascii")

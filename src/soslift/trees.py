@@ -12,7 +12,6 @@ arrays, so it builds neither tree.
 """
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -220,20 +219,68 @@ def _dot(tree: Tree, ys: list[list[str] | None]) -> str:
     return "\n".join(lines)
 
 
-def _nested(tree: Tree, ys: list[list[str] | None]) -> dict:
-    """The root as a dict of label, tag and children, built from the leaves up."""
-    below: list[dict] = []
-    for labels, tags, offsets, y in reversed(list(zip(tree.levels, tree.tags, tree.offsets, ys))):
-        offsets = offsets.tolist()
-        nodes = []
-        for i, (label, tag) in enumerate(zip(labels, tags.tolist())):
-            kids = below[offsets[i]:offsets[i + 1]]
-            if y is not None:
-                kids = [{"label": y[i], "tag": None, "children": kids}]
-            nodes.append({"label": label, "tag": None if tag == TAG_SINGLE else f"({tag})",
-                          "children": kids})
-        below = nodes
-    return below[0]
+_JSON_TAGS = {TAG_SINGLE: "null", TAG_LEFT: '"(0)"', TAG_RIGHT: '"(1)"'}
+
+
+@dataclass(frozen=True)
+class _Fragments:
+    """The fixed text around a node at one JSON nesting depth, as json.dumps(indent=2) writes it."""
+
+    open: str    # up to the label's opening quote
+    tag: str     # from the label's closing quote up to the tag
+    leaf: str    # an empty children list and the closing brace
+    branch: str  # up to the first child
+    sep: str     # between two children
+    close: str   # after the last child
+
+    @classmethod
+    def at(cls, depth: int) -> "_Fragments":
+        p, q, r = ("  " * d for d in (depth, depth + 1, depth + 2))
+        return cls(f'{{\n{q}"label": "', f'",\n{q}"tag": ', f',\n{q}"children": []\n{p}}}',
+                   f',\n{q}"children": [\n{r}', f",\n{r}", f"\n{q}]\n{p}}}")
+
+
+def _json_pieces(tree: Tree, ys: list[list[str] | None], depth: int, out: list[str]) -> None:
+    """Append the text of the tree's nested root, written at JSON nesting depth
+    depth, to out.
+
+    Every node of one level, and every y-node below it, sits at one nesting
+    depth, so each level's fixed text is built once.  Labels hold only
+    digits, spaces, parentheses, commas and slashes, which JSON quotes
+    without escapes.  An explicit stack of pending nodes and closing text
+    walks the offsets in pre-order, so no depth meets a recursion limit.
+    """
+    frags, yfrags = [], []
+    for y in ys:
+        frags.append(_Fragments.at(depth))
+        yfrags.append(_Fragments.at(depth + 2))
+        depth += 2 if y is None else 4
+    offsets = [o.tolist() for o in tree.offsets]
+    tags = [t.tolist() for t in tree.tags]
+    stack: list = [(0, 0, False)]
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+            continue
+        k, i, is_y = item
+        if is_y:
+            f, label, tag = yfrags[k], ys[k][i], "null"
+        else:
+            f, label, tag = frags[k], tree.levels[k][i], _JSON_TAGS[tags[k][i]]
+        if ys[k] is None or is_y:
+            kids = [(k + 1, j, False) for j in range(offsets[k][i], offsets[k][i + 1])]
+        else:
+            kids = [(k, i, True)]
+        out += (f.open, label, f.tag, tag)
+        if not kids:
+            out.append(f.leaf)
+            continue
+        out.append(f.branch)
+        stack.append(f.close)
+        for kid in reversed(kids[1:]):
+            stack += (kid, f.sep)
+        stack.append(kids[0])
 
 
 def export_tree(*trees: Tree, format: str = "dot", with_y_levels: bool = False) -> str:
@@ -250,6 +297,11 @@ def export_tree(*trees: Tree, format: str = "dot", with_y_levels: bool = False) 
     ys = [_y_labels(tree) if with_y_levels and tree.rows else [None] * tree.M for tree in trees]
     if format == "dot":
         return "\n".join(_dot(tree, y) for tree, y in zip(trees, ys))
-    docs = [_nested(tree, y) for tree, y in zip(trees, ys)]
-    doc = docs[0] if len(docs) == 1 else {tree.kind: d for tree, d in zip(trees, docs)}
-    return json.dumps(doc, indent=2)
+    out: list[str] = []
+    if len(trees) == 1:
+        _json_pieces(trees[0], ys[0], 0, out)
+        return "".join(out)
+    for kind, (tree, y) in {tree.kind: (tree, y) for tree, y in zip(trees, ys)}.items():
+        out.append(f',\n  "{kind}": ' if out else f'{{\n  "{kind}": ')
+        _json_pieces(tree, y, 1, out)
+    return ("".join(out) + "\n}") if out else "{}"

@@ -316,7 +316,8 @@ def test_tree_depth_outside_1_to_2000_builds_nothing(
     assert message in captured.err
 
 # SHA-256 of `tree` stdout, recorded before the tree export moved onto
-# arrays; depths 10 and above print space-separated labels
+# arrays (depth 40: before the JSON writer replaced json.dumps); depths 10
+# and above print space-separated labels
 TREE_STDOUT_SHA256 = [
     (1, "gen", "dot", False, "26dd728e2314476c00aa9bc8c7895b95a1e85707dd623b2ee2025e629bb9d1b7"),
     (1, "gen", "dot", True, "26dd728e2314476c00aa9bc8c7895b95a1e85707dd623b2ee2025e629bb9d1b7"),
@@ -368,6 +369,8 @@ TREE_STDOUT_SHA256 = [
     (14, "both", "dot", True, "9552d5c7708f94b64ee7c41272579ace9f0477c43878adedf31b9e90eaaa94d8"),
     (14, "both", "json", False, "3686f08e77dc347c8e8cc9815eeef4c15b12c1018e42b3d627724ad40b68d101"),
     (14, "both", "json", True, "4ad9a43bc815669316a79537ad24abce785ef1eea23fbf6af1f480ee05ced2b9"),
+    (40, "both", "json", False, "07738788002d5affe9956e1404000992b62da1de0b79fa3915c1ff92a8021849"),
+    (40, "both", "json", True, "3da27cf550ab422f53a47ee1277664c61decb79a2348d9c243abd90430a7d59c"),
 ]
 
 
@@ -403,11 +406,13 @@ def test_verify_negative_samples_is_usage_error(capsys: pytest.CaptureFixture) -
 def test_closed_stdout_exits_1_without_traceback() -> None:
     src = str(Path(cli.__file__).resolve().parents[1])
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    # V_60 prints about 190 kB as one-line text and 280 kB as JSON, more than
-    # a pipe holds, so the writer is still running when the reader goes away
+    # V_60 prints about 190 kB as one-line text and 280 kB as JSON, and the
+    # depth-40 trees 11 MB, more than a pipe holds, so the writer is still
+    # running when the reader goes away
     for argv, first in ((["lift", "--to-m", "60"], b"1 2 "),
                         (["enumerate", "--set", "V", "--m", "60", "--method", "lift",
-                          "--format", "json"], b'{"m": 60, "values": [1, 2, ')):
+                          "--format", "json"], b'{"m": 60, "values": [1, 2, '),
+                        (["tree", "--depth", "40", "--kind", "both", "--format", "json"], b"{\n")):
         proc = subprocess.Popen([sys.executable, "-m", "soslift.cli", *argv],
                                 stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
         assert proc.stdout.readline().startswith(first)

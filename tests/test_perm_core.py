@@ -6,6 +6,8 @@ import json
 import numpy as np
 import pytest
 
+from soslift import perm_core
+from soslift.lifting import lift_to
 from soslift.perm_core import (
     MAX_DEGREE,
     PermClass,
@@ -281,6 +283,20 @@ def test_format_rows_equals_the_per_row_reference(m: int, fmt: str) -> None:
         assert format_rows(block, m, fmt) == _reference_lines(block, fmt)
         assert format_rows(block[:0], m, fmt) == ""
     assert Permutation(rows[1]).one_line() == _reference_lines(rows[1:2], "oneline")[:-1]
+
+
+def test_format_rows_builds_each_token_table_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    build = perm_core._token_table
+    built: list[list[str]] = []
+    monkeypatch.setattr(perm_core, "_token_table", lambda tokens: built.append(tokens) or build(tokens))
+    perm_core._encoding.cache_clear()
+    rows = lift_to(40).as_array()
+    lines = [Permutation(row).one_line() for row in rows.tolist()]
+    assert len(lines) == 490 and len(built) == 2
+    assert "".join(line + "\n" for line in lines) == format_rows(rows, 40, "oneline")
+    assert len(built) == 2
+    # the cached tables are shared, so no caller may write to them
+    assert not any(a.flags.writeable for a in perm_core._encoding(40, "oneline"))
 
 
 def test_shift_closure_of_iterable() -> None:

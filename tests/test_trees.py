@@ -361,3 +361,37 @@ def test_export_json_gen_matches_golden_leaves() -> None:
 
     _walk(doc)
     assert leaves == GOLDEN_LEVELS[-1]
+
+
+def _nested_reference(tree: Tree, ys: list[list[str] | None]) -> dict:
+    """The root as a dict of label, tag and children, built from the leaves up."""
+    below: list[dict] = []
+    for labels, tags, offsets, y in reversed(list(zip(tree.levels, tree.tags, tree.offsets, ys))):
+        offsets = offsets.tolist()
+        nodes = []
+        for i, (label, tag) in enumerate(zip(labels, tags.tolist())):
+            kids = below[offsets[i]:offsets[i + 1]]
+            if y is not None:
+                kids = [{"label": y[i], "tag": None, "children": kids}]
+            nodes.append({"label": label, "tag": None if tag == TAG_SINGLE else f"({tag})",
+                          "children": kids})
+        below = nodes
+    return below[0]
+
+
+@pytest.mark.parametrize("depth", range(1, 31))
+def test_export_json_equals_json_dumps_of_the_nested_root(depth: int) -> None:
+    built = {"gen": build_gen_tree(depth), "farey": build_farey_tree(depth)}
+    for kinds in (("gen",), ("farey",), ("gen", "farey"), ("farey", "gen")):
+        for with_y_levels in (False, True) if "gen" in kinds else (False,):
+            chosen = [built[kind] for kind in kinds]
+            docs = {tree.kind: _nested_reference(tree, trees._y_labels(tree) if with_y_levels
+                                                 and tree.rows else [None] * depth)
+                    for tree in chosen}
+            doc = docs[kinds[0]] if len(kinds) == 1 else docs
+            out = export_tree(*chosen, format="json", with_y_levels=with_y_levels)
+            assert json.loads(out) == doc
+            # json.dumps(indent=2) is pure Python: every depth to 30 would take
+            # about 23 s; test_cli pins the bytes of depth 40 by SHA-256
+            if depth <= 20:
+                assert out == json.dumps(doc, indent=2)
