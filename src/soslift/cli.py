@@ -13,6 +13,8 @@ import json
 import os
 import sys
 
+import numpy as np
+
 from .farey import (
     farey_intervals,
     farey_sequence,
@@ -21,7 +23,7 @@ from .farey import (
     parse_fraction,
 )
 from .lifting import check_lift_degree, lift_once, lift_to, project
-from .perm_core import PermClass, Permutation, format_rows, inverse
+from .perm_core import PermClass, Permutation, _rows_in, format_rows
 from .perm_sets import (
     LABELS,
     METHODS,
@@ -143,15 +145,18 @@ def _cmd_verify_tree(args) -> int:
 
 
 def _cmd_sosrec(args) -> int:
-    found = enumerate_sos_recurrence(args.m)
-    v_inverses = PermClass("inv(V)", args.m, (inverse(p) for p in enumerate_class("V", args.m)))
+    found = enumerate_sos_recurrence(args.m).as_array()
+    v = enumerate_class("V", args.m).as_array()
+    v_inverses = np.empty_like(v)  # inverse(theta)(theta(i)) = i; distinct as the rows of V
+    v_inverses[np.arange(len(v))[:, None], v - 1] = np.arange(1, args.m + 1)
+    known, contains_sos = _rows_in(found, v_inverses), bool(_rows_in(v_inverses, found).all())
     doc = {
         "m": args.m,
         "recurrence_count": len(found),
         "sos_count": len(v_inverses),
-        "recurrence_contains_sos": all(p in found for p in v_inverses),
-        "sets_equal": found == v_inverses,
-        "recurrence_only": [p.one_line() for p in found if p not in v_inverses],
+        "recurrence_contains_sos": contains_sos,
+        "sets_equal": contains_sos and bool(known.all()),
+        "recurrence_only": format_rows(found[~known], args.m, "oneline").splitlines(),
     }
     if args.format == "json":
         print(json.dumps(doc, indent=2))

@@ -33,7 +33,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .perm_core import PermClass, Permutation, _dtype_for, gamma, in_V, psi
+from .perm_core import PermClass, Permutation, _dtype_for, _misses_a_value, gamma, in_V, psi
 
 FORCE_THRESHOLD = 500
 MAX_LIFT_DEGREE = 2000
@@ -124,12 +124,10 @@ def _outside_V(array: np.ndarray) -> np.ndarray:
     values gives it back and is a permutation of 1..m.  The decoded rows
     lie in 1..m whatever the input, so they, not the input, are scattered.
     """
-    n, m = array.shape
+    m = array.shape[1]
     ends = np.clip(array[:, [0, -1]].astype(np.int64), 1, m).astype(_dtype_for(m))
     decoded = Level(m, ends[:, 0], ends[:, 1]).rows()
-    seen = np.zeros((n, m + 1), dtype=bool)
-    seen[np.arange(n)[:, None], decoded] = True
-    return (decoded != array).any(axis=1) | ~seen[:, 1:].all(axis=1)
+    return (decoded != array).any(axis=1) | _misses_a_value(decoded)
 
 
 def lift_fibers(parents: Level) -> tuple[Level, np.ndarray, np.ndarray]:
@@ -208,10 +206,10 @@ def lift_to(M: int, force: bool = False) -> PermClass:
 def generate_up_to(M: int, force: bool = False) -> list[PermClass]:
     """Run the lifting recursion from degree 1, returning every level.
 
-    Each level is a PermClass, so its rows are lexsorted and checked when it
-    is built.  Storage for all levels grows like M^4/13 bytes; lift_to keeps
-    one, and iter_levels yields each level in generation order unsorted, as
-    two columns.
+    Each level is a PermClass, so its rows are put in lexicographic order
+    and checked when it is built.  Storage for all levels grows like M^4/13
+    bytes; lift_to keeps one, and iter_levels yields each level in
+    generation order unsorted, as two columns.
     """
     return [PermClass.from_array("V", level.m, level.rows())
             for level, _, _ in iter_levels(M, force)]

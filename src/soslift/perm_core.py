@@ -7,7 +7,6 @@ object.
 """
 from __future__ import annotations
 
-from bisect import bisect_left
 from functools import lru_cache
 from typing import Iterable, Iterator
 
@@ -288,6 +287,28 @@ def _dtype_for(m: int) -> np.dtype:
     return np.dtype(np.uint8 if m <= 255 else np.uint16)
 
 
+def _row_items(rows: np.ndarray) -> np.ndarray:
+    """The rows of an (N, m) array of values in 0..m as (N,) opaque items, one per row.
+
+    The items view a fresh C-contiguous big-endian copy of dtype _dtype_for(m),
+    so item order is lexicographic row order and equal items are equal rows.
+    """
+    big = np.array(rows, dtype=_dtype_for(rows.shape[1]).newbyteorder(">"), order="C")
+    return big.view(np.dtype((np.void, big.shape[1] * big.itemsize))).ravel()
+
+
+def _rows_in(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an (N, m) array that are also rows of an (M, m) array."""
+    return np.isin(_row_items(rows), _row_items(other))
+
+
+def _misses_a_value(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an (N, m) array of values in 1..m that are not permutations."""
+    seen = np.zeros((len(rows), rows.shape[1] + 1), dtype=bool)
+    seen[np.arange(len(rows))[:, None], rows] = True
+    return ~seen[:, 1:].all(axis=1)
+
+
 def _check_degree(label: str, m: int) -> None:
     if m < 1:
         raise ValueError(f"{label} needs a positive degree, got {m}")
@@ -297,9 +318,9 @@ class PermClass:
     """A finite set of same-degree permutations, held in one canonical form.
 
     The members are the rows of one read-only (N, m) array of dtype
-    _dtype_for(m): lexsorted, deduplicated and checked to be permutations of
-    1..m when the class is built.  ``members`` builds Permutation objects, in
-    the same order, on first access; nothing else does.
+    _dtype_for(m): in lexicographic order, deduplicated and checked to be
+    permutations of 1..m when the class is built.  ``members`` builds
+    Permutation objects, in the same order, on first access; nothing else does.
     """
 
     __slots__ = ("label", "m", "_members", "_array")
@@ -328,16 +349,15 @@ class PermClass:
         if len(array) and (array.min() < 1 or array.max() > m):
             rows, bad = array, ((array < 1) | (array > m)).any(axis=1)
         else:
-            rows = array.astype(_dtype_for(m), copy=False)
-            rows = rows[np.lexsort(rows.T[::-1])]
-            distinct = np.ones(len(rows), dtype=bool)
-            distinct[1:] = (rows[1:] != rows[:-1]).any(axis=1)
+            items = _row_items(array)
+            items.sort()
+            distinct = items[1:] != items[:-1]
             if not distinct.all():
-                rows = rows[distinct]
-            # m values in 1..m form a permutation exactly when they hit every value
-            seen = np.zeros((len(rows), m + 1), dtype=bool)
-            seen[np.arange(len(rows))[:, None], rows] = True
-            bad = ~seen[:, 1:].all(axis=1)
+                items = items[np.concatenate(([True], distinct))]
+            rows = items.view(_dtype_for(m).newbyteorder(">")).reshape(len(items), m)
+            if rows.dtype != _dtype_for(m):  # swap the same buffer back to native order
+                rows = rows.byteswap(inplace=True).view(_dtype_for(m))
+            bad = _misses_a_value(rows)
         if bad.any():
             row = tuple(rows[int(np.argmax(bad))].tolist())
             raise ValueError(f"not a permutation of 1..{m} in {label}: {row}")
@@ -351,7 +371,7 @@ class PermClass:
         return self._members
 
     def as_array(self) -> np.ndarray:
-        """The members as lexsorted rows of a read-only (N, m) array of dtype _dtype_for(m)."""
+        """The members in lexicographic order: a read-only (N, m) array of dtype _dtype_for(m)."""
         return self._array
 
     def __len__(self) -> int:
@@ -361,11 +381,8 @@ class PermClass:
         return iter(self.members)
 
     def __contains__(self, item: object) -> bool:
-        if not isinstance(item, Permutation):
-            return False
-        members = self.members
-        i = bisect_left(members, item)
-        return i < len(members) and members[i] == item
+        return (isinstance(item, Permutation) and item.m == self.m
+                and bool(_rows_in(self._array, np.array([item.values])).any()))
 
     def __eq__(self, other: object) -> bool:
         """Set equality on members; labels are not compared."""

@@ -24,7 +24,7 @@ raises the cap.
 from __future__ import annotations
 
 import os
-from itertools import combinations, permutations as _sym_group
+from itertools import permutations as _sym_group
 from math import gcd
 
 import numpy as np
@@ -34,13 +34,13 @@ from .farey import totient_sum, totients
 from .perm_core import (
     PermClass,
     Permutation,
+    _row_items,
+    _rows_in,
     ascents,
     cds,
     delta,
     in_V,
-    psi,
     shift_closure,
-    shift_equivalent,
 )
 from .sos import suranyi_table, theta_ab
 
@@ -196,25 +196,10 @@ _ROW_TESTS = {
 }
 
 
-def _row_keys(rows: np.ndarray, m: int) -> np.ndarray:
-    """Each row of values in 1..m read as an exact int64 in base m + 1; keys sort like rows."""
-    if (m + 1) ** m >= 2 ** 63:
-        raise ValueError(f"row keys of degree {m} overflow int64")
-    keys = np.zeros(len(rows), dtype=np.int64)
-    for col in np.asarray(rows).T:
-        keys = keys * (m + 1) + col
-    return keys
-
-
 def _brute(label: str, m: int) -> np.ndarray:
     """The rows of S_m in the class, as an (N, m) uint8 array in lexicographic order."""
-    if label == "Sstar":
-        targets = _row_keys(suranyi_table(m).as_array(), m)
-
-        def accept(t: np.ndarray, m: int) -> np.ndarray:
-            return np.isin(_row_keys(t, m), targets)
-    else:
-        accept = _ROW_TESTS[label]
+    table = suranyi_table(m).as_array() if label == "Sstar" else None
+    accept = _ROW_TESTS[label] if table is None else (lambda t, m: _rows_in(t, table))
     return np.concatenate([block[accept(block.astype(np.int16), m)] for block in _sym(m)])
 
 
@@ -250,9 +235,8 @@ def enumerate_class(label: str, m: int, method: str = "brute", force: bool = Fal
 
     _check_brute_guard(m)
     if label == "Vminus":
-        v = _brute("V", m)
-        vl1 = enumerate_class("VL1", m).as_array()
-        return PermClass.from_array(label, m, v[~np.isin(_row_keys(v, m), _row_keys(vl1, m))])
+        v, vl1 = _brute("V", m), enumerate_class("VL1", m).as_array()
+        return PermClass.from_array(label, m, v[~_rows_in(v, vl1)])
     if m == 1:
         # every other class degenerates to S_1 except the delta-based ones,
         # which are undefined below degree 2
@@ -290,21 +274,17 @@ def verify_theorems(m_max: int) -> list[dict]:
     def record(m: int, check: str, passed: bool, detail: str = "") -> None:
         records.append({"m": m, "check": check, "passed": passed, "detail": detail})
 
-    prev_w: PermClass | None = None
+    prev_w = PermClass.from_array("W", 1, np.ones((1, 1), dtype=np.uint8))
     for m in range(2, m_max + 1):
-        v = enumerate_class("V", m)
-        w = enumerate_class("W", m)
-        y = enumerate_class("Y", m)
-        x = enumerate_class("X", m)
+        v, w, y, x = (enumerate_class(label, m) for label in ("V", "W", "Y", "X"))
         sstar = enumerate_class("Sstar", m, method="farey")
-        vl0 = enumerate_class("VL0", m)
-        vl1 = enumerate_class("VL1", m)
+        vl0, vl1 = (enumerate_class(label, m).as_array() for label in ("VL0", "VL1"))
+        rows = v.as_array().astype(np.int16)
 
         record(m, "V = W", v == w, f"|V|={len(v)}, |W|={len(w)}")
-        record(m, "W subset of Y", set(w.members) <= set(y.members))
+        record(m, "W subset of Y", bool(_rows_in(w.as_array(), y.as_array()).all()))
         if m >= 3:
-            yprime = enumerate_class("Yprime", m)
-            record(m, "Y = Yprime", y == yprime, f"|Y|={len(y)}")
+            record(m, "Y = Yprime", y == enumerate_class("Yprime", m), f"|Y|={len(y)}")
         record(m, "Y is shift-closed", shift_closure(y) == y)
         record(m, "X = shift-closure of V", x == shift_closure(v), f"|X|={len(x)}")
         record(m, "Sstar (Farey table) = V", sstar == v)
@@ -312,31 +292,33 @@ def verify_theorems(m_max: int) -> list[dict]:
         y_expected = m * totient_sum(m - 1)
         record(m, "|Y| = m * totient sum up to m-1", len(y) == y_expected, f"{len(y)} vs {y_expected}")
 
-        singletons = sum(1 for p in v if len(cds(p)) == 1)
+        residues = np.diff(rows, axis=1) % m
+        singletons = int((residues == residues[:, :1]).all(axis=1).sum())
         record(m, "singleton-CDS members of V number 2*phi(m)", singletons == 2 * phi[m],
                f"{singletons} vs {2 * phi[m]}")
 
+        # rows are distinct in every class, so a layer lies in V when V has all its rows
+        in0, in1 = _rows_in(rows, vl0), _rows_in(rows, vl1)
         record(m, "affine layers VL0, VL1 disjoint subsets of V, each of size phi(m)",
-               set(vl0.members).isdisjoint(vl1.members)
-               and set(vl0.members) <= set(v.members)
-               and set(vl1.members) <= set(v.members)
-               and len(vl0) == phi[m] and len(vl1) == phi[m])
+               bool(in0.sum() == len(vl0) == phi[m] and in1.sum() == len(vl1) == phi[m]
+                    and not (in0 & in1).any()))
 
-        fixers = PermClass("Y1", m, (p for p in y if p(1) == 1))
-        image = PermClass("psi-image", m - 1, (psi(p) for p in fixers))
-        w_prev = prev_w if prev_w is not None else PermClass("W", 1, [Permutation((1,))])
-        record(m, "psi(S^1 intersect Y) = W of degree m-1", image == w_prev,
+        ya = y.as_array()
+        image = PermClass.from_array("psi-image", m - 1, ya[ya[:, 0] == 1, 1:] - 1)
+        record(m, "psi(S^1 intersect Y) = W of degree m-1", image == prev_w,
                f"|image|={len(image)}")
 
         if m >= 3:
-            layer0, layer1 = set(vl0.members), set(vl1.members)
-            pairs = [(p, q) for p, q in combinations(v.members, 2) if shift_equivalent(p, q)]
-            ok = all(
-                (p in layer0 and q in layer1) or (p in layer1 and q in layer0)
-                for p, q in pairs
-            )
-            record(m, "equivalent pairs inside V pair up the affine layers", ok,
-                   f"{len(pairs)} pairs, phi(m)={phi[m]}")
+            # rows that share a gamma-normal form are shifts of each other; every two
+            # must lie one in VL0, one in VL1: each in a layer, no two in the same one only
+            _, group, size = np.unique(_row_items((rows - rows[:, :1]) % m + 1),
+                                       return_inverse=True, return_counts=True)
+            paired = size[group] > 1
+            ok = (in0 | in1)[paired].all() and all(
+                np.bincount(group[paired & only]).max(initial=0) <= 1
+                for only in (in0 & ~in1, in1 & ~in0))
+            record(m, "equivalent pairs inside V pair up the affine layers", bool(ok),
+                   f"{(size * (size - 1) // 2).sum()} pairs, phi(m)={phi[m]}")
         prev_w = w
     return records
 

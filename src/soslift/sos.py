@@ -22,23 +22,31 @@ from math import gcd
 import numpy as np
 
 from .farey import FareyInterval, farey_intervals, farey_terms, mediant, totient_sum
-from .perm_core import Permutation, _dtype_for, gamma, inverse, psi, supermod_m
+from .perm_core import (MAX_DEGREE, Permutation, _dtype_for, _row_items, _rows_in, gamma,
+                        inverse, psi, supermod_m)
 
 SIDES = ("below", "at", "above")
 
 
+def _check_angle(m: int, alpha: Fraction) -> None:
+    """Refuse m outside 1..MAX_DEGREE, before building anything, and alpha outside (0, 1)."""
+    if m < 1:
+        raise ValueError(f"degree must be positive, got {m}")
+    if m > MAX_DEGREE:
+        raise ValueError(f"degree {m} exceeds the supported ceiling {MAX_DEGREE}")
+    if not 0 < alpha < 1:
+        raise ValueError(f"alpha must satisfy 0 < alpha < 1, got {alpha}")
+
+
 def _keys(m: int, alpha: Fraction) -> list[int]:
-    """Integer sort keys (i*p) mod q for i = 1..m; validates alpha.
+    """Integer sort keys (i*p) mod q for i = 1..m; validates m and alpha.
 
     Distinctness of the m fractional parts needs denominator q >= m: for
     q > m this is the generic interior case, and for q = m the key of i = m
     is 0, so the ascending sort places i = m first, which is exactly the
     boundary convention "the leftmost strict inequality becomes <=".
     """
-    if m < 1:
-        raise ValueError(f"degree must be positive, got {m}")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must satisfy 0 < alpha < 1, got {alpha}")
+    _check_angle(m, alpha)
     p, q = alpha.numerator, alpha.denominator
     if q < m:
         raise ValueError(
@@ -70,10 +78,7 @@ def tau_explicit(m: int, alpha: Fraction) -> Permutation:
     The formula is only quoted for alpha that is not an order-m Farey term,
     so reduced denominators <= m are rejected rather than extrapolated.
     """
-    if m < 1:
-        raise ValueError(f"degree must be positive, got {m}")
-    if not 0 < alpha < 1:
-        raise ValueError(f"alpha must satisfy 0 < alpha < 1, got {alpha}")
+    _check_angle(m, alpha)
     p, q = alpha.numerator, alpha.denominator
     if q <= m:
         raise ValueError(
@@ -211,11 +216,10 @@ class SuranyiTable:
         return _RowView(len(self._rows), self._perm)
 
     def interval_of(self, perm: Permutation) -> FareyInterval:
-        rows = self._rows
-        hits = np.flatnonzero((rows == perm.values).all(axis=1)) if perm.m == self.m else ()
-        if not len(hits):
+        hits = _rows_in(self._rows, np.array([perm.values])) if perm.m == self.m else ()
+        if not np.any(hits):
             raise KeyError(f"{perm.one_line()} is not in the order-{self.m} table")
-        return self.interval(int(hits[0]) + 1)
+        return self.interval(int(np.argmax(hits)) + 1)
 
 
 def suranyi_table(m: int) -> SuranyiTable:
@@ -232,8 +236,8 @@ def suranyi_table(m: int) -> SuranyiTable:
     if apart.any():
         raise AssertionError(f"non-adjacent Farey intervals at index {int(np.argmax(apart)) + 1}")
     rows = mediant_taus(m, num, den)
-    # rows are bytes of one width: sorting them as opaque items finds repeats
-    items = np.sort(np.ascontiguousarray(rows).view(np.dtype((np.void, rows[0].nbytes))).ravel())
+    items = _row_items(rows)
+    items.sort()
     if (items[1:] == items[:-1]).any():
         raise AssertionError(f"tau collision in the order-{m} table")
     if len(rows) != totient_sum(m):

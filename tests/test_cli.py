@@ -14,7 +14,7 @@ from soslift import cli, lifting, perm_sets, trees
 from soslift.cli import main
 from soslift.farey import totient_sum
 from soslift.lifting import lift_to
-from soslift.perm_core import PermClass, Permutation
+from soslift.perm_core import PermClass, Permutation, inverse
 
 V4_LINES = ["1234", "2341", "2413", "3142", "3214", "4321"]
 
@@ -447,6 +447,60 @@ def test_sosrec_report(capsys: pytest.CaptureFixture) -> None:
     assert doc["sos_count"] == 6
     assert doc["recurrence_contains_sos"] is True
     assert doc["recurrence_only"] == []
+
+
+def test_sosrec_reads_no_permutation_objects(monkeypatch: pytest.MonkeyPatch,
+                                            capsys: pytest.CaptureFixture) -> None:
+    def refuse(self):
+        raise AssertionError("PermClass.members was read")
+
+    monkeypatch.setattr(PermClass, "members", property(refuse))
+    assert main(["sosrec", "--m", "7", "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["sets_equal"] is True and doc["sos_count"] == totient_sum(7)
+
+
+@pytest.mark.parametrize("m", [3, 5, 6])
+def test_sosrec_report_matches_the_object_comparison(monkeypatch: pytest.MonkeyPatch,
+                                                      capsys: pytest.CaptureFixture, m: int) -> None:
+    """A wrong predicate (membership flipped for rows that start with 2) misses some
+    inverses of V and admits other rows; the report agrees with a comparison of
+    Permutation objects."""
+    sosrec = perm_sets._ROW_TESTS["SosRec"]
+    monkeypatch.setitem(perm_sets._ROW_TESTS, "SosRec", lambda t, m: sosrec(t, m) ^ (t[:, 0] == 2))
+    found = list(perm_sets.enumerate_sos_recurrence(m))
+    v_inverses = {inverse(p) for p in perm_sets.enumerate_class("V", m)}
+    assert main(["sosrec", "--m", str(m), "--format", "json"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["recurrence_count"] == len(found)
+    assert doc["sos_count"] == len(v_inverses)
+    assert doc["recurrence_contains_sos"] is (v_inverses <= set(found)) is False
+    assert doc["sets_equal"] is (v_inverses == set(found)) is False
+    assert doc["recurrence_only"] == [p.one_line() for p in found if p not in v_inverses]
+    assert doc["recurrence_only"]
+
+
+# the SHA-256 of the JSON reports of verify and sosrec, as printed before
+# their class comparisons ran on arrays
+REPORT_STDOUT_SHA256 = [
+    (["verify", "--m-max", "9"], "bf1933b8c051270c426c2a3ada5ff128c6d3727e43817c53207037d92de07270"),
+    (["sosrec", "--m", "1"], "2dd7b6d25708446106759d5c425bd796da07ee59bfcf24fce5bb08eaa7afc039"),
+    (["sosrec", "--m", "2"], "b73238ea9487dfd075c0d256d400c6c00331127c6db6b515dc94e5b474dfc077"),
+    (["sosrec", "--m", "3"], "4c7bf0877c5991021d26f0e88d7f267535fbcc3022d61e220ca3bff923d5c1ca"),
+    (["sosrec", "--m", "4"], "a75588d3986f1bcbb6550b8c6709bd8f36e13b9837fa3ab6bcebf77f4d582338"),
+    (["sosrec", "--m", "5"], "69c1c2ffede1c935c01f0459af745fdca83b8ddf471c2830e156611a3bfe5f1a"),
+    (["sosrec", "--m", "6"], "8a0f4294ba2840a71a8b6f1ea513c87ea0d8c1d9c7b9a9e2a4add5ecbf62d377"),
+    (["sosrec", "--m", "7"], "dba4f94875ed53ba75ee7e955bfee44ab746364d64b8ebf9e8084447f35965b7"),
+    (["sosrec", "--m", "8"], "767b142c6429050ad07246a33e169d0e211725805b8855e7fed7847716f7b36b"),
+    (["sosrec", "--m", "9"], "1fde8150e5b7ac8b94f76691b65d9555661e67d83e00d14c2bd6946a889e32a9"),
+]
+
+
+@pytest.mark.parametrize("argv, digest", REPORT_STDOUT_SHA256)
+def test_report_stdout_is_byte_identical(capsys: pytest.CaptureFixture, argv: list[str],
+                                         digest: str) -> None:
+    assert main(argv + ["--format", "json"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
 
 
 def test_missing_subcommand_is_usage_error() -> None:

@@ -5,15 +5,15 @@ import itertools
 import numpy as np
 import pytest
 
+from soslift import perm_sets
 from soslift.farey import totients, totient_sum
-from soslift.perm_core import Permutation, inverse, shift_closure
+from soslift.perm_core import PermClass, Permutation, inverse, shift_closure
 from soslift.perm_sets import (
     DEFAULT_MAX_BRUTE_M,
     ENV_MAX_BRUTE_M,
     LABELS,
     METHODS,
     _brute,
-    _row_keys,
     _sym,
     enumerate_class,
     enumerate_sos_recurrence,
@@ -89,16 +89,6 @@ def test_array_predicates_accept_what_the_row_predicates_accept(m: int) -> None:
         got = _brute(label, m)
         assert got.dtype == np.uint8 and got.shape[1] == m
         assert got.tolist() == [list(p.values) for p in perms if accepts(p)], label
-
-
-def test_row_keys_are_exact_int64_or_refused() -> None:
-    rows = np.concatenate(list(_sym(6)))
-    keys = _row_keys(rows, 6)
-    assert keys.dtype == np.int64 and (np.diff(keys) > 0).all()
-    top = np.arange(15, 0, -1, dtype=np.uint8)[None, :]
-    assert _row_keys(top, 15)[0] == sum(v * 16 ** (14 - j) for j, v in enumerate(top[0].tolist()))
-    with pytest.raises(ValueError, match="row keys of degree 16 overflow int64"):
-        _row_keys(np.arange(1, 17, dtype=np.uint8)[None, :], 16)
 
 
 def test_enumerate_v4_frozen() -> None:
@@ -210,6 +200,32 @@ def test_verify_theorems_passes_and_reports() -> None:
     assert any("shift" in c for c in checks)
     for r in records:
         assert set(r) == {"m", "check", "passed", "detail"}
+
+
+def test_verify_theorems_reads_no_permutation_objects(monkeypatch: pytest.MonkeyPatch) -> None:
+    def refuse(self):
+        raise AssertionError("PermClass.members was read")
+
+    monkeypatch.setattr(PermClass, "members", property(refuse))
+    assert report_passed(verify_theorems(7))
+
+
+@pytest.mark.parametrize("accept", ["all", "none"])
+def test_verify_theorems_reports_a_wrong_class_as_failed(monkeypatch: pytest.MonkeyPatch,
+                                                         accept: str) -> None:
+    monkeypatch.setitem(perm_sets._ROW_TESTS, "W", lambda t, m: np.full(len(t), accept == "all"))
+    records = verify_theorems(5)
+    passed = {(r["m"], r["check"]): r["passed"] for r in records}
+    for m in range(2, 6):
+        w = set(itertools.permutations(range(1, m + 1))) if accept == "all" else set()
+        v = {p.values for p in enumerate_class("V", m)}
+        y = {p.values for p in enumerate_class("Y", m)}
+        assert passed[m, "V = W"] is (v == w)
+        assert passed[m, "W subset of Y"] is (w <= y)
+    # Y_3 is all of S_3, Y_4 is not all of S_4
+    assert passed[4, "V = W"] is False
+    assert passed[4, "W subset of Y"] is (accept == "none")
+    assert not report_passed(records)
 
 
 def test_verify_theorems_validates_range(monkeypatch: pytest.MonkeyPatch) -> None:

@@ -29,8 +29,18 @@ def repeated_rows(draw):
 DEGREE_256 = (256, [list(range(256, 0, -1)), list(range(1, 257)), list(range(256, 0, -1))], np.int64)
 
 
+def straddling_rows(m: int, dtype: type) -> tuple:
+    """(m, rows, dtype): rotations of 1..m whose first values straddle 256, shuffled, some
+    repeated.  Read as little-endian uint16 bytes, 256 would sort before 1 and 257 before 2."""
+    ident = list(range(1, m + 1))
+    perms = [ident[k:] + ident[:k] for k in (255, 0, 256 % m, 1, 254)] + [ident[::-1]]
+    return m, perms + perms[::2], dtype
+
+
 @given(repeated_rows())
 @example(DEGREE_256)
+@example(straddling_rows(255, np.int32))
+@example(straddling_rows(257, np.uint16))
 def test_from_array_equals_the_eager_class(case) -> None:
     m, rows, dtype = case
     from_rows = PermClass.from_array("V", m, np.array(rows, dtype=dtype).reshape(len(rows), m))
@@ -42,6 +52,8 @@ def test_from_array_equals_the_eager_class(case) -> None:
 
 @given(repeated_rows())
 @example(DEGREE_256)
+@example(straddling_rows(255, np.int32))
+@example(straddling_rows(257, np.uint16))
 def test_as_array_is_lexsorted_unique_and_narrow(case) -> None:
     m, rows, dtype = case
     arr = PermClass.from_array("V", m, np.array(rows, dtype=dtype).reshape(len(rows), m)).as_array()

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 from math import gcd
 
@@ -9,7 +10,7 @@ import pytest
 
 from soslift import sos
 from soslift.farey import farey_intervals, farey_terms, mediant, totient_sum
-from soslift.perm_core import Permutation, _dtype_for, gamma, inverse, psi
+from soslift.perm_core import MAX_DEGREE, Permutation, _dtype_for, gamma, inverse, psi
 from soslift.sos import (
     SuranyiTable,
     random_interior_rational,
@@ -50,6 +51,19 @@ def test_sos_from_alpha_rejects_coarse_or_out_of_range_alpha() -> None:
         sos_from_alpha(3, Fraction(7, 5))
     with pytest.raises(ValueError, match="degree must be positive"):
         sos_from_alpha(0, Fraction(1, 2))
+
+
+@pytest.mark.parametrize("evaluate", [sos_from_alpha, tau_from_alpha, tau_explicit])
+def test_degree_above_the_ceiling_is_refused_before_building(evaluate) -> None:
+    m = 10 ** 6
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match=f"degree {m} exceeds the supported ceiling {MAX_DEGREE}"):
+            evaluate(m, Fraction(1, m + 1))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_tau_frozen_values() -> None:
