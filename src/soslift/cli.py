@@ -28,7 +28,7 @@ from .perm_sets import (
     LABELS,
     METHODS,
     enumerate_class,
-    enumerate_sos_recurrence,
+    enumerate_classes,
     report_passed,
     verify_theorems,
 )
@@ -145,8 +145,8 @@ def _cmd_verify_tree(args) -> int:
 
 
 def _cmd_sosrec(args) -> int:
-    found = enumerate_sos_recurrence(args.m).as_array()
-    v = enumerate_class("V", args.m).as_array()
+    classes = enumerate_classes(("SosRec", "V"), args.m)
+    found, v = classes["SosRec"].as_array(), classes["V"].as_array()
     v_inverses = np.empty_like(v)  # inverse(theta)(theta(i)) = i; distinct as the rows of V
     v_inverses[np.arange(len(v))[:, None], v - 1] = np.arange(1, args.m + 1)
     known, contains_sos = _rows_in(found, v_inverses), bool(_rows_in(v_inverses, found).all())

@@ -17,13 +17,16 @@ Brute-force enumeration walks the symmetric group in lexicographic order as
 uint8 blocks, one per (theta(1), theta(2)) prefix, and tests every row of a
 block at once with an array form of the class predicate, in exact integer
 arithmetic; the per-row predicates (in_V, in_W, ...) are the reference the
-tests compare it with.  It is capped at m = 10, for enumerate_class and
+tests compare it with.  One walk serves every class a caller asks for
+(enumerate_classes): the step columns of a block are built once and shared
+by the predicates.  It is capped at m = 10, for enumerate_class and
 verify_theorems alike, unless the SOSLIFT_MAX_BRUTE_M environment variable
 raises the cap.
 """
 from __future__ import annotations
 
 import os
+from functools import cached_property
 from itertools import permutations as _sym_group
 from math import gcd
 
@@ -121,69 +124,98 @@ def _sym(m: int):
     """S_m in lexicographic order as uint8 blocks, one per (theta(1), theta(2)) prefix.
 
     The tail permutations of S_{m-2} are built once; S_m is never held whole.
+    Each block is the transpose of a C-contiguous (m, N) array, so its
+    columns theta(i) are contiguous.
     """
     width = min(m, 2)
-    tail = _lex_perms(m - width)
+    tail = np.ascontiguousarray(_lex_perms(m - width).T)
     for prefix in _sym_group(range(1, m + 1), width):
         rest = np.array(sorted(set(range(1, m + 1)) - set(prefix)), dtype=np.uint8)
-        block = np.empty((len(tail), m), dtype=np.uint8)
-        block[:, :width] = prefix
-        block[:, width:] = rest[tail]
-        yield block
+        block = np.empty((m, tail.shape[1]), dtype=np.uint8)
+        block[:width] = np.array(prefix)[:, None]
+        np.take(rest, tail, out=block[width:])
+        yield block.T
 
 
-# Array forms of the per-row predicates: each takes an int16 (N, m) block and
-# returns the (N,) mask of accepted rows, from the same formula over the
-# columns cur = theta(i), nxt = theta(i+1), first = theta(1), last = theta(m).
+class _Block:
+    """One block of S_m and the int16 step columns that its class predicates share.
 
-def _columns(t: np.ndarray):
-    return t[:, :-1], t[:, 1:], t[:, :1], t[:, -1:]
+    The columns come from the block transposed, (m, N), so each is a
+    contiguous (m-1, N) or (1, N) array: cur = theta(i) and nxt = theta(i+1)
+    for i in [m-1], first = theta(1), last = theta(m).  d, asc, wrap and
+    delta are built on first use and then shared by every predicate of the
+    walk.  Everything stays int16 (the brackets are int8 views of the
+    comparisons), since a promotion to int64 costs more than the arithmetic.
+    """
+
+    def __init__(self, rows: np.ndarray, m: int):
+        self.rows, self.m = rows, np.int16(m)
+        t = rows.T.astype(np.int16)
+        self.cur, self.nxt, self.first, self.last = t[:-1], t[1:], t[:1], t[-1:]
+
+    def __len__(self) -> int:
+        return len(self.rows)
+
+    @cached_property
+    def d(self) -> np.ndarray:
+        """theta(i+1) - theta(i)"""
+        return self.nxt - self.cur
+
+    @cached_property
+    def asc(self) -> np.ndarray:
+        """[theta(i) <= theta(i+1)]"""
+        return (self.cur <= self.nxt).view(np.int8)
+
+    @cached_property
+    def wrap(self) -> np.ndarray:
+        """[theta(m) <= theta(i)]"""
+        return (self.last <= self.cur).view(np.int8)
+
+    @cached_property
+    def delta(self) -> np.ndarray:
+        """Delta_theta(i), the four-term difference sequence of perm_core.delta"""
+        return self.d + self.wrap - (self.first <= self.nxt) - (self.m - 1) * self.asc
 
 
-def _delta_rows(t: np.ndarray, m: int) -> np.ndarray:
-    cur, nxt, first, last = _columns(t)
-    return nxt - cur + (last <= cur) - (first <= nxt) - (m - 1) * (cur <= nxt)
+# Array forms of the per-row predicates: each takes a _Block and the degree
+# and returns the (N,) mask of accepted rows, from the same formula over the
+# block's columns.
+
+def _v_rows(b: _Block, m: int) -> np.ndarray:
+    # d - first + wrap lies in (-2m, m), so it is 0 mod m exactly when it is 0 or -m
+    e = b.d - b.first + b.wrap
+    return ((e == 0) | (e == -m)).all(axis=0)
 
 
-def _v_rows(t: np.ndarray, m: int) -> np.ndarray:
-    cur, nxt, first, last = _columns(t)
-    return ((nxt - cur) % m == (first - (last <= cur)) % m).all(axis=1)
+def _w_rows(b: _Block, m: int) -> np.ndarray:
+    return (b.d == b.first - b.wrap + b.m * (b.asc - 1)).all(axis=0)
 
 
-def _w_rows(t: np.ndarray, m: int) -> np.ndarray:
-    cur, nxt, first, last = _columns(t)
-    return (nxt - cur == first - (last <= cur) + m * ((cur <= nxt) - 1)).all(axis=1)
-
-
-def _y_rows(t: np.ndarray, m: int) -> np.ndarray:
+def _y_rows(b: _Block, m: int) -> np.ndarray:
     if m < 3:
-        return np.ones(len(t), dtype=bool)
-    d = _delta_rows(t, m)
-    return (d == d[:, :1]).all(axis=1)
+        return np.ones(len(b), dtype=bool)
+    return (b.delta == b.delta[:1]).all(axis=0)
 
 
-def _yprime_rows(t: np.ndarray, m: int) -> np.ndarray:
+def _yprime_rows(b: _Block, m: int) -> np.ndarray:
     if m < 3:
         raise ValueError(f"Yprime needs degree >= 3, got {m}")
-    cur, nxt, _, _ = _columns(t)
-    a = (cur <= nxt).sum(axis=1, keepdims=True)
-    return (_delta_rows(t, m) == -a).all(axis=1)
+    return (b.delta == -b.asc.sum(axis=0, dtype=np.int16)).all(axis=0)
 
 
-def _x_rows(t: np.ndarray, m: int) -> np.ndarray:
-    cur, nxt, _, _ = _columns(t)
-    residues = (nxt - cur) % m
-    return (residues.max(axis=1) - residues.min(axis=1) <= 1) & (residues != 0).all(axis=1)
+def _x_rows(b: _Block, m: int) -> np.ndarray:
+    residues = b.d + b.m * (b.d < 0)  # d mod m, as d lies in (-m, m)
+    return (residues.max(axis=0) - residues.min(axis=0) <= 1) & (residues != 0).all(axis=0)
 
 
-def _sosrec_rows(t: np.ndarray, m: int) -> np.ndarray:
-    cur, nxt, first, last = _columns(t)
+def _sosrec_rows(b: _Block, m: int) -> np.ndarray:
+    cur, nxt, first, last = b.cur, b.nxt, b.first, b.last
     bad = (
         ((cur <= m - first) & (nxt != cur + first))
         | ((m - first < cur) & (cur < last) & (nxt != cur + first - last))
         | ((last <= cur) & (nxt != cur - last))
     )
-    return ~bad.any(axis=1)
+    return ~bad.any(axis=0)
 
 
 _ROW_TESTS = {
@@ -196,11 +228,32 @@ _ROW_TESTS = {
 }
 
 
+def _walk(labels: tuple[str, ...], m: int) -> dict[str, np.ndarray]:
+    """The rows of S_m in each labeled class, from one walk of S_m.
+
+    Every predicate sees every block, so the columns a block shares are
+    built once for all of them.  Returns {label: (N, m) uint8 array in
+    lexicographic order}.
+    """
+    tests = {}
+    for label in labels:
+        if label == "Sstar":
+            table = suranyi_table(m).as_array()
+            tests[label] = lambda b, m, table=table: _rows_in(b.rows, table)
+        else:
+            tests[label] = _ROW_TESTS[label]
+    found = {label: [] for label in tests}
+    for rows in _sym(m):
+        block = _Block(rows, m)
+        for label, accept in tests.items():
+            found[label].append(rows[accept(block, m)])
+        del rows, block  # before _sym builds the next block
+    return {label: np.concatenate(parts) for label, parts in found.items()}
+
+
 def _brute(label: str, m: int) -> np.ndarray:
     """The rows of S_m in the class, as an (N, m) uint8 array in lexicographic order."""
-    table = suranyi_table(m).as_array() if label == "Sstar" else None
-    accept = _ROW_TESTS[label] if table is None else (lambda t, m: _rows_in(t, table))
-    return np.concatenate([block[accept(block.astype(np.int16), m)] for block in _sym(m)])
+    return _walk((label,), m)[label]
 
 
 def enumerate_class(label: str, m: int, method: str = "brute", force: bool = False) -> PermClass:
@@ -248,6 +301,19 @@ def enumerate_class(label: str, m: int, method: str = "brute", force: bool = Fal
     return PermClass.from_array(label, m, _brute(label, m))
 
 
+def enumerate_classes(labels: tuple[str, ...], m: int) -> dict[str, PermClass]:
+    """Brute-force classes of degree m, every one from the same walk of S_m.
+
+    labels: Sstar or labels with an array predicate (V, W, Y, Yprime, X,
+    SosRec).  Guarded and validated like enumerate_class, whose degree-1
+    classes are returned at m = 1.
+    """
+    if m <= 1:
+        return {label: enumerate_class(label, m) for label in labels}
+    _check_brute_guard(m)
+    return {label: PermClass.from_array(label, m, rows) for label, rows in _walk(labels, m).items()}
+
+
 def enumerate_sos_recurrence(m: int) -> PermClass:
     """All permutations satisfying the Sos recurrence, by exhaustive search.
 
@@ -276,7 +342,8 @@ def verify_theorems(m_max: int) -> list[dict]:
 
     prev_w = PermClass.from_array("W", 1, np.ones((1, 1), dtype=np.uint8))
     for m in range(2, m_max + 1):
-        v, w, y, x = (enumerate_class(label, m) for label in ("V", "W", "Y", "X"))
+        classes = enumerate_classes(("V", "W", "Y", "X") + (("Yprime",) if m >= 3 else ()), m)
+        v, w, y, x = (classes[label] for label in ("V", "W", "Y", "X"))
         sstar = enumerate_class("Sstar", m, method="farey")
         vl0, vl1 = (enumerate_class(label, m).as_array() for label in ("VL0", "VL1"))
         rows = v.as_array().astype(np.int16)
@@ -284,7 +351,7 @@ def verify_theorems(m_max: int) -> list[dict]:
         record(m, "V = W", v == w, f"|V|={len(v)}, |W|={len(w)}")
         record(m, "W subset of Y", bool(_rows_in(w.as_array(), y.as_array()).all()))
         if m >= 3:
-            record(m, "Y = Yprime", y == enumerate_class("Yprime", m), f"|Y|={len(y)}")
+            record(m, "Y = Yprime", y == classes["Yprime"], f"|Y|={len(y)}")
         record(m, "Y is shift-closed", shift_closure(y) == y)
         record(m, "X = shift-closure of V", x == shift_closure(v), f"|X|={len(x)}")
         record(m, "Sstar (Farey table) = V", sstar == v)

@@ -9,7 +9,9 @@ Two paths evaluate tau.  tau_from_alpha takes one Fraction and builds one
 Permutation; it is the reference.  suranyi_table takes the order-m Farey
 terms as int64 arrays and ranks the keys at every mediant, a block of rows
 per argsort, into one (N, m) array: the Farey route to the class V, which
-uses no congruence and no lifting.
+uses no congruence and no lifting.  verify_invariants checks tau at random
+rationals on int64 arrays, the rank of each key against the closed form of
+tau_explicit.
 """
 from __future__ import annotations
 
@@ -77,6 +79,8 @@ def tau_explicit(m: int, alpha: Fraction) -> Permutation:
 
     The formula is only quoted for alpha that is not an order-m Farey term,
     so reduced denominators <= m are rejected rather than extrapolated.
+    One row of _closed_form_taus: O(m), in int64 where k*p fits and in
+    Python integers otherwise.
     """
     _check_angle(m, alpha)
     p, q = alpha.numerator, alpha.denominator
@@ -85,13 +89,33 @@ def tau_explicit(m: int, alpha: Fraction) -> Permutation:
             f"alpha = {p}/{q} is a term of the order-{m} Farey sequence; "
             "the closed form is undefined there"
         )
-    floors = {k: (k * p) // q for k in range(1 - m, m + 1)}
-    total = sum(floors[j] for j in range(1, m + 1))
-    vals = [
-        m * (1 - floors[i]) + total + sum(floors[i - j] for j in range(1, m + 1))
-        for i in range(1, m + 1)
-    ]
-    return Permutation(vals)
+    dtype = np.int64 if m * q < 1 << 62 else object
+    return Permutation(_closed_form_taus(m, np.array([p], dtype), np.array([q], dtype))[0].tolist())
+
+
+def _closed_form_taus(m: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The closed form of tau_explicit at every p/q, one row each.
+
+    With F(k) = floor(k p / q) for k in 1-m..m and C(k) = F(1-m) + ... + F(k),
+    the two sums of row i are C(m) - C(0) and C(i-1) - C(i-1-m), so a row
+    costs O(m).  p, q: (n,) int64 arrays with m*q < 2^62, or object arrays
+    of Python integers.
+    """
+    floors = np.multiply.outer(p, np.arange(1 - m, m + 1)) // q[:, None]
+    sums = np.zeros((len(p), 2 * m + 1), dtype=floors.dtype)  # sums[:, t] = C(t - m)
+    np.cumsum(floors, axis=1, out=sums[:, 1:])
+    total = sums[:, 2 * m] - sums[:, m]
+    return m * (1 - floors[:, m:]) + total[:, None] + sums[:, m:2 * m] - sums[:, :m]
+
+
+def _rank_taus(m: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """tau at every p/q by its definition, one int64 row each: tau(i) is the
+    1-based rank of the key (i*p) mod q among i in [m].  p, q: (n,) int64
+    arrays of reduced fractions with q > m, so the keys are distinct."""
+    keys = np.multiply.outer(p, np.arange(1, m + 1)) % q[:, None]
+    taus = np.empty_like(keys)
+    taus[np.arange(len(p))[:, None], np.argsort(keys, axis=1)] = np.arange(1, m + 1)
+    return taus
 
 
 def theta_ab(m: int, a: int, b: int) -> Permutation:
@@ -268,13 +292,18 @@ def tau_near_fraction(m: int, a: int, side: str) -> Permutation:
     return tau_from_alpha(m, alpha)
 
 
-def random_interior_rational(m: int, rng: random.Random) -> Fraction:
-    """A uniform-ish reduced fraction in (0, 1) with denominator in (m, 4m]."""
+def _interior_pq(m: int, rng: random.Random) -> tuple[int, int]:
+    """Coprime (p, q) with 0 < p < q and q in (m, 4m], drawn from rng."""
     while True:
         q = rng.randint(m + 1, 4 * m)
         p = rng.randint(1, q - 1)
         if gcd(p, q) == 1:
-            return Fraction(p, q)
+            return p, q
+
+
+def random_interior_rational(m: int, rng: random.Random) -> Fraction:
+    """A uniform-ish reduced fraction in (0, 1) with denominator in (m, 4m]."""
+    return Fraction(*_interior_pq(m, rng))
 
 
 def verify_invariants(m_max: int, samples: int = 200, seed: int = 1729) -> list[dict]:
@@ -284,7 +313,9 @@ def verify_invariants(m_max: int, samples: int = 200, seed: int = 1729) -> list[
     mediant; tau_explicit = tau_from_alpha on seeded random interior
     rationals with the first/last-term identities; the degree-compatibility
     psi(gamma(tau_m)) = tau_{m-1}; and the behavior of tau around each
-    boundary fraction a/m.
+    boundary fraction a/m.  The random rationals are checked as int64
+    arrays, TAU_BLOCK_ROWS at a time: tau by its rank definition
+    (_rank_taus) against the closed form (_closed_form_taus).
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
@@ -299,16 +330,17 @@ def verify_invariants(m_max: int, samples: int = 200, seed: int = 1729) -> list[
         ok = all(tau_from_alpha(m, al) == inverse(sos_from_alpha(m, al)) for al in mediants)
         record(m, "tau = inverse(sos) at mediants", ok, f"{len(mediants)} mediants")
 
-        ok_exp = True
-        ok_fl = True
-        for _ in range(samples):
-            al = random_interior_rational(m, rng)
-            tau = tau_from_alpha(m, al)
-            ok_exp = ok_exp and tau_explicit(m, al) == tau
-            p, q = al.numerator, al.denominator
-            fsum = sum((j * p) // q for j in range(1, m + 1))
-            ok_fl = ok_fl and tau(1) == 1 + (m * p) // q
-            ok_fl = ok_fl and tau(m) == 2 * m + 1 - (m + 1) * tau(1) + 2 * fsum
+        ok_exp = ok_fl = True
+        for start in range(0, samples, TAU_BLOCK_ROWS):
+            # the same rationals, in the same order, as random_interior_rational
+            n = min(TAU_BLOCK_ROWS, samples - start)
+            p, q = np.array([_interior_pq(m, rng) for _ in range(n)], dtype=np.int64).T
+            tau = _rank_taus(m, p, q)
+            ok_exp = ok_exp and np.array_equal(_closed_form_taus(m, p, q), tau)
+            floors = np.multiply.outer(p, np.arange(1, m + 1)) // q[:, None]
+            first, last = tau[:, 0], tau[:, -1]
+            ok_fl = (ok_fl and np.array_equal(first, 1 + floors[:, -1])
+                     and np.array_equal(last, 2 * m + 1 - (m + 1) * first + 2 * floors.sum(axis=1)))
         record(m, "tau_explicit = tau_from_alpha on random rationals", ok_exp, f"{samples} samples")
         record(m, "first/last-term identities", ok_fl, f"{samples} samples")
 

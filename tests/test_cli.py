@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soslift import cli, lifting, perm_sets, trees
+from soslift import cli, lifting, perm_sets, sos, trees
 from soslift.cli import main
 from soslift.farey import totient_sum
 from soslift.lifting import lift_to
@@ -396,6 +396,40 @@ def test_verify_json_passes(capsys: pytest.CaptureFixture) -> None:
     assert all(check["passed"] for check in doc["checks"])
 
 
+# the SHA-256 of verify reports as printed when the random rationals were
+# checked one Permutation at a time: no samples, and samples in three blocks
+VERIFY_SAMPLES_SHA256 = [
+    (["--m-max", "4", "--samples", "0"], "dc3557f52276a2ee3d4d681403cfdf86792599dd8c46eb7001c3f5452d17e7c2"),
+    (["--m-max", "5", "--samples", "9000", "--seed", "3"],
+     "568e416662683607a3bebe1d8498aab3f945cebe6b380bae6f09e0576536a564"),
+]
+
+
+@pytest.mark.parametrize("args, digest", VERIFY_SAMPLES_SHA256)
+def test_verify_samples_report_is_unchanged(capsys: pytest.CaptureFixture, args: list[str],
+                                            digest: str) -> None:
+    assert main(["verify", *args, "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == digest
+    samples = f"{args[3]} samples"
+    assert sum(check["detail"] == samples for check in json.loads(out)["checks"]) == 2 * (int(args[1]) - 1)
+
+
+def test_verify_exits_1_on_one_wrong_closed_form_entry(monkeypatch: pytest.MonkeyPatch,
+                                                      capsys: pytest.CaptureFixture) -> None:
+    closed_form = sos._closed_form_taus
+
+    def perturbed(m, p, q):
+        rows = closed_form(m, p, q)
+        rows[0, 0] += m == 3
+        return rows
+    monkeypatch.setattr(sos, "_closed_form_taus", perturbed)
+    assert main(["verify", "--m-max", "4", "--samples", "5"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert [line for line in lines if line.startswith("FAIL")] == [
+        "FAIL m=3: tau_explicit = tau_from_alpha on random rationals  [5 samples]"]
+
+
 def test_verify_negative_samples_is_usage_error(capsys: pytest.CaptureFixture) -> None:
     assert main(["verify", "--m-max", "3", "--samples", "-1"]) == 2
     captured = capsys.readouterr()
@@ -460,6 +494,15 @@ def test_sosrec_reads_no_permutation_objects(monkeypatch: pytest.MonkeyPatch,
     assert doc["sets_equal"] is True and doc["sos_count"] == totient_sum(7)
 
 
+def test_sosrec_walks_s_m_once(monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture) -> None:
+    walks = []
+    sym = perm_sets._sym
+    monkeypatch.setattr(perm_sets, "_sym", lambda m: walks.append(m) or sym(m))
+    assert main(["sosrec", "--m", "6", "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["sets_equal"] is True
+    assert walks == [6]
+
+
 @pytest.mark.parametrize("m", [3, 5, 6])
 def test_sosrec_report_matches_the_object_comparison(monkeypatch: pytest.MonkeyPatch,
                                                       capsys: pytest.CaptureFixture, m: int) -> None:
@@ -467,7 +510,7 @@ def test_sosrec_report_matches_the_object_comparison(monkeypatch: pytest.MonkeyP
     inverses of V and admits other rows; the report agrees with a comparison of
     Permutation objects."""
     sosrec = perm_sets._ROW_TESTS["SosRec"]
-    monkeypatch.setitem(perm_sets._ROW_TESTS, "SosRec", lambda t, m: sosrec(t, m) ^ (t[:, 0] == 2))
+    monkeypatch.setitem(perm_sets._ROW_TESTS, "SosRec", lambda b, m: sosrec(b, m) ^ (b.rows[:, 0] == 2))
     found = list(perm_sets.enumerate_sos_recurrence(m))
     v_inverses = {inverse(p) for p in perm_sets.enumerate_class("V", m)}
     assert main(["sosrec", "--m", str(m), "--format", "json"]) == 0

@@ -16,6 +16,7 @@ from soslift.perm_sets import (
     _brute,
     _sym,
     enumerate_class,
+    enumerate_classes,
     enumerate_sos_recurrence,
     in_V,
     in_W,
@@ -89,6 +90,37 @@ def test_array_predicates_accept_what_the_row_predicates_accept(m: int) -> None:
         got = _brute(label, m)
         assert got.dtype == np.uint8 and got.shape[1] == m
         assert got.tolist() == [list(p.values) for p in perms if accepts(p)], label
+
+
+@pytest.mark.parametrize("m", range(1, 9))
+def test_one_walk_finds_what_each_label_finds_alone(m: int) -> None:
+    labels = [label for label in (*perm_sets._ROW_TESTS, "Sstar")
+              if (label, m) not in (("Yprime", 1), ("Yprime", 2), ("X", 1))]
+    found = perm_sets._walk(labels, m)
+    assert list(found) == labels
+    for label in labels:
+        assert found[label].dtype == np.uint8
+        assert np.array_equal(found[label], _brute(label, m)), label
+
+
+def test_verify_theorems_walks_each_s_m_once(monkeypatch: pytest.MonkeyPatch) -> None:
+    walks = []
+    sym = perm_sets._sym
+    monkeypatch.setattr(perm_sets, "_sym", lambda m: walks.append(m) or sym(m))
+    assert report_passed(verify_theorems(6))
+    assert walks == [2, 3, 4, 5, 6]
+
+
+def test_enumerate_classes_matches_enumerate_class(monkeypatch: pytest.MonkeyPatch) -> None:
+    labels = ("V", "W", "Y", "X", "SosRec", "Sstar")
+    for m in range(1, 7):
+        classes = enumerate_classes(labels, m)
+        assert all(classes[label] == enumerate_class(label, m) for label in labels)
+    with pytest.raises(ValueError, match="degree must be positive"):
+        enumerate_classes(("V",), 0)
+    monkeypatch.setenv(ENV_MAX_BRUTE_M, "3")
+    with pytest.raises(ValueError, match=r"refused \(cap 3\)"):
+        enumerate_classes(("V", "SosRec"), 4)
 
 
 def test_enumerate_v4_frozen() -> None:

@@ -88,6 +88,34 @@ def test_tau_explicit_matches_counting_form() -> None:
             assert tau_explicit(m, alpha) == tau_from_alpha(m, alpha)
 
 
+def _tau_explicit_reference(m: int, alpha: Fraction) -> Permutation:
+    """The closed form as a dict of floors and an m-term sum per value: O(m^2)."""
+    p, q = alpha.numerator, alpha.denominator
+    floors = {k: (k * p) // q for k in range(1 - m, m + 1)}
+    total = sum(floors[j] for j in range(1, m + 1))
+    return Permutation(m * (1 - floors[i]) + total + sum(floors[i - j] for j in range(1, m + 1))
+                       for i in range(1, m + 1))
+
+
+def test_tau_explicit_matches_the_dict_of_floors_formula() -> None:
+    rng = random.Random(20261018)
+    for m in range(2, 41):
+        for _ in range(10):
+            alpha = random_interior_rational(m, rng)
+            assert tau_explicit(m, alpha) == _tau_explicit_reference(m, alpha)
+    for m in (500, 2000):
+        for alpha in (Fraction(1, m + 1), Fraction(m, m + 1), random_interior_rational(m, rng)):
+            assert tau_explicit(m, alpha) == _tau_explicit_reference(m, alpha)
+
+
+def test_tau_explicit_is_exact_past_int64() -> None:
+    below = (1 << 62) // 3 - 1  # 3 * below < 2^62: the int64 row, with k*p near 2^62
+    for m, alpha in ((3, Fraction(below - 1, below)),
+                     (7, Fraction(10 ** 20 + 1, 10 ** 20 + 3)),
+                     (50, Fraction(2 ** 70 - 1, 2 ** 70 + 1))):
+        assert tau_explicit(m, alpha) == _tau_explicit_reference(m, alpha) == tau_from_alpha(m, alpha)
+
+
 def test_tau_explicit_rejects_farey_terms() -> None:
     with pytest.raises(ValueError, match="closed form is undefined"):
         tau_explicit(4, Fraction(2, 3))
@@ -275,3 +303,55 @@ def test_verify_invariants_passes_and_reports() -> None:
     assert "tau = inverse(sos) at mediants" in checks
     expected_keys = {"m", "check", "passed", "detail"}
     assert all(set(r) == expected_keys for r in records)
+
+
+def _record_closed_forms(monkeypatch: pytest.MonkeyPatch, perturb=None) -> list:
+    """Wrap sos._closed_form_taus; every call appends (m, p, q, rows), after perturb(m, rows)."""
+    calls = []
+    closed_form = sos._closed_form_taus
+
+    def recording(m, p, q):
+        rows = closed_form(m, p, q)
+        if perturb is not None:
+            perturb(m, rows)
+        calls.append((m, p.tolist(), q.tolist(), rows))
+        return rows
+    monkeypatch.setattr(sos, "_closed_form_taus", recording)
+    return calls
+
+
+def test_verify_invariants_draws_what_random_interior_rational_draws(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    calls = _record_closed_forms(monkeypatch)
+    verify_invariants(5, samples=30, seed=7)
+    rng = random.Random(7)
+    expected = [(m, random_interior_rational(m, rng)) for m in range(2, 6) for _ in range(30)]
+    assert [(m, Fraction(p, q)) for m, ps, qs, _ in calls for p, q in zip(ps, qs)] == expected
+
+
+def test_verify_invariants_blocks_agree_with_one_sample_at_a_time(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    whole = verify_invariants(6, samples=20, seed=3)
+    monkeypatch.setattr(sos, "TAU_BLOCK_ROWS", 7)
+    calls = _record_closed_forms(monkeypatch)
+    assert verify_invariants(6, samples=20, seed=3) == whole
+    assert [len(ps) for _, ps, _, _ in calls] == [7, 7, 6] * 5
+    for m, ps, qs, rows in calls:
+        taus = sos._rank_taus(m, np.array(ps), np.array(qs))
+        for p, q, row, tau in zip(ps, qs, rows.tolist(), taus.tolist()):
+            assert row == list(_tau_explicit_reference(m, Fraction(p, q)).values)
+            assert tau == list(tau_from_alpha(m, Fraction(p, q)).values)
+
+
+def test_verify_invariants_fails_on_one_wrong_closed_form_entry(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    monkeypatch.setattr(sos, "TAU_BLOCK_ROWS", 4)
+    degrees = []
+
+    def perturb(m, rows):
+        degrees.append(m)
+        if m == 4 and degrees.count(4) == 2:  # the middle of the blocks 4, 4, 2 at degree 4
+            rows[-1, -1] += 1
+    _record_closed_forms(monkeypatch, perturb)
+    failed = {(r["m"], r["check"]) for r in verify_invariants(5, samples=10, seed=1) if not r["passed"]}
+    assert failed == {(4, "tau_explicit = tau_from_alpha on random rationals")}
