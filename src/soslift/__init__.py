@@ -31,7 +31,6 @@ from .perm_core import (
 from .perm_sets import (
     enumerate_class,
     enumerate_classes,
-    enumerate_sos_recurrence,
     in_V,
     in_W,
     in_X,

@@ -12,6 +12,7 @@ import argparse
 import json
 import os
 import sys
+from array import array
 
 import numpy as np
 
@@ -23,7 +24,7 @@ from .farey import (
     parse_fraction,
 )
 from .lifting import check_lift_degree, lift_once, lift_to, project
-from .perm_core import PermClass, Permutation, _rows_in, format_rows
+from .perm_core import PermClass, Permutation, _json_values, _rows_in, format_rows
 from .perm_sets import (
     LABELS,
     METHODS,
@@ -72,14 +73,21 @@ def _cmd_lift(args) -> int:
     if args.input and args.from_m is None:
         raise ValueError("--input holds V of degree --from-m and cannot be combined with --to-m")
     if args.input:
-        check_lift_degree(args.from_m + 1, args.force)
+        m = args.from_m
+        check_lift_degree(m + 1, args.force)
         try:
+            values = array("q")  # the int64 values of every row, in file order
             with open(args.input, encoding="utf-8") as fh:
-                members = [Permutation.from_json(json.loads(line)) for line in fh if line.strip()]
-            vprev = PermClass("V", args.from_m, members)
-        except (OSError, KeyError, TypeError, ValueError) as exc:
+                for line in filter(str.strip, fh):
+                    row = _json_values(json.loads(line))
+                    if len(row) != m:
+                        raise ValueError(f"degree mismatch in V: expected {m}, got {len(row)}")
+                    values.extend(row)
+            vprev = PermClass.from_array("V", m, np.frombuffer(values, dtype=np.int64).reshape(-1, m))
+        except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
             # ValueError covers undecodable bytes, bad JSON, rows that are not
-            # permutations and rows whose degree is not --from-m
+            # permutations and rows whose degree is not --from-m; OverflowError
+            # covers values beyond int64
             raise ValueError(f"cannot read {args.input}: {type(exc).__name__}: {exc}") from None
         if len(vprev) == 0:
             raise ValueError(f"no permutations read from {args.input}")

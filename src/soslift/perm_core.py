@@ -88,12 +88,7 @@ class Permutation:
 
     @classmethod
     def from_json(cls, obj: dict) -> "Permutation":
-        vals = obj["values"]
-        if not isinstance(vals, list) or not all(type(v) is int for v in vals):
-            raise TypeError(f"JSON permutation values must be a list of integers, got {vals!r}")
-        if obj.get("m", len(vals)) != len(vals):
-            raise ValueError(f"inconsistent JSON permutation: m={obj['m']} but {len(vals)} values")
-        return cls(vals)
+        return cls(_json_values(obj))
 
     def to_json(self) -> dict:
         return {"m": self.m, "values": list(self._values)}
@@ -134,6 +129,18 @@ class Permutation:
 
     def __str__(self) -> str:
         return self.one_line()
+
+
+def _json_values(obj: dict) -> list[int]:
+    """The values of a JSON permutation object: a list of integers (no bools)
+    whose length is obj["m"] when that is given.  They are not yet checked to
+    be a permutation."""
+    vals = obj["values"]
+    if not isinstance(vals, list) or not {int}.issuperset(map(type, vals)):
+        raise TypeError(f"JSON permutation values must be a list of integers, got {vals!r}")
+    if obj.get("m", len(vals)) != len(vals):
+        raise ValueError(f"inconsistent JSON permutation: m={obj['m']} but {len(vals)} values")
+    return vals
 
 
 def shift(theta: Permutation, k: int) -> Permutation:
@@ -397,13 +404,7 @@ class PermClass:
         return f"PermClass({self.label!r}, m={self.m}, size={len(self)})"
 
 
-def shift_closure(perms):
-    """Saturate a collection of permutations under all shifts.
-
-    Accepts any iterable of Permutation; given a PermClass, returns a
-    PermClass with the same label.  Idempotent.
-    """
-    if isinstance(perms, PermClass):
-        m, rows = perms.m, perms.as_array().astype(np.int32)
-        return PermClass.from_array(perms.label, m, np.concatenate([(rows + k) % m + 1 for k in range(m)]))
-    return tuple(sorted({shift(p, k) for p in perms for k in range(p.m)}))
+def shift_closure(perms: PermClass) -> PermClass:
+    """The class saturated under all shifts, with the same label.  Idempotent."""
+    m, rows = perms.m, perms.as_array().astype(np.int32)
+    return PermClass.from_array(perms.label, m, np.concatenate([(rows + k) % m + 1 for k in range(m)]))

@@ -11,7 +11,9 @@ Classes by label:
   SstarTilde  shift closure of Sstar
   VL0/VL1 affine layers {theta_ab(m, a, b) : gcd(a, m) = 1}
   Vminus  V minus VL1
-  SosRec  permutations satisfying the three-case Sos recurrence (exploratory)
+  SosRec  permutations satisfying the three-case Sos recurrence (exploratory:
+          whether it ever exceeds the inverses of V is open; compare it with
+          {inverse(theta) : theta in V} yourself, no claim is encoded here)
 
 Brute-force enumeration walks the symmetric group in lexicographic order as
 uint8 blocks, one per (theta(1), theta(2)) prefix, and tests every row of a
@@ -204,6 +206,8 @@ def _yprime_rows(b: _Block, m: int) -> np.ndarray:
 
 
 def _x_rows(b: _Block, m: int) -> np.ndarray:
+    if m < 2:
+        return np.ones(len(b), dtype=bool)
     residues = b.d + b.m * (b.d < 0)  # d mod m, as d lies in (-m, m)
     return (residues.max(axis=0) - residues.min(axis=0) <= 1) & (residues != 0).all(axis=0)
 
@@ -226,6 +230,7 @@ _ROW_TESTS = {
     "X": _x_rows,
     "SosRec": _sosrec_rows,
 }
+WALK_LABELS = (*_ROW_TESTS, "Sstar")
 
 
 def _walk(labels: tuple[str, ...], m: int) -> dict[str, np.ndarray]:
@@ -290,12 +295,6 @@ def enumerate_class(label: str, m: int, method: str = "brute", force: bool = Fal
     if label == "Vminus":
         v, vl1 = _brute("V", m), enumerate_class("VL1", m).as_array()
         return PermClass.from_array(label, m, v[~_rows_in(v, vl1)])
-    if m == 1:
-        # every other class degenerates to S_1 except the delta-based ones,
-        # which are undefined below degree 2
-        if label in ("Yprime",):
-            raise ValueError("Yprime needs degree >= 3")
-        return PermClass.from_array(label, 1, np.ones((1, 1), dtype=np.uint8))
     if label == "SstarTilde":
         return shift_closure(PermClass.from_array(label, m, _brute("Sstar", m)))
     return PermClass.from_array(label, m, _brute(label, m))
@@ -304,24 +303,16 @@ def enumerate_class(label: str, m: int, method: str = "brute", force: bool = Fal
 def enumerate_classes(labels: tuple[str, ...], m: int) -> dict[str, PermClass]:
     """Brute-force classes of degree m, every one from the same walk of S_m.
 
-    labels: Sstar or labels with an array predicate (V, W, Y, Yprime, X,
-    SosRec).  Guarded and validated like enumerate_class, whose degree-1
-    classes are returned at m = 1.
+    labels: from WALK_LABELS, Sstar and the labels with an array predicate.
+    Guarded and validated like enumerate_class.
     """
-    if m <= 1:
-        return {label: enumerate_class(label, m) for label in labels}
+    unknown = [label for label in labels if label not in WALK_LABELS]
+    if unknown:
+        raise ValueError(f"enumerate_classes walks only {WALK_LABELS}, not {unknown}")
+    if m < 1:
+        raise ValueError(f"degree must be positive, got {m}")
     _check_brute_guard(m)
     return {label: PermClass.from_array(label, m, rows) for label, rows in _walk(labels, m).items()}
-
-
-def enumerate_sos_recurrence(m: int) -> PermClass:
-    """All permutations satisfying the Sos recurrence, by exhaustive search.
-
-    Whether this set ever exceeds the genuine Sos permutations is an open
-    question; compare it against {inverse(theta) : theta in V} yourself, no
-    claim is encoded here.
-    """
-    return enumerate_class("SosRec", m)
 
 
 def verify_theorems(m_max: int) -> list[dict]:

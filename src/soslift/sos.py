@@ -6,11 +6,11 @@ here work with.  All angle arithmetic is exact: the fractional part {i*p/q}
 is represented by the integer key (i*p) mod q, never by a float.
 
 Two paths evaluate tau.  tau_from_alpha takes one Fraction and builds one
-Permutation; it is the reference.  suranyi_table takes the order-m Farey
-terms as int64 arrays and ranks the keys at every mediant, a block of rows
-per argsort, into one (N, m) array: the Farey route to the class V, which
-uses no congruence and no lifting.  verify_invariants checks tau at random
-rationals on int64 arrays, the rank of each key against the closed form of
+Permutation; it is the reference.  _rank_taus ranks the keys at many p/q
+at once, a block of rows per argsort.  suranyi_table runs it at the
+mediants of the order-m Farey terms, into one (N, m) array: the Farey route
+to the class V, which uses no congruence and no lifting.  verify_invariants
+runs it at random rationals and checks each row against the closed form of
 tau_explicit.
 """
 from __future__ import annotations
@@ -108,16 +108,6 @@ def _closed_form_taus(m: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return m * (1 - floors[:, m:]) + total[:, None] + sums[:, m:2 * m] - sums[:, :m]
 
 
-def _rank_taus(m: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """tau at every p/q by its definition, one int64 row each: tau(i) is the
-    1-based rank of the key (i*p) mod q among i in [m].  p, q: (n,) int64
-    arrays of reduced fractions with q > m, so the keys are distinct."""
-    keys = np.multiply.outer(p, np.arange(1, m + 1)) % q[:, None]
-    taus = np.empty_like(keys)
-    taus[np.arange(len(p))[:, None], np.argsort(keys, axis=1)] = np.arange(1, m + 1)
-    return taus
-
-
 def theta_ab(m: int, a: int, b: int) -> Permutation:
     """The affine permutation i -> ((a i + b - 1) mod m) + 1.
 
@@ -158,20 +148,28 @@ def satisfies_sos_recurrence(sigma: Permutation) -> bool:
 TAU_BLOCK_ROWS = 4096
 
 
-def mediant_taus(m: int, num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """tau at the mediant of every interval between consecutive terms, one row each.
+def _check_tau_keys(m: int, p_max: int, q_max: int) -> None:
+    """Refuse angles p/q with p <= p_max and q <= q_max whose tau keys _rank_taus
+    cannot hold: the products i*p, i in [m], in int32 and the keys (i*p) mod q
+    in uint16.  A mediant of order m has p <= q <= 2m, which fits below degree 2^15."""
+    if m * p_max >= 1 << 31 or q_max > 1 << 16:
+        raise ValueError(f"tau keys of degree {m} do not fit uint16 keys and int32 products "
+                         f"(p up to {p_max}, q up to {q_max})")
 
-    num, den: int64 arrays of the order-m Farey terms.  The mediant p/q of
-    interval t has q > m, so the keys (i*p) mod q, i in [m], are distinct
-    and tau(i) is the 1-based rank of key i: one argsort per block of
-    TAU_BLOCK_ROWS rows, inverted by a scatter.  Rows have dtype
-    _dtype_for(m).  p <= q <= 2m, so below degree 2^15 the products i*p
-    fit int32 and the keys uint16, which a stable argsort ranks by radix.
+
+def _rank_taus(m: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """tau at every p/q by its definition, one row of dtype _dtype_for(m) each.
+
+    p, q: (n,) integer arrays of reduced fractions with q > m, so the keys
+    (i*p) mod q, i in [m], are distinct and tau(i) is the 1-based rank of
+    key i: one argsort per block of TAU_BLOCK_ROWS rows, inverted by a
+    scatter.  The products i*p are int32 and the keys uint16, which a
+    stable argsort ranks by radix; p, q that do not fit are refused
+    (_check_tau_keys) before any work.
     """
-    if m >= 1 << 15:
-        raise ValueError(f"tau keys of degree {m} do not fit uint16")
-    p = (num[:-1] + num[1:]).astype(np.int32)
-    q = (den[:-1] + den[1:]).astype(np.int32)
+    if len(p):
+        _check_tau_keys(m, int(p.max()), int(q.max()))
+    p, q = p.astype(np.int32), q.astype(np.int32)
     i = np.arange(1, m + 1, dtype=np.int32)
     rows = np.empty((len(p), m), dtype=_dtype_for(m))
     ranks = np.arange(1, m + 1, dtype=rows.dtype)
@@ -209,8 +207,7 @@ class SuranyiTable:
     and num[t]/den[t] (read-only int64 arrays); row t-1 of as_array() is tau
     at its mediant.  The rows are pairwise distinct and enumerate the
     degree-m class V, in the order of the generation tree.  ``entries[t-1]``
-    is (F_t, tau) and ``permutations()`` the tau column; both build their
-    objects on access.
+    is (F_t, tau), built on access.
     """
 
     __slots__ = ("m", "num", "den", "_rows")
@@ -229,15 +226,10 @@ class SuranyiTable:
         lo = Fraction(int(self.num[t - 1]), int(self.den[t - 1]))
         return FareyInterval(lo, Fraction(int(self.num[t]), int(self.den[t])), t)
 
-    def _perm(self, t: int) -> Permutation:
-        return Permutation(self._rows[t].tolist())
-
     @property
     def entries(self) -> Sequence[tuple[FareyInterval, Permutation]]:
-        return _RowView(len(self._rows), lambda t: (self.interval(t + 1), self._perm(t)))
-
-    def permutations(self) -> Sequence[Permutation]:
-        return _RowView(len(self._rows), self._perm)
+        return _RowView(len(self._rows),
+                        lambda t: (self.interval(t + 1), Permutation(self._rows[t].tolist())))
 
     def interval_of(self, perm: Permutation) -> FareyInterval:
         hits = _rows_in(self._rows, np.array([perm.values])) if perm.m == self.m else ()
@@ -255,11 +247,12 @@ def suranyi_table(m: int) -> SuranyiTable:
     """
     if m < 1:
         raise ValueError(f"degree must be positive, got {m}")
+    _check_tau_keys(m, 2 * m, 2 * m)
     num, den = farey_terms(m)
     apart = (num[1:] * den[:-1] - num[:-1] * den[1:] != 1) | (den[:-1] + den[1:] <= m)
     if apart.any():
         raise AssertionError(f"non-adjacent Farey intervals at index {int(np.argmax(apart)) + 1}")
-    rows = mediant_taus(m, num, den)
+    rows = _rank_taus(m, num[:-1] + num[1:], den[:-1] + den[1:])
     items = _row_items(rows)
     items.sort()
     if (items[1:] == items[:-1]).any():
@@ -313,9 +306,9 @@ def verify_invariants(m_max: int, samples: int = 200, seed: int = 1729) -> list[
     mediant; tau_explicit = tau_from_alpha on seeded random interior
     rationals with the first/last-term identities; the degree-compatibility
     psi(gamma(tau_m)) = tau_{m-1}; and the behavior of tau around each
-    boundary fraction a/m.  The random rationals are checked as int64
-    arrays, TAU_BLOCK_ROWS at a time: tau by its rank definition
-    (_rank_taus) against the closed form (_closed_form_taus).
+    boundary fraction a/m.  The random rationals are checked as arrays,
+    TAU_BLOCK_ROWS at a time: tau by its rank definition (_rank_taus)
+    against the closed form (_closed_form_taus).
     """
     if samples < 0:
         raise ValueError(f"samples must be non-negative, got {samples}")
@@ -335,7 +328,7 @@ def verify_invariants(m_max: int, samples: int = 200, seed: int = 1729) -> list[
             # the same rationals, in the same order, as random_interior_rational
             n = min(TAU_BLOCK_ROWS, samples - start)
             p, q = np.array([_interior_pq(m, rng) for _ in range(n)], dtype=np.int64).T
-            tau = _rank_taus(m, p, q)
+            tau = _rank_taus(m, p, q).astype(np.int64)  # the identities below wrap in uint8
             ok_exp = ok_exp and np.array_equal(_closed_form_taus(m, p, q), tau)
             floors = np.multiply.outer(p, np.arange(1, m + 1)) // q[:, None]
             first, last = tau[:, 0], tau[:, -1]

@@ -109,7 +109,8 @@ def test_lift_input_missing_file_is_usage_error(tmp_path: Path, capsys: pytest.C
     ['{"m": 3}', "[1, 2, 3]", '"123"', "not json", b"\xff\xfe\n",
      '{"values": [1.9, 2.2, 3.0]}', '{"values": [true, 2, 3]}', '{"values": ["2", "1", "3"]}',
      '{"values": "123"}', '{"m": 3, "values": [1, 1, 2]}', '{"m": 4, "values": [1, 2, 3]}',
-     '{"m": 4, "values": [1, 2, 3, 4]}'],
+     '{"m": 4, "values": [1, 2, 3, 4]}', '{"values": [1, 2, 4]}',
+     '{"values": [2, 1, 18446744073709551617]}', '{"values": [1, 2, 3]}\n{"values": [2, 1]}'],
 )
 def test_lift_input_malformed_line_is_usage_error(
     tmp_path: Path, capsys: pytest.CaptureFixture, line: str | bytes
@@ -123,6 +124,28 @@ def test_lift_input_malformed_line_is_usage_error(
     err = capsys.readouterr().err
     assert err.startswith(f"error: cannot read {src}")
     assert len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("text", ["", "\n  \n"])
+def test_lift_input_without_rows_is_usage_error(
+        tmp_path: Path, capsys: pytest.CaptureFixture, text: str) -> None:
+    src = tmp_path / "empty.jsonl"
+    src.write_text(text, encoding="utf-8")
+    assert main(["lift", "--from-m", "3", "--input", str(src)]) == 2
+    assert capsys.readouterr().err == f"error: no permutations read from {src}\n"
+
+
+def test_lift_input_round_trip_equals_the_next_degree(
+        tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
+    # the paper's closing procedure from data alone: V_60 as JSON lines, lifted once
+    src = tmp_path / "v60.jsonl"
+    assert main(["lift", "--to-m", "60", "--format", "json"]) == 0
+    src.write_text(capsys.readouterr().out, encoding="utf-8")
+    assert main(["lift", "--from-m", "60", "--input", str(src)]) == 0
+    lifted = capsys.readouterr().out
+    assert main(["lift", "--to-m", "61"]) == 0
+    assert lifted == capsys.readouterr().out
+    assert len(lifted.splitlines()) == totient_sum(61)
 
 
 def test_lift_input_with_to_m_is_usage_error(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
@@ -511,7 +534,7 @@ def test_sosrec_report_matches_the_object_comparison(monkeypatch: pytest.MonkeyP
     Permutation objects."""
     sosrec = perm_sets._ROW_TESTS["SosRec"]
     monkeypatch.setitem(perm_sets._ROW_TESTS, "SosRec", lambda b, m: sosrec(b, m) ^ (b.rows[:, 0] == 2))
-    found = list(perm_sets.enumerate_sos_recurrence(m))
+    found = list(perm_sets.enumerate_class("SosRec", m))
     v_inverses = {inverse(p) for p in perm_sets.enumerate_class("V", m)}
     assert main(["sosrec", "--m", str(m), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -299,9 +299,9 @@ def test_format_rows_builds_each_token_table_once(monkeypatch: pytest.MonkeyPatc
     assert not any(a.flags.writeable for a in perm_core._encoding(40, "oneline"))
 
 
-def test_shift_closure_of_iterable() -> None:
-    closed = shift_closure([_p("12")])
-    assert closed == (_p("12"), _p("21"))
+def test_shift_closure_of_a_single_row() -> None:
+    closed = shift_closure(PermClass("V", 2, [_p("12")]))
+    assert closed.members == (_p("12"), _p("21"))
 
 
 def test_shift_closure_is_idempotent_and_preserves_label() -> None:

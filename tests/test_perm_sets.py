@@ -17,7 +17,6 @@ from soslift.perm_sets import (
     _sym,
     enumerate_class,
     enumerate_classes,
-    enumerate_sos_recurrence,
     in_V,
     in_W,
     in_X,
@@ -74,6 +73,7 @@ def test_sym_blocks_are_the_symmetric_group_in_order() -> None:
 @pytest.mark.parametrize("m", range(1, 9))
 def test_array_predicates_accept_what_the_row_predicates_accept(m: int) -> None:
     perms = [Permutation(p) for p in itertools.permutations(range(1, m + 1))]
+    table = set(map(tuple, suranyi_table(m).as_array().tolist()))
     row_tests = {
         "V": in_V,
         "W": in_W,
@@ -81,7 +81,7 @@ def test_array_predicates_accept_what_the_row_predicates_accept(m: int) -> None:
         "Yprime": in_Yprime,
         "X": in_X,
         "SosRec": satisfies_sos_recurrence,
-        "Sstar": set(suranyi_table(m).permutations()).__contains__,
+        "Sstar": lambda p: p.values in table,
     }
     for label, accepts in row_tests.items():
         # Yprime is defined from degree 3, and the difference set of X from 2
@@ -94,8 +94,8 @@ def test_array_predicates_accept_what_the_row_predicates_accept(m: int) -> None:
 
 @pytest.mark.parametrize("m", range(1, 9))
 def test_one_walk_finds_what_each_label_finds_alone(m: int) -> None:
-    labels = [label for label in (*perm_sets._ROW_TESTS, "Sstar")
-              if (label, m) not in (("Yprime", 1), ("Yprime", 2), ("X", 1))]
+    labels = [label for label in perm_sets.WALK_LABELS
+              if (label, m) not in (("Yprime", 1), ("Yprime", 2))]
     found = perm_sets._walk(labels, m)
     assert list(found) == labels
     for label in labels:
@@ -121,6 +121,28 @@ def test_enumerate_classes_matches_enumerate_class(monkeypatch: pytest.MonkeyPat
     monkeypatch.setenv(ENV_MAX_BRUTE_M, "3")
     with pytest.raises(ValueError, match=r"refused \(cap 3\)"):
         enumerate_classes(("V", "SosRec"), 4)
+
+
+def test_enumerate_classes_matches_enumerate_class_at_degree_1() -> None:
+    for label in perm_sets.WALK_LABELS:
+        if label == "Yprime":
+            for enumerate_one in (enumerate_class, lambda label, m: enumerate_classes((label,), m)):
+                with pytest.raises(ValueError, match="Yprime needs degree >= 3"):
+                    enumerate_one(label, 1)
+            continue
+        one = enumerate_classes((label,), 1)[label]
+        assert one == enumerate_class(label, 1) == PermClass("S1", 1, [_p("1")]), label
+
+
+@pytest.mark.parametrize("label", ["Vminus", "VL0", "Q"])
+def test_enumerate_classes_refuses_labels_it_cannot_walk(
+        monkeypatch: pytest.MonkeyPatch, label: str) -> None:
+    def no_walk(m):
+        raise AssertionError("walked S_m")
+    monkeypatch.setattr(perm_sets, "_sym", no_walk)
+    with pytest.raises(ValueError, match=r"walks only \('V', 'W', 'Y', 'Yprime', 'X', 'SosRec', "
+                                         r"'Sstar'\), not \[" + repr(label)):
+        enumerate_classes(("V", label), 5)
 
 
 def test_enumerate_v4_frozen() -> None:
@@ -181,7 +203,7 @@ def test_sos_recurrence_class_small_counts() -> None:
     # to coincide with |V_m| at these degrees
     counts = {2: 2, 3: 4, 4: 6, 5: 10, 6: 12}
     for m, n in counts.items():
-        rec = enumerate_sos_recurrence(m)
+        rec = enumerate_class("SosRec", m)
         assert len(rec) == n
         inv_v = {inverse(p) for p in enumerate_class("V", m)}
         assert inv_v <= set(rec)

@@ -1,5 +1,5 @@
-"""Property tests: PermClass's canonical form, the projection of lifted children and
-the round trip of formatted rows."""
+"""Property tests: PermClass's canonical form, the projection of lifted children, the
+round trip of formatted rows, and the shift, gamma and psi maps."""
 from __future__ import annotations
 
 import json
@@ -9,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soslift.lifting import Level, lift_fibers, lift_to, project
-from soslift.perm_core import PermClass, Permutation, _dtype_for, format_rows
+from soslift.perm_core import (PermClass, Permutation, _dtype_for, format_rows, gamma, psi,
+                               psi_inverse, shift, shift_closure, shift_equivalent)
 
 INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
 
@@ -90,3 +91,41 @@ def test_formatted_lines_parse_back_to_their_rows(case) -> None:
         text = format_rows(rows, m, fmt)
         assert text.endswith("\n") or not len(rows)
         assert [parse(line).values for line in text.splitlines()] == list(map(tuple, rows.tolist()))
+
+
+@st.composite
+def perms(draw, min_m=1):
+    """A permutation of degree 1..12, at least min_m."""
+    m = draw(st.integers(min_m, 12))
+    return Permutation(draw(st.permutations(range(1, m + 1))))
+
+
+@given(perms(), st.integers(-30, 30), st.integers(-30, 30))
+def test_shifts_compose_and_wrap_at_the_degree(theta, j, k) -> None:
+    assert shift(shift(theta, j), k) == shift(theta, j + k)
+    assert shift(theta, theta.m) == theta
+    assert shift_equivalent(theta, shift(theta, k))
+
+
+@given(perms())
+def test_gamma_is_the_shift_that_starts_at_1(theta) -> None:
+    g = gamma(theta)
+    assert g(1) == 1
+    assert g == shift(theta, 1 - theta(1))
+    assert shift_equivalent(theta, g)
+
+
+@given(perms(min_m=2))
+def test_psi_inverse_undoes_psi(theta) -> None:
+    fixed = gamma(theta)  # psi is defined where theta(1) = 1
+    assert psi_inverse(psi(fixed)) == fixed
+    assert psi(psi_inverse(theta)) == theta
+
+
+@given(st.integers(1, 7).flatmap(lambda m: st.lists(st.permutations(range(1, m + 1)), max_size=8)
+                                 .map(lambda rows: (m, rows))))
+def test_shift_closure_of_a_class_equals_the_object_shifts(case) -> None:
+    m, rows = case
+    closed = shift_closure(PermClass("X", m, map(Permutation, rows)))
+    assert closed.label == "X"
+    assert set(closed) == {shift(Permutation(r), k) for r in rows for k in range(m)}

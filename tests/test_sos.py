@@ -202,7 +202,7 @@ def test_suranyi_table_m4_frozen() -> None:
 def test_suranyi_table_is_injective_and_indexed() -> None:
     for m in range(1, 11):
         table = suranyi_table(m)
-        perms = table.permutations()
+        perms = [p for _, p in table.entries]
         assert len(perms) == len(set(perms))
         assert len(perms) == len(farey_intervals(m))
         for iv, p in table.entries:
@@ -223,11 +223,12 @@ def test_table_rows_are_tau_at_every_mediant() -> None:
 def test_table_views_build_rows_on_access() -> None:
     table = suranyi_table(9)
     n = totient_sum(9)
-    assert len(table.entries) == len(table.permutations()) == n
+    assert len(table.entries) == len(table.as_array()) == n
     assert table.entries[-1] == table.entries[n - 1]
     assert table.entries[0][0] == farey_intervals(9)[0]
+    assert table.entries[5][1].values == tuple(table.as_array()[5].tolist())
     with pytest.raises(IndexError):
-        table.permutations()[n]
+        table.entries[n]
     with pytest.raises(KeyError, match="not in the order-9 table"):
         table.interval_of(_p("1234"))
 
@@ -249,13 +250,13 @@ def test_suranyi_table_checks_its_rows(monkeypatch: pytest.MonkeyPatch) -> None:
         with pytest.raises(AssertionError, match="expected 12 intervals, built 11"):
             suranyi_table(6)
     with monkeypatch.context() as patch:
-        real = sos.mediant_taus
+        real = sos._rank_taus
 
-        def colliding(m, num, den):
-            rows = real(m, num, den)
+        def colliding(m, p, q):
+            rows = real(m, p, q)
             rows[-1] = rows[0]
             return rows
-        patch.setattr(sos, "mediant_taus", colliding)
+        patch.setattr(sos, "_rank_taus", colliding)
         with pytest.raises(AssertionError, match="tau collision in the order-6 table"):
             suranyi_table(6)
 
@@ -355,3 +356,32 @@ def test_verify_invariants_fails_on_one_wrong_closed_form_entry(
     _record_closed_forms(monkeypatch, perturb)
     failed = {(r["m"], r["check"]) for r in verify_invariants(5, samples=10, seed=1) if not r["passed"]}
     assert failed == {(4, "tau_explicit = tau_from_alpha on random rationals")}
+
+
+def test_rank_taus_matches_tau_from_alpha_across_dtypes() -> None:
+    rng = random.Random(21)
+    for m in (1, 2, 7, 255, 256, 300):
+        pq = [(1, m + 1)] + [sos._interior_pq(m, rng) for _ in range(5)]
+        p, q = np.array(pq, dtype=np.int64).T
+        rows = sos._rank_taus(m, p, q)
+        assert rows.dtype == _dtype_for(m)
+        assert rows.tolist() == [list(tau_from_alpha(m, Fraction(*f)).values) for f in pq]
+
+
+def test_rank_taus_refuses_keys_that_overflow() -> None:
+    # (i*p) mod q fits uint16 up to q = 2^16, and i*p fits int32 below 2^31
+    for m, p, q in ((4, 3, (1 << 16) + 1), (40_000, 60_001, 1 << 16)):
+        with pytest.raises(ValueError, match=f"tau keys of degree {m} do not fit"):
+            sos._rank_taus(m, np.array([1, p]), np.array([q, q]))
+    assert sos._rank_taus(3, np.array([], dtype=np.int64), np.array([], dtype=np.int64)).shape == (0, 3)
+
+
+def test_suranyi_table_refuses_before_it_builds_the_terms(monkeypatch: pytest.MonkeyPatch) -> None:
+    def no_terms(m):
+        raise AssertionError(f"built the order-{m} terms")
+    monkeypatch.setattr(sos, "farey_terms", no_terms)
+    with pytest.raises(ValueError, match=f"tau keys of degree {1 << 15} do not fit"):
+        suranyi_table(1 << 15)
+    # the largest degree whose mediants fit goes on to build its terms
+    with pytest.raises(AssertionError, match=f"built the order-{(1 << 15) - 1} terms"):
+        suranyi_table((1 << 15) - 1)
