@@ -23,7 +23,7 @@ from .farey import (
     fraction_to_json,
     parse_fraction,
 )
-from .lifting import check_lift_degree, lift_once, lift_to, project
+from .lifting import MAX_LIFT_DEGREE, Level, check_lift_degree, lift_once, lift_to, project
 from .perm_core import PermClass, Permutation, _json_values, _rows_in, format_rows
 from .perm_sets import (
     LABELS,
@@ -83,15 +83,14 @@ def _cmd_lift(args) -> int:
                     if len(row) != m:
                         raise ValueError(f"degree mismatch in V: expected {m}, got {len(row)}")
                     values.extend(row)
-            vprev = PermClass.from_array("V", m, np.frombuffer(values, dtype=np.int64).reshape(-1, m))
+            parents = Level.from_rows(np.frombuffer(values, dtype=np.int64).reshape(-1, m))
         except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
-            # ValueError covers undecodable bytes, bad JSON, rows that are not
-            # permutations and rows whose degree is not --from-m; OverflowError
-            # covers values beyond int64
+            # ValueError covers undecodable bytes, bad JSON, rows outside V and
+            # rows whose degree is not --from-m; OverflowError, values beyond int64
             raise ValueError(f"cannot read {args.input}: {type(exc).__name__}: {exc}") from None
-        if len(vprev) == 0:
+        if len(parents) == 0:
             raise ValueError(f"no permutations read from {args.input}")
-        out = lift_once(vprev)
+        out = lift_once(parents)
     else:
         out = lift_to(args.to_m if args.to_m is not None else args.from_m + 1, args.force)
     _print_class(out, args.format)
@@ -111,6 +110,8 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_farey(args) -> int:
+    if args.m > MAX_LIFT_DEGREE:
+        raise ValueError(f"order {args.m} exceeds the supported ceiling {MAX_LIFT_DEGREE}")
     terms = farey_sequence(args.m)
     intervals = farey_intervals(args.m)
     if args.format == "json":

@@ -160,9 +160,10 @@ def lift_fibers(parents: Level) -> tuple[Level, np.ndarray, np.ndarray]:
     return children, parent_index, tags
 
 
-def lift_once(vprev: PermClass) -> PermClass:
-    """Lift the degree-(m-1) class V to degree m."""
-    children, _, _ = lift_fibers(Level.from_rows(vprev.as_array()))
+def lift_once(parents: Level) -> PermClass:
+    """Lift the degree-(m-1) class V, checked into a Level by Level.from_rows, to degree m."""
+    check_lift_degree(parents.m + 1, force=True)
+    children, _, _ = lift_fibers(parents)
     return PermClass.from_array("V", children.m, children.rows())
 
 

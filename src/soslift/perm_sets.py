@@ -21,9 +21,9 @@ block at once with an array form of the class predicate, in exact integer
 arithmetic; the per-row predicates (in_V, in_W, ...) are the reference the
 tests compare it with.  One walk serves every class a caller asks for
 (enumerate_classes): the step columns of a block are built once and shared
-by the predicates.  It is capped at m = 10, for enumerate_class and
-verify_theorems alike, unless the SOSLIFT_MAX_BRUTE_M environment variable
-raises the cap.
+by the predicates.  Sstar is the Farey table itself, read with no walk, as
+is SstarTilde, its shift closure.  Method 'brute' is capped at m = 10, for
+enumerate_class and verify_theorems alike, unless SOSLIFT_MAX_BRUTE_M raises it.
 """
 from __future__ import annotations
 
@@ -230,7 +230,7 @@ _ROW_TESTS = {
     "X": _x_rows,
     "SosRec": _sosrec_rows,
 }
-WALK_LABELS = (*_ROW_TESTS, "Sstar")
+WALK_LABELS = tuple(_ROW_TESTS)
 
 
 def _walk(labels: tuple[str, ...], m: int) -> dict[str, np.ndarray]:
@@ -240,18 +240,11 @@ def _walk(labels: tuple[str, ...], m: int) -> dict[str, np.ndarray]:
     built once for all of them.  Returns {label: (N, m) uint8 array in
     lexicographic order}.
     """
-    tests = {}
-    for label in labels:
-        if label == "Sstar":
-            table = suranyi_table(m).as_array()
-            tests[label] = lambda b, m, table=table: _rows_in(b.rows, table)
-        else:
-            tests[label] = _ROW_TESTS[label]
-    found = {label: [] for label in tests}
+    found = {label: [] for label in labels}
     for rows in _sym(m):
         block = _Block(rows, m)
-        for label, accept in tests.items():
-            found[label].append(rows[accept(block, m)])
+        for label, parts in found.items():
+            parts.append(rows[_ROW_TESTS[label](block, m)])
         del rows, block  # before _sym builds the next block
     return {label: np.concatenate(parts) for label, parts in found.items()}
 
@@ -264,7 +257,8 @@ def _brute(label: str, m: int) -> np.ndarray:
 def enumerate_class(label: str, m: int, method: str = "brute", force: bool = False) -> PermClass:
     """Enumerate one labeled class of degree m.
 
-    method 'brute' filters the symmetric group (guarded; see module doc),
+    method 'brute' filters the symmetric group, or reads the Farey table for
+    Sstar and SstarTilde (guarded alike; see module doc),
     'lift' runs the degree-lifting recursion, and 'farey' reads the interval
     table; the latter two apply to V and Sstar only, and refuse degrees
     above 500 unless force=True, and above 2000 (lifting.check_lift_degree).
@@ -286,24 +280,24 @@ def enumerate_class(label: str, m: int, method: str = "brute", force: bool = Fal
             return lifted
         return PermClass.from_array(label, m, suranyi_table(m).as_array())
 
-    if label == "VL0":
-        return PermClass(label, m, (theta_ab(m, a, 0) for a in range(1, m + 1) if gcd(a, m) == 1))
-    if label == "VL1":
-        return PermClass(label, m, (theta_ab(m, a, 1) for a in range(1, m + 1) if gcd(a, m) == 1))
+    if label in ("VL0", "VL1"):
+        b = int(label[-1])
+        return PermClass(label, m, (theta_ab(m, a, b) for a in range(1, m + 1) if gcd(a, m) == 1))
 
     _check_brute_guard(m)
     if label == "Vminus":
         v, vl1 = _brute("V", m), enumerate_class("VL1", m).as_array()
         return PermClass.from_array(label, m, v[~_rows_in(v, vl1)])
-    if label == "SstarTilde":
-        return shift_closure(PermClass.from_array(label, m, _brute("Sstar", m)))
+    if label in ("Sstar", "SstarTilde"):
+        sstar = PermClass.from_array(label, m, suranyi_table(m).as_array())
+        return sstar if label == "Sstar" else shift_closure(sstar)
     return PermClass.from_array(label, m, _brute(label, m))
 
 
 def enumerate_classes(labels: tuple[str, ...], m: int) -> dict[str, PermClass]:
     """Brute-force classes of degree m, every one from the same walk of S_m.
 
-    labels: from WALK_LABELS, Sstar and the labels with an array predicate.
+    labels: from WALK_LABELS, the labels with an array predicate.
     Guarded and validated like enumerate_class.
     """
     unknown = [label for label in labels if label not in WALK_LABELS]

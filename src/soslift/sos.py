@@ -30,12 +30,17 @@ from .perm_core import (MAX_DEGREE, Permutation, _dtype_for, _row_items, _rows_i
 SIDES = ("below", "at", "above")
 
 
-def _check_angle(m: int, alpha: Fraction) -> None:
-    """Refuse m outside 1..MAX_DEGREE, before building anything, and alpha outside (0, 1)."""
+def _check_degree(m: int) -> None:
+    """Refuse m outside 1..MAX_DEGREE, before building anything."""
     if m < 1:
         raise ValueError(f"degree must be positive, got {m}")
     if m > MAX_DEGREE:
         raise ValueError(f"degree {m} exceeds the supported ceiling {MAX_DEGREE}")
+
+
+def _check_angle(m: int, alpha: Fraction) -> None:
+    """Refuse m as _check_degree does, and alpha outside (0, 1)."""
+    _check_degree(m)
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must satisfy 0 < alpha < 1, got {alpha}")
 
@@ -113,8 +118,7 @@ def theta_ab(m: int, a: int, b: int) -> Permutation:
 
     Bijective exactly when gcd(a, m) = 1.
     """
-    if m < 1:
-        raise ValueError(f"degree must be positive, got {m}")
+    _check_degree(m)
     if gcd(a, m) != 1:
         raise ValueError(f"theta_ab not invertible: gcd({a}, {m}) != 1")
     return Permutation(supermod_m(a * i + b, m) for i in range(1, m + 1))
@@ -271,8 +275,7 @@ def tau_near_fraction(m: int, a: int, side: str) -> Permutation:
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    if m < 1:
-        raise ValueError(f"degree must be positive, got {m}")
+    _check_degree(m)
     if not 1 <= a <= m:
         raise ValueError(f"a must lie in [1, {m}], got {a}")
     if gcd(a, m) != 1:

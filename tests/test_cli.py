@@ -10,7 +10,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from soslift import cli, lifting, perm_sets, sos, trees
+from soslift import cli, farey, lifting, perm_core, perm_sets, sos, trees
 from soslift.cli import main
 from soslift.farey import totient_sum
 from soslift.lifting import lift_to
@@ -148,6 +148,26 @@ def test_lift_input_round_trip_equals_the_next_degree(
     assert len(lifted.splitlines()) == totient_sum(61)
 
 
+def test_lift_input_is_checked_once_and_only_the_output_is_sorted(
+        monkeypatch: pytest.MonkeyPatch, tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
+    src = tmp_path / "v60.jsonl"
+    assert main(["lift", "--to-m", "60", "--format", "json"]) == 0
+    src.write_text(capsys.readouterr().out, encoding="utf-8")
+    misses, items = [], []
+
+    def recording(calls, original):
+        return lambda rows: calls.append(rows.shape[1]) or original(rows)
+
+    for module in (lifting, perm_core):
+        monkeypatch.setattr(module, "_misses_a_value", recording(misses, perm_core._misses_a_value))
+    monkeypatch.setattr(perm_core, "_row_items", recording(items, perm_core._row_items))
+    assert main(["lift", "--from-m", "60", "--input", str(src)]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == totient_sum(61)
+    # the input is checked once, by Level.from_rows; the output class checks its own rows
+    assert misses == [60, 61]
+    assert items == [61]
+
+
 def test_lift_input_with_to_m_is_usage_error(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
     src = tmp_path / "v3.jsonl"
     src.write_text(json.dumps({"m": 3, "values": [1, 2, 3]}) + "\n", encoding="utf-8")
@@ -279,6 +299,34 @@ def test_farey_json(capsys: pytest.CaptureFixture) -> None:
     assert doc["m"] == 3
     assert len(doc["terms"]) == 5
     assert [iv["index"] for iv in doc["intervals"]] == [1, 2, 3, 4]
+
+
+def test_farey_refuses_orders_past_the_ceiling(
+        monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture) -> None:
+    assert main(["farey", "--m", "0"]) == 2
+    assert capsys.readouterr().err == "error: order must be positive, got 0\n"
+
+    def refuse(m):
+        raise AssertionError("Farey terms were built")
+    monkeypatch.setattr(farey, "farey_terms", refuse)
+    for order in ("2001", "99999999999999999999"):
+        assert main(["farey", "--m", order]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: order {order} exceeds the supported ceiling 2000\n"
+
+
+@pytest.mark.parametrize("label", ["VL0", "VL1"])
+def test_affine_layers_refuse_degrees_past_the_ceiling(
+        monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture, label: str) -> None:
+    def refuse(*args):
+        raise AssertionError("a row was built")
+    monkeypatch.setattr(sos, "supermod_m", refuse)
+    for m in ("10001", "99999999999999999999"):
+        assert main(["enumerate", "--set", label, "--m", m]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: degree {m} exceeds the supported ceiling 10000\n"
 
 
 def test_tree_json_levels(capsys: pytest.CaptureFixture) -> None:

@@ -139,8 +139,15 @@ def test_lift_fibers_at_dtype_boundaries(prev_m: int) -> None:
 
 def test_lift_once_matches_brute_force() -> None:
     for m in range(2, 9):
-        prev = enumerate_class("V", m - 1)
+        prev = Level.from_rows(enumerate_class("V", m - 1).as_array())
         assert lift_once(prev) == enumerate_class("V", m)
+
+
+def test_lift_once_refuses_to_lift_past_the_ceiling() -> None:
+    # a stub Level of degree 2000, which from_rows admits: its lift would be degree 2001
+    one = np.ones(1, dtype=_dtype_for(MAX_LIFT_DEGREE))
+    with pytest.raises(ValueError, match=f"beyond degree {MAX_LIFT_DEGREE} are not supported"):
+        lift_once(Level(MAX_LIFT_DEGREE, one, one))
 
 
 def test_lift_fibers_rejects_non_member_rows() -> None:
@@ -153,10 +160,10 @@ def test_lift_fibers_rejects_non_member_rows() -> None:
         Level.from_rows(np.arange(1, MAX_LIFT_DEGREE + 2, dtype=np.uint16)[None, :])
 
 
-def test_lift_once_rejects_planted_non_member() -> None:
-    planted = PermClass("V", 4, [_p("1324")])
-    with pytest.raises(ValueError, match=r"row 0 \(1 3 2 4\) .*; input is not the class V"):
-        lift_once(planted)
+def test_from_rows_rejects_planted_non_member() -> None:
+    planted = np.vstack([enumerate_class("V", 4).as_array(), [[1, 3, 2, 4]]])
+    with pytest.raises(ValueError, match=r"row 6 \(1 3 2 4\) .*; input is not the class V"):
+        Level.from_rows(planted)
 
 
 def test_generate_up_to_levels() -> None:
@@ -201,6 +208,13 @@ def test_lift_to_matches_brute_force() -> None:
         lifted = lift_to(m)
         assert lifted.m == m
         assert lifted == enumerate_class("V", m)
+
+
+def test_largest_first_value_group_is_half_the_degree() -> None:
+    # the rows of V_m that share theta(1) number at most ceil(m/2), and some
+    # group reaches it: the bound on a block of whole groups in a streamed sort
+    for level, _, _ in iter_levels(300):
+        assert np.bincount(level.first).max() == (level.m + 1) // 2, level.m
 
 
 def test_iter_levels_and_lift_to_guards() -> None:

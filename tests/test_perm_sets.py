@@ -25,7 +25,7 @@ from soslift.perm_sets import (
     report_passed,
     verify_theorems,
 )
-from soslift.sos import satisfies_sos_recurrence, suranyi_table
+from soslift.sos import satisfies_sos_recurrence
 
 
 def _p(text: str) -> Permutation:
@@ -73,7 +73,6 @@ def test_sym_blocks_are_the_symmetric_group_in_order() -> None:
 @pytest.mark.parametrize("m", range(1, 9))
 def test_array_predicates_accept_what_the_row_predicates_accept(m: int) -> None:
     perms = [Permutation(p) for p in itertools.permutations(range(1, m + 1))]
-    table = set(map(tuple, suranyi_table(m).as_array().tolist()))
     row_tests = {
         "V": in_V,
         "W": in_W,
@@ -81,7 +80,6 @@ def test_array_predicates_accept_what_the_row_predicates_accept(m: int) -> None:
         "Yprime": in_Yprime,
         "X": in_X,
         "SosRec": satisfies_sos_recurrence,
-        "Sstar": lambda p: p.values in table,
     }
     for label, accepts in row_tests.items():
         # Yprime is defined from degree 3, and the difference set of X from 2
@@ -112,7 +110,7 @@ def test_verify_theorems_walks_each_s_m_once(monkeypatch: pytest.MonkeyPatch) ->
 
 
 def test_enumerate_classes_matches_enumerate_class(monkeypatch: pytest.MonkeyPatch) -> None:
-    labels = ("V", "W", "Y", "X", "SosRec", "Sstar")
+    labels = ("V", "W", "Y", "X", "SosRec")
     for m in range(1, 7):
         classes = enumerate_classes(labels, m)
         assert all(classes[label] == enumerate_class(label, m) for label in labels)
@@ -134,15 +132,30 @@ def test_enumerate_classes_matches_enumerate_class_at_degree_1() -> None:
         assert one == enumerate_class(label, 1) == PermClass("S1", 1, [_p("1")]), label
 
 
-@pytest.mark.parametrize("label", ["Vminus", "VL0", "Q"])
+@pytest.mark.parametrize("label", ["Vminus", "VL0", "Q", "Sstar"])
 def test_enumerate_classes_refuses_labels_it_cannot_walk(
         monkeypatch: pytest.MonkeyPatch, label: str) -> None:
     def no_walk(m):
         raise AssertionError("walked S_m")
     monkeypatch.setattr(perm_sets, "_sym", no_walk)
-    with pytest.raises(ValueError, match=r"walks only \('V', 'W', 'Y', 'Yprime', 'X', 'SosRec', "
-                                         r"'Sstar'\), not \[" + repr(label)):
+    with pytest.raises(ValueError, match=r"walks only \('V', 'W', 'Y', 'Yprime', 'X', 'SosRec'\), "
+                                         r"not \[" + repr(label)):
         enumerate_classes(("V", label), 5)
+
+
+def test_sstar_classes_are_read_from_the_farey_table(monkeypatch: pytest.MonkeyPatch) -> None:
+    def no_walk(m):
+        raise AssertionError("walked S_m")
+    monkeypatch.setattr(perm_sets, "_sym", no_walk)
+    monkeypatch.delenv(ENV_MAX_BRUTE_M, raising=False)
+    for m in range(1, 11):
+        sstar = enumerate_class("Sstar", m, method="farey")
+        assert enumerate_class("Sstar", m) == sstar
+        assert enumerate_class("SstarTilde", m) == shift_closure(sstar)
+    # the table takes no walk, but the brute-force cap stays in front of both labels
+    for label in ("Sstar", "SstarTilde"):
+        with pytest.raises(ValueError, match="brute-force enumeration over S_11 refused"):
+            enumerate_class(label, 11)
 
 
 def test_enumerate_v4_frozen() -> None:
