@@ -18,7 +18,6 @@ import numpy as np
 
 from .farey import (
     farey_intervals,
-    farey_sequence,
     format_fraction,
     fraction_to_json,
     parse_fraction,
@@ -112,8 +111,8 @@ def _cmd_tau(args) -> int:
 def _cmd_farey(args) -> int:
     if args.m > MAX_LIFT_DEGREE:
         raise ValueError(f"order {args.m} exceeds the supported ceiling {MAX_LIFT_DEGREE}")
-    terms = farey_sequence(args.m)
     intervals = farey_intervals(args.m)
+    terms = [iv.lo for iv in intervals] + [intervals[-1].hi]
     if args.format == "json":
         doc = {
             "m": args.m,

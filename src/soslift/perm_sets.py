@@ -15,15 +15,22 @@ Classes by label:
           whether it ever exceeds the inverses of V is open; compare it with
           {inverse(theta) : theta in V} yourself, no claim is encoded here)
 
-Brute-force enumeration walks the symmetric group in lexicographic order as
-uint8 blocks, one per (theta(1), theta(2)) prefix, and tests every row of a
-block at once with an array form of the class predicate, in exact integer
-arithmetic; the per-row predicates (in_V, in_W, ...) are the reference the
-tests compare it with.  One walk serves every class a caller asks for
-(enumerate_classes): the step columns of a block are built once and shared
-by the predicates.  Sstar is the Farey table itself, read with no walk, as
-is SstarTilde, its shift closure.  Method 'brute' is capped at m = 10, for
-enumerate_class and verify_theorems alike, unless SOSLIFT_MAX_BRUTE_M raises it.
+Method 'brute' decides V, W, Y, Yprime, X and SosRec exactly, in exact
+integer arithmetic, without walking S_m: each class is a conjunction of
+tests, one per step i, on theta(i), theta(i+1), theta(1) and theta(m), and
+its step rule (_RULES) gives the values of theta(i+1) that can pass.  The
+search (_search) fixes theta(1) and theta(m) and extends injective prefixes
+by those values only, re-checked with the step formula and a visited mask;
+one value per step for V, W and SosRec, at most four for Y (which carries
+delta(1)) and three for X (its least and greatest residue).  Yprime is Y
+filtered by its own rule; X is solved from theta(1) = 1 and shift-closed.
+The walk of S_m in lexicographic order as uint8 blocks (_walk, _brute)
+reads the same rules with .all over the steps; it is the reference the
+tests compare the search with, and no command runs it; the per-row
+predicates (in_V, in_W, ...) are the reference for the walk.  Sstar is the Farey
+table itself, read with no search, as is SstarTilde, its shift closure.
+Method 'brute' is capped at m = 10, for enumerate_class and verify_theorems
+alike, unless SOSLIFT_MAX_BRUTE_M raises it.
 """
 from __future__ import annotations
 
@@ -31,6 +38,7 @@ import os
 from functools import cached_property
 from itertools import permutations as _sym_group
 from math import gcd
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -39,6 +47,7 @@ from .farey import totient_sum, totients
 from .perm_core import (
     PermClass,
     Permutation,
+    _dtype_for,
     _row_items,
     _rows_in,
     ascents,
@@ -139,24 +148,21 @@ def _sym(m: int):
         yield block.T
 
 
-class _Block:
-    """One block of S_m and the int16 step columns that its class predicates share.
+class _Steps:
+    """The step columns that the class rules read: cur = theta(i), nxt = theta(i+1),
+    first = theta(1) and last = theta(m); the leading axis runs over the steps
+    i, the others over the rows (or a search's candidate rows).
 
-    The columns come from the block transposed, (m, N), so each is a
-    contiguous (m-1, N) or (1, N) array: cur = theta(i) and nxt = theta(i+1)
-    for i in [m-1], first = theta(1), last = theta(m).  d, asc, wrap and
-    delta are built on first use and then shared by every predicate of the
-    walk.  Everything stays int16 (the brackets are int8 views of the
-    comparisons), since a promotion to int64 costs more than the arithmetic.
+    d, asc, wrap, delta and residue are built on first use and then shared by
+    every rule that reads them.  m has the dtype of the columns, and the
+    brackets are int8 views of the comparisons, so no promotion to int64
+    costs more than the arithmetic.  nxt is None while a search solves for it.
     """
 
-    def __init__(self, rows: np.ndarray, m: int):
-        self.rows, self.m = rows, np.int16(m)
-        t = rows.T.astype(np.int16)
-        self.cur, self.nxt, self.first, self.last = t[:-1], t[1:], t[:1], t[-1:]
-
-    def __len__(self) -> int:
-        return len(self.rows)
+    def __init__(self, m: int, cur: np.ndarray, nxt: np.ndarray | None,
+                 first: np.ndarray, last: np.ndarray):
+        self.m = cur.dtype.type(m)
+        self.cur, self.nxt, self.first, self.last = cur, nxt, first, last
 
     @cached_property
     def d(self) -> np.ndarray:
@@ -178,73 +184,156 @@ class _Block:
         """Delta_theta(i), the four-term difference sequence of perm_core.delta"""
         return self.d + self.wrap - (self.first <= self.nxt) - (self.m - 1) * self.asc
 
+    @cached_property
+    def residue(self) -> np.ndarray:
+        """(theta(i+1) - theta(i)) mod m, as d lies in (-m, m)"""
+        return self.d + self.m * (self.d < 0)
 
-# Array forms of the per-row predicates: each takes a _Block and the degree
-# and returns the (N,) mask of accepted rows, from the same formula over the
-# block's columns.
 
-def _v_rows(b: _Block, m: int) -> np.ndarray:
+class _Block(_Steps):
+    """One block of S_m as int16 step columns.
+
+    The columns come from the block transposed, (m, N), so each is a
+    contiguous (m-1, N) or (1, N) array.
+    """
+
+    def __init__(self, rows: np.ndarray, m: int):
+        t = rows.T.astype(np.int16)
+        super().__init__(m, t[:-1], t[1:], t[:1], t[-1:])
+
+
+# The step rule of each class.  A row is in the class when every step passes
+# rule.step(steps, ref), where ref holds what the class carries over all its
+# steps: delta(1) for Y, -A_theta for Yprime, the least and greatest residue
+# for X, nothing for V, W and SosRec.  rule.carry(steps, ref) returns ref with
+# the given steps taken in (from None: from these steps alone), and
+# rule.solve(steps, ref) gives, for steps whose nxt is unknown, every value of
+# theta(i+1) in 1..m that can pass, as rows of a (k, N) array; values outside
+# 1..m stand for none.
+
+class _Rule(NamedTuple):
+    step: Callable[[_Steps, tuple | None], np.ndarray]
+    solve: Callable[[_Steps, tuple | None], np.ndarray] | None
+    carry: Callable[[_Steps, tuple | None], tuple] | None = None
+
+
+def _every_value(s: _Steps, ref: tuple | None) -> np.ndarray:
+    """1..m, for a step whose rule leaves theta(i+1) free."""
+    return np.arange(1, int(s.m) + 1, dtype=s.cur.dtype)[:, None]
+
+
+def _v_step(s: _Steps, ref: None) -> np.ndarray:
     # d - first + wrap lies in (-2m, m), so it is 0 mod m exactly when it is 0 or -m
-    e = b.d - b.first + b.wrap
-    return ((e == 0) | (e == -m)).all(axis=0)
+    e = s.d - s.first + s.wrap
+    return (e == 0) | (e == -s.m)
 
 
-def _w_rows(b: _Block, m: int) -> np.ndarray:
-    return (b.d == b.first - b.wrap + b.m * (b.asc - 1)).all(axis=0)
+def _v_solve(s: _Steps, ref: None) -> np.ndarray:
+    # up lies in [1, 2m]: of up and up - m, the one in 1..m.  These are also
+    # W's two values, one per case of [theta(i) <= theta(i+1)]
+    up = s.cur + s.first - s.wrap
+    return np.where(up <= s.m, up, up - s.m)
 
 
-def _y_rows(b: _Block, m: int) -> np.ndarray:
-    if m < 3:
-        return np.ones(len(b), dtype=bool)
-    return (b.delta == b.delta[:1]).all(axis=0)
+def _w_step(s: _Steps, ref: None) -> np.ndarray:
+    return s.d == s.first - s.wrap + s.m * (s.asc - 1)
 
 
-def _yprime_rows(b: _Block, m: int) -> np.ndarray:
-    if m < 3:
-        raise ValueError(f"Yprime needs degree >= 3, got {m}")
-    return (b.delta == -b.asc.sum(axis=0, dtype=np.int16)).all(axis=0)
+def _y_step(s: _Steps, ref: tuple) -> np.ndarray:
+    return s.delta == ref[0]
 
 
-def _x_rows(b: _Block, m: int) -> np.ndarray:
-    if m < 2:
-        return np.ones(len(b), dtype=bool)
-    residues = b.d + b.m * (b.d < 0)  # d mod m, as d lies in (-m, m)
-    return (residues.max(axis=0) - residues.min(axis=0) <= 1) & (residues != 0).all(axis=0)
+def _y_carry(s: _Steps, ref: tuple | None) -> tuple:
+    return (s.delta[:1],) if ref is None else ref
 
 
-def _sosrec_rows(b: _Block, m: int) -> np.ndarray:
-    cur, nxt, first, last = b.cur, b.nxt, b.first, b.last
-    bad = (
+def _y_solve(s: _Steps, ref: tuple | None) -> np.ndarray:
+    if ref is None:  # the first step sets delta(1)
+        return _every_value(s, ref)
+    # nxt = delta(1) + cur - wrap + [first <= nxt] + (m-1)[cur <= nxt]: one
+    # value per case of the two brackets
+    cases = np.array([0, 1, s.m - 1, s.m], dtype=s.cur.dtype)[:, None]
+    return ref[0] + s.cur - s.wrap + cases
+
+
+def _yprime_carry(s: _Steps, ref: tuple | None) -> tuple:
+    if s.m < 3:
+        raise ValueError(f"Yprime needs degree >= 3, got {s.m}")
+    return (-s.asc.sum(axis=0, keepdims=True, dtype=s.cur.dtype),)
+
+
+def _x_step(s: _Steps, ref: tuple) -> np.ndarray:
+    # with lo and hi the least and greatest residue, every residue lies in
+    # [hi - 1, lo + 1] exactly when hi - lo <= 1
+    lo, hi = ref
+    r = s.residue
+    return (r != 0) & (hi - 1 <= r) & (r <= lo + 1)
+
+
+def _x_carry(s: _Steps, ref: tuple | None) -> tuple:
+    # initial= covers degree 1, which has no steps
+    lo = s.residue.min(axis=0, keepdims=True, initial=s.m)
+    hi = s.residue.max(axis=0, keepdims=True, initial=0)
+    return (lo, hi) if ref is None else (np.minimum(lo, ref[0]), np.maximum(hi, ref[1]))
+
+
+def _x_solve(s: _Steps, ref: tuple | None) -> np.ndarray:
+    if ref is None:  # the first residue is free
+        return _every_value(s, ref)
+    lo, hi = ref
+    # the residues in [hi - 1, lo + 1]: three when lo == hi, two when hi == lo + 1
+    r = hi - 1 + np.arange(3, dtype=s.cur.dtype)[:, None]
+    return np.where(r <= lo + 1, (s.cur - 1 + r) % s.m + 1, 0)
+
+
+def _sosrec_step(s: _Steps, ref: None) -> np.ndarray:
+    cur, nxt, first, last, m = s.cur, s.nxt, s.first, s.last, s.m
+    return ~(
         ((cur <= m - first) & (nxt != cur + first))
         | ((m - first < cur) & (cur < last) & (nxt != cur + first - last))
         | ((last <= cur) & (nxt != cur - last))
     )
-    return ~bad.any(axis=0)
 
 
-_ROW_TESTS = {
-    "V": _v_rows,
-    "W": _w_rows,
-    "Y": _y_rows,
-    "Yprime": _yprime_rows,
-    "X": _x_rows,
-    "SosRec": _sosrec_rows,
+def _sosrec_solve(s: _Steps, ref: None) -> np.ndarray:
+    # the value of the first case whose guard holds; where the first and the
+    # last case both hold, they ask for two values and the step fails
+    cur, first, last, m = s.cur, s.first, s.last, s.m
+    return np.where(cur <= m - first, cur + first,
+                    np.where(cur < last, cur + first - last, cur - last))
+
+
+_RULES = {
+    "V": _Rule(_v_step, _v_solve),
+    "W": _Rule(_w_step, _v_solve),
+    "Y": _Rule(_y_step, _y_solve, _y_carry),
+    # solved as Y, then filtered by its own rule (_search)
+    "Yprime": _Rule(_y_step, None, _yprime_carry),
+    "X": _Rule(_x_step, _x_solve, _x_carry),
+    "SosRec": _Rule(_sosrec_step, _sosrec_solve),
 }
-WALK_LABELS = tuple(_ROW_TESTS)
+WALK_LABELS = tuple(_RULES)
+
+
+def _accepts(label: str, s: _Steps) -> np.ndarray:
+    """The (N,) mask of the rows whose every step passes the labeled rule."""
+    rule = _RULES[label]
+    ref = rule.carry(s, None) if rule.carry else None
+    return rule.step(s, ref).all(axis=0)
 
 
 def _walk(labels: tuple[str, ...], m: int) -> dict[str, np.ndarray]:
     """The rows of S_m in each labeled class, from one walk of S_m.
 
-    Every predicate sees every block, so the columns a block shares are
-    built once for all of them.  Returns {label: (N, m) uint8 array in
-    lexicographic order}.
+    The reference for _search: every rule sees every block, so the columns
+    a block shares are built once for all of them.  Returns {label: (N, m)
+    uint8 array in lexicographic order}.
     """
     found = {label: [] for label in labels}
     for rows in _sym(m):
         block = _Block(rows, m)
         for label, parts in found.items():
-            parts.append(rows[_ROW_TESTS[label](block, m)])
+            parts.append(rows[_accepts(label, block)])
         del rows, block  # before _sym builds the next block
     return {label: np.concatenate(parts) for label, parts in found.items()}
 
@@ -254,11 +343,115 @@ def _brute(label: str, m: int) -> np.ndarray:
     return _walk((label,), m)[label]
 
 
+# the bytes of the rows and visited masks that one frontier of a search may hold
+_FRONTIER_BYTES = 1 << 24
+
+
+def _take(ref: tuple | None, shape: tuple, *index) -> tuple | None:
+    """The carried values of a frontier of the given shape at index, each as a (1, n) array."""
+    return None if ref is None else tuple(np.broadcast_to(r[0], shape)[index][None] for r in ref)
+
+
+def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
+    """The rows of S_m that start with a value in firsts and pass every step of rule.
+
+    theta(1) and theta(m) are fixed, over every pair of distinct values, in
+    blocks of start pairs.  A prefix theta(1..i) is extended only by the
+    values that rule.solve gives for theta(i+1) (theta(m) itself at the last
+    step), and each is kept only when the visited mask of its prefix does not
+    hold it and rule.step accepts it.  A step with several candidates first
+    splits its frontier into parts whose children fit _FRONTIER_BYTES.
+    Returns an (N, m) array of dtype _dtype_for(m), rows in no particular order.
+    """
+    dtype = _dtype_for(m)
+    if m == 1:
+        return np.ones((1, 1), dtype=dtype)  # no steps to fail
+    # the step columns: every value a rule computes lies within 3m + 2 of 0
+    cols = np.int16 if m <= 10000 else np.int32
+    first = np.repeat(np.asarray(firsts, dtype=cols), m - 1)
+    last = np.tile(np.arange(1, m, dtype=cols), len(firsts))
+    last += last >= first  # every value but first, in order
+    row_bytes = m * dtype.itemsize + m + 1
+    block = max(1, _FRONTIER_BYTES // row_bytes)
+    found = []
+    for start in range(0, len(first), block):
+        f, l = first[start:start + block], last[start:start + block]
+        # a frontier holds one prefix per column of rows and per row of seen,
+        # its visited mask (C-contiguous, so ravel is a view); theta(m) counts
+        # as visited from the start, and alive marks the prefixes still open
+        rows = np.zeros((m, len(f)), dtype=dtype)
+        rows[0], rows[-1] = f, l
+        seen = np.zeros((len(f), m + 1), dtype=bool)
+        seen[np.arange(len(f))[:, None], np.stack([f, l], axis=1)] = True
+        stack = [(1, rows, seen, f, l, f, None, np.ones(len(f), dtype=bool))]
+        while stack:
+            i, rows, seen, first_i, last_i, cur, ref, alive = stack.pop()
+            while i < m and len(cur):
+                n = len(cur)
+                s = _Steps(m, cur[None], None, first_i[None], last_i[None])
+                cand = last_i[None] if i == m - 1 else rule.solve(s, ref)
+                cand = np.broadcast_to(cand, (len(cand), n))
+                part = max(1, _FRONTIER_BYTES // (len(cand) * row_bytes))
+                if n > part and len(cand) > 1:
+                    stack += [(i, rows[:, a:a + part], seen[a:a + part], first_i[a:a + part],
+                               last_i[a:a + part], cur[a:a + part],
+                               _take(ref, (n,), slice(a, a + part)), alive[a:a + part])
+                              for a in range(0, n, part)]
+                    break
+                ok = alive & (cand >= 1) & (cand <= m)
+                if i < m - 1:
+                    ok &= ~seen.ravel()[np.arange(n) * (m + 1) + np.where(ok, cand, 0)]
+                # one step, whose columns are the (k, n) candidates
+                s = _Steps(m, s.cur[None], cand[None], s.first[None], s.last[None])
+                ref = rule.carry(s, ref) if rule.carry else None
+                ok &= rule.step(s, ref)[0]
+                if len(cand) > 1 or 2 * np.count_nonzero(ok) < n:
+                    # the children replace their prefixes, which may have several
+                    j, parent = np.divmod(np.flatnonzero(ok), n)
+                    rows, seen = rows[:, parent], seen[parent]
+                    first_i, last_i, nxt = first_i[parent], last_i[parent], cand[j, parent]
+                    ref, alive = _take(ref, ok.shape, j, parent), np.ones(len(parent), dtype=bool)
+                else:
+                    # one child at most, and most prefixes have it: mark the others closed
+                    alive, nxt, ref = ok[0], np.where(ok[0], cand[0], 0), _take(ref, ok.shape, 0)
+                rows[i] = nxt
+                seen.ravel()[np.arange(len(nxt)) * (m + 1) + nxt] = True
+                cur = nxt
+                i += 1
+            else:
+                found.append(rows[:, alive].T)
+    return np.concatenate(found)
+
+
+def _search(labels: tuple[str, ...], m: int) -> dict[str, np.ndarray]:
+    """The rows of each labeled class of degree m, solved from its step rule.
+
+    Y is solved from every start pair, as verify_theorems checks that it is
+    shift-closed, and Yprime is Y filtered by its own rule.  X is solved from
+    theta(1) = 1 and then shift-closed: a shift leaves every difference mod m
+    as it is.  Returns {label: (N, m) array of dtype _dtype_for(m)}, rows in
+    no particular order.
+    """
+    every = np.arange(1, m + 1)
+    found = {}
+    for label in labels:
+        if label == "Yprime":
+            y = found["Y"] if "Y" in found else _solve(_RULES["Y"], m, every)
+            found[label] = y[_accepts(label, _Block(y, m))]
+        elif label == "X":
+            from_1 = PermClass.from_array(label, m, _solve(_RULES[label], m, every[:1]))
+            found[label] = shift_closure(from_1).as_array()
+        else:
+            found[label] = _solve(_RULES[label], m, every)
+    return found
+
+
 def enumerate_class(label: str, m: int, method: str = "brute", force: bool = False) -> PermClass:
     """Enumerate one labeled class of degree m.
 
-    method 'brute' filters the symmetric group, or reads the Farey table for
-    Sstar and SstarTilde (guarded alike; see module doc),
+    method 'brute' solves the class from its step rule, builds the affine
+    layers, or reads the Farey table for Sstar and SstarTilde (guarded alike;
+    see module doc),
     'lift' runs the degree-lifting recursion, and 'farey' reads the interval
     table; the latter two apply to V and Sstar only, and refuse degrees
     above 500 unless force=True, and above 2000 (lifting.check_lift_degree).
@@ -286,27 +479,27 @@ def enumerate_class(label: str, m: int, method: str = "brute", force: bool = Fal
 
     _check_brute_guard(m)
     if label == "Vminus":
-        v, vl1 = _brute("V", m), enumerate_class("VL1", m).as_array()
+        v, vl1 = _search(("V",), m)["V"], enumerate_class("VL1", m).as_array()
         return PermClass.from_array(label, m, v[~_rows_in(v, vl1)])
     if label in ("Sstar", "SstarTilde"):
         sstar = PermClass.from_array(label, m, suranyi_table(m).as_array())
         return sstar if label == "Sstar" else shift_closure(sstar)
-    return PermClass.from_array(label, m, _brute(label, m))
+    return PermClass.from_array(label, m, _search((label,), m)[label])
 
 
 def enumerate_classes(labels: tuple[str, ...], m: int) -> dict[str, PermClass]:
-    """Brute-force classes of degree m, every one from the same walk of S_m.
+    """Brute-force classes of degree m, each solved from its step rule.
 
-    labels: from WALK_LABELS, the labels with an array predicate.
+    labels: from WALK_LABELS, the labels with a step rule.
     Guarded and validated like enumerate_class.
     """
     unknown = [label for label in labels if label not in WALK_LABELS]
     if unknown:
-        raise ValueError(f"enumerate_classes walks only {WALK_LABELS}, not {unknown}")
+        raise ValueError(f"enumerate_classes solves only {WALK_LABELS}, not {unknown}")
     if m < 1:
         raise ValueError(f"degree must be positive, got {m}")
     _check_brute_guard(m)
-    return {label: PermClass.from_array(label, m, rows) for label, rows in _walk(labels, m).items()}
+    return {label: PermClass.from_array(label, m, rows) for label, rows in _search(labels, m).items()}
 
 
 def verify_theorems(m_max: int) -> list[dict]:

@@ -301,6 +301,30 @@ def test_farey_json(capsys: pytest.CaptureFixture) -> None:
     assert [iv["index"] for iv in doc["intervals"]] == [1, 2, 3, 4]
 
 
+def test_farey_output_builds_the_sequence_once(monkeypatch: pytest.MonkeyPatch,
+                                               capsys: pytest.CaptureFixture) -> None:
+    """farey prints, from one build of the sequence, the bytes that a build for
+    the terms and another for the intervals printed."""
+    builds = []
+    farey_terms = farey.farey_terms
+    monkeypatch.setattr(farey, "farey_terms", lambda m: builds.append(m) or farey_terms(m))
+    for m in range(1, 31):
+        terms, intervals = farey.farey_sequence(m), farey.farey_intervals(m)
+        text = " ".join(map(farey.format_fraction, terms)) + "\n" + "".join(f"{iv}\n" for iv in intervals)
+        doc = {
+            "m": m,
+            "terms": [farey.fraction_to_json(t) for t in terms],
+            "intervals": [{"lo": farey.fraction_to_json(iv.lo), "hi": farey.fraction_to_json(iv.hi),
+                           "index": iv.index} for iv in intervals],
+        }
+        builds.clear()
+        assert main(["farey", "--m", str(m)]) == 0
+        assert capsys.readouterr().out == text
+        assert main(["farey", "--m", str(m), "--format", "json"]) == 0
+        assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
+        assert builds == [m, m]
+
+
 def test_farey_refuses_orders_past_the_ceiling(
         monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture) -> None:
     assert main(["farey", "--m", "0"]) == 2
@@ -565,24 +589,31 @@ def test_sosrec_reads_no_permutation_objects(monkeypatch: pytest.MonkeyPatch,
     assert doc["sets_equal"] is True and doc["sos_count"] == totient_sum(7)
 
 
-def test_sosrec_walks_s_m_once(monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture) -> None:
+@pytest.mark.parametrize("argv", [["sosrec", "--m", "6"], ["verify", "--m-max", "6"]]
+                         + [["enumerate", "--set", label, "--m", "6"]
+                            for label in perm_sets.WALK_LABELS + ("Vminus",)], ids=" ".join)
+def test_brute_force_commands_walk_no_s_m(monkeypatch: pytest.MonkeyPatch,
+                                          capsys: pytest.CaptureFixture, argv: list[str]) -> None:
     walks = []
     sym = perm_sets._sym
     monkeypatch.setattr(perm_sets, "_sym", lambda m: walks.append(m) or sym(m))
-    assert main(["sosrec", "--m", "6", "--format", "json"]) == 0
-    assert json.loads(capsys.readouterr().out)["sets_equal"] is True
-    assert walks == [6]
+    assert main(argv) == 0
+    assert capsys.readouterr().out
+    assert walks == []
 
 
 @pytest.mark.parametrize("m", [3, 5, 6])
 def test_sosrec_report_matches_the_object_comparison(monkeypatch: pytest.MonkeyPatch,
                                                       capsys: pytest.CaptureFixture, m: int) -> None:
-    """A wrong predicate (membership flipped for rows that start with 2) misses some
-    inverses of V and admits other rows; the report agrees with a comparison of
-    Permutation objects."""
-    sosrec = perm_sets._ROW_TESTS["SosRec"]
-    monkeypatch.setitem(perm_sets._ROW_TESTS, "SosRec", lambda b, m: sosrec(b, m) ^ (b.rows[:, 0] == 2))
+    """A wrong step rule (every step's test flipped for rows that start with 2, and
+    every value tried) misses some inverses of V and admits other rows; the
+    report agrees with a comparison of Permutation objects."""
+    sosrec = perm_sets._RULES["SosRec"].step
+    monkeypatch.setitem(perm_sets._RULES, "SosRec", perm_sets._Rule(
+        lambda s, ref: sosrec(s, ref) ^ (s.first == 2), perm_sets._every_value))
     found = list(perm_sets.enumerate_class("SosRec", m))
+    # the walk reads the same table
+    assert [p.values for p in found] == list(map(tuple, perm_sets._brute("SosRec", m).tolist()))
     v_inverses = {inverse(p) for p in perm_sets.enumerate_class("V", m)}
     assert main(["sosrec", "--m", str(m), "--format", "json"]) == 0
     doc = json.loads(capsys.readouterr().out)

@@ -7,13 +7,15 @@ import pytest
 
 from soslift import perm_sets
 from soslift.farey import totients, totient_sum
-from soslift.perm_core import PermClass, Permutation, inverse, shift_closure
+from soslift.lifting import lift_to
+from soslift.perm_core import PermClass, Permutation, _dtype_for, inverse, shift_closure
 from soslift.perm_sets import (
     DEFAULT_MAX_BRUTE_M,
     ENV_MAX_BRUTE_M,
     LABELS,
     METHODS,
     _brute,
+    _search,
     _sym,
     enumerate_class,
     enumerate_classes,
@@ -25,7 +27,7 @@ from soslift.perm_sets import (
     report_passed,
     verify_theorems,
 )
-from soslift.sos import satisfies_sos_recurrence
+from soslift.sos import satisfies_sos_recurrence, suranyi_table
 
 
 def _p(text: str) -> Permutation:
@@ -101,12 +103,71 @@ def test_one_walk_finds_what_each_label_finds_alone(m: int) -> None:
         assert np.array_equal(found[label], _brute(label, m)), label
 
 
-def test_verify_theorems_walks_each_s_m_once(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_verify_theorems_walks_no_s_m(monkeypatch: pytest.MonkeyPatch) -> None:
     walks = []
     sym = perm_sets._sym
     monkeypatch.setattr(perm_sets, "_sym", lambda m: walks.append(m) or sym(m))
     assert report_passed(verify_theorems(6))
-    assert walks == [2, 3, 4, 5, 6]
+    assert walks == []
+
+
+def _solved_and_walked(labels: tuple[str, ...], m: int) -> None:
+    """The search finds, for each label, the rows the walk of S_m finds."""
+    walked = perm_sets._walk(labels, m)
+    for solved in (_search(labels, m), {label: _search((label,), m)[label] for label in labels}):
+        assert list(solved) == list(labels)
+        for label in labels:
+            rows = solved[label]
+            assert rows.dtype == _dtype_for(m) and rows.shape[1] == m, label
+            cls = PermClass.from_array(label, m, rows)
+            assert len(cls) == len(rows), label  # no row found twice
+            assert cls == PermClass.from_array(label, m, walked[label]), (label, m)
+
+
+@pytest.mark.parametrize("m", range(1, 11))
+def test_search_finds_what_the_walk_finds(m: int) -> None:
+    _solved_and_walked(tuple(label for label in perm_sets.WALK_LABELS
+                             if (label, m) not in (("Yprime", 1), ("Yprime", 2))), m)
+
+
+@pytest.mark.parametrize("m", [2, 5, 7])
+def test_search_splits_its_frontier_and_finds_the_same_rows(monkeypatch: pytest.MonkeyPatch,
+                                                           m: int) -> None:
+    # one start pair per block, and a step with several candidates splits
+    # its frontier into parts of one prefix each
+    monkeypatch.setattr(perm_sets, "_FRONTIER_BYTES", 1)
+    _solved_and_walked(tuple(label for label in perm_sets.WALK_LABELS
+                             if (label, m) != ("Yprime", 2)), m)
+
+
+def test_search_edge_degrees() -> None:
+    for m in (1, 2):
+        every = [list(p) for p in itertools.permutations(range(1, m + 1))]
+        assert sorted(_search(("Y",), m)["Y"].tolist()) == every
+        with pytest.raises(ValueError, match=f"Yprime needs degree >= 3, got {m}"):
+            _search(("Yprime",), m)
+        with pytest.raises(ValueError, match=f"Yprime needs degree >= 3, got {m}"):
+            enumerate_classes(("Y", "Yprime"), m)
+    for label in ("X", "SosRec", "V", "W"):
+        assert _search((label,), 1)[label].tolist() == [[1]], label
+
+
+def test_search_rows_past_degree_255_are_uint16() -> None:
+    found = _search(("V", "W", "SosRec"), 256)
+    assert all(rows.dtype == np.uint16 and rows.shape == (totient_sum(256), 256)
+               for rows in found.values())
+    v = PermClass.from_array("V", 256, found["V"])
+    assert PermClass.from_array("W", 256, found["W"]) == v
+    inverses = np.argsort(v.as_array(), axis=1) + 1
+    assert PermClass.from_array("SosRec", 256, found["SosRec"]) == PermClass.from_array("inv", 256, inverses)
+
+
+def test_v_search_lift_and_farey_table_agree_at_degree_151() -> None:
+    m = 151
+    solved = PermClass.from_array("V", m, _search(("V",), m)["V"]).as_array()
+    assert np.array_equal(solved, lift_to(m).as_array())
+    assert np.array_equal(solved, PermClass.from_array("Sstar", m, suranyi_table(m).as_array()).as_array())
+    assert len(solved) == totient_sum(m)
 
 
 def test_enumerate_classes_matches_enumerate_class(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -138,7 +199,7 @@ def test_enumerate_classes_refuses_labels_it_cannot_walk(
     def no_walk(m):
         raise AssertionError("walked S_m")
     monkeypatch.setattr(perm_sets, "_sym", no_walk)
-    with pytest.raises(ValueError, match=r"walks only \('V', 'W', 'Y', 'Yprime', 'X', 'SosRec'\), "
+    with pytest.raises(ValueError, match=r"solves only \('V', 'W', 'Y', 'Yprime', 'X', 'SosRec'\), "
                                          r"not \[" + repr(label)):
         enumerate_classes(("V", label), 5)
 
@@ -280,7 +341,8 @@ def test_verify_theorems_reads_no_permutation_objects(monkeypatch: pytest.Monkey
 @pytest.mark.parametrize("accept", ["all", "none"])
 def test_verify_theorems_reports_a_wrong_class_as_failed(monkeypatch: pytest.MonkeyPatch,
                                                          accept: str) -> None:
-    monkeypatch.setitem(perm_sets._ROW_TESTS, "W", lambda t, m: np.full(len(t), accept == "all"))
+    monkeypatch.setitem(perm_sets._RULES, "W", perm_sets._Rule(
+        lambda s, ref: np.full(s.d.shape, accept == "all"), perm_sets._every_value))
     records = verify_theorems(5)
     passed = {(r["m"], r["check"]): r["passed"] for r in records}
     for m in range(2, 6):
