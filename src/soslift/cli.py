@@ -5,6 +5,12 @@ verification check fails or the reader closes stdout before the output ends
 (no traceback is printed), 2 on usage errors (including malformed
 permutation or fraction tokens).  Output is deterministic: sets print one
 permutation per line, trees and reports print a single JSON document.
+
+``lift`` prints V_M block by block: each block of whole theta(1) groups is
+sorted and checked just before it is written.  A row that is not a
+permutation therefore ends the command with exit 2 and one error line after
+the blocks before its own are printed; stdout then holds those whole blocks
+and nothing of the failing one.
 """
 from __future__ import annotations
 
@@ -22,8 +28,9 @@ from .farey import (
     fraction_to_json,
     parse_fraction,
 )
-from .lifting import MAX_LIFT_DEGREE, Level, check_lift_degree, lift_once, lift_to, project
-from .perm_core import PermClass, Permutation, _json_values, _rows_in, format_rows
+from .lifting import (MAX_LIFT_DEGREE, Level, check_lift_degree, lift_fibers, lift_level, project,
+                      sorted_blocks)
+from .perm_core import Permutation, _json_values, _rows_in, format_rows
 from .perm_sets import (
     LABELS,
     METHODS,
@@ -38,15 +45,15 @@ from .trees import build_farey_tree, build_gen_tree, check_isomorphism, export_t
 DEFAULT_SEED = 1729
 
 
-def _print_class(cls: PermClass, fmt: str) -> None:
-    """One write to the text stream sys.stdout per block of 1024 rows.
+def _print_rows(blocks, m: int, fmt: str) -> None:
+    """One write to the text stream sys.stdout per 1024 rows of each block.
 
-    format_rows holds a block's text several times over, so the blocks
-    bound what printing holds beyond the class itself.
+    format_rows holds a piece's text several times over, so the pieces
+    bound what printing holds beyond the rows themselves.
     """
-    rows = cls.as_array()
-    for start in range(0, len(rows), 1024):
-        sys.stdout.write(format_rows(rows[start:start + 1024], cls.m, fmt))
+    for rows in blocks:
+        for start in range(0, len(rows), 1024):
+            sys.stdout.write(format_rows(rows[start:start + 1024], m, fmt))
 
 
 def _print_report(records: list[dict], fmt: str) -> int:
@@ -62,7 +69,7 @@ def _print_report(records: list[dict], fmt: str) -> int:
 
 def _cmd_enumerate(args) -> int:
     cls = enumerate_class(args.set, args.m, args.method, args.force)
-    _print_class(cls, args.format)
+    _print_rows([cls.as_array()], cls.m, args.format)
     return 0
 
 
@@ -89,10 +96,10 @@ def _cmd_lift(args) -> int:
             raise ValueError(f"cannot read {args.input}: {type(exc).__name__}: {exc}") from None
         if len(parents) == 0:
             raise ValueError(f"no permutations read from {args.input}")
-        out = lift_once(parents)
+        level = lift_fibers(parents)[0]
     else:
-        out = lift_to(args.to_m if args.to_m is not None else args.from_m + 1, args.force)
-    _print_class(out, args.format)
+        level = lift_level(args.to_m if args.to_m is not None else args.from_m + 1, args.force)
+    _print_rows(sorted_blocks(level), level.m, args.format)
     return 0
 
 

@@ -33,10 +33,14 @@ from typing import Iterator
 
 import numpy as np
 
-from .perm_core import PermClass, Permutation, _dtype_for, _misses_a_value, gamma, in_V, psi
+from .perm_core import (PermClass, Permutation, _dtype_for, _misses_a_value, _sorted_rows, gamma,
+                        in_V, psi)
 
 FORCE_THRESHOLD = 500
 MAX_LIFT_DEGREE = 2000
+# sorted_blocks decodes at most this many bytes of rows per block, unless
+# one theta(1) group alone is larger
+BLOCK_BYTES = 16 << 20
 
 TAG_SINGLE = -1
 TAG_LEFT = 0
@@ -78,24 +82,25 @@ class Level:
     def rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
         """Members start..stop-1 as an (n, m) array of dtype _dtype_for(m).
 
-        Decoded one column at a time through the congruence on an int16
-        column: theta(i) + theta(1) - [theta(m) <= theta(i)] lies in
-        [1, 2m], so one subtraction of m reduces it into [1, m].
+        Decoded one column at a time through the congruence, on uint16
+        columns of t = theta(i) - 1: t + theta(1) - [theta(m) <= theta(i)]
+        lies in [0, 2m - 1], and its minimum with itself less m (which wraps
+        past 2^16 - m unless it is at least m) reduces it into [0, m - 1].
         """
         m = self.m
-        first = self.first[start:stop].astype(np.int16)
-        last = self.last[start:stop].astype(np.int16)
+        first = self.first[start:stop].astype(np.uint16)
+        last_less_one = self.last[start:stop].astype(np.uint16) - np.uint16(1)
         columns = np.empty((m, len(first)), dtype=_dtype_for(m))
-        theta = first.copy()
+        t, wrapped = first - np.uint16(1), np.empty(len(first), dtype=np.uint16)
         carry = np.empty(len(first), dtype=bool)
         columns[0] = first
         for column in columns[1:]:
-            np.greater_equal(theta, last, out=carry)
-            theta += first
-            theta -= carry
-            np.greater(theta, m, out=carry)
-            np.subtract(theta, m, out=theta, where=carry)
-            column[:] = theta
+            np.greater_equal(t, last_less_one, out=carry)
+            t += first
+            t -= carry
+            np.subtract(t, m, out=wrapped)
+            np.minimum(t, wrapped, out=t)
+            np.add(t, 1, out=column, casting="unsafe")
         return columns.T
 
     @classmethod
@@ -146,18 +151,26 @@ def lift_fibers(parents: Level) -> tuple[Level, np.ndarray, np.ndarray]:
     branching = np.flatnonzero(s == m)
 
     # every parent's first child is (f', s), or (f'+1, s+1-m) when s > m; a
-    # branching parent's (1)-child (f'+1, 1) is inserted right after it
-    after = branching + 1
+    # branching parent's (1)-child (f'+1, 1) follows it, so the k-th
+    # (1)-child lands k rows past its parent, and every other row is a
+    # parent's first child in parent order
+    right_rows = branching + np.arange(1, len(branching) + 1)
+    n = len(s) + len(branching)
+    first_rows = np.ones(n, dtype=bool)
+    first_rows[right_rows] = False
     dtype = _dtype_for(m)
-    children = Level(m, np.insert(first + up, after, first[branching] + 1).astype(dtype),
-                     np.insert(np.where(up, s + (1 - m), s), after, 1).astype(dtype))
-    parent_index = np.insert(np.arange(len(s), dtype=np.int64), after, branching)
-
-    left_rows = branching + np.arange(len(branching))
-    tags = np.full(len(parent_index), TAG_SINGLE, dtype=np.int8)
-    tags[left_rows] = TAG_LEFT
-    tags[left_rows + 1] = TAG_RIGHT
-    return children, parent_index, tags
+    child_first, child_last = np.empty(n, dtype=dtype), np.empty(n, dtype=dtype)
+    child_first[first_rows] = first + up
+    child_first[right_rows] = first[branching] + 1
+    child_last[first_rows] = np.where(up, s + (1 - m), s)
+    child_last[right_rows] = 1
+    parent_index = np.empty(n, dtype=np.int64)
+    parent_index[first_rows] = np.arange(len(s))
+    parent_index[right_rows] = branching
+    tags = np.full(n, TAG_SINGLE, dtype=np.int8)
+    tags[right_rows - 1] = TAG_LEFT
+    tags[right_rows] = TAG_RIGHT
+    return Level(m, child_first, child_last), parent_index, tags
 
 
 def lift_once(parents: Level) -> PermClass:
@@ -197,11 +210,42 @@ def iter_levels(M: int, force: bool = False) -> Iterator[tuple[Level, np.ndarray
         yield level, parent_index, tags
 
 
-def lift_to(M: int, force: bool = False) -> PermClass:
-    """The class V of degree M, lifted from degree 1 one level at a time."""
+def lift_level(M: int, force: bool = False) -> Level:
+    """The class V of degree M as a Level in generation order, lifted from degree 1."""
     for level, _, _ in iter_levels(M, force):
         pass
-    return PermClass.from_array("V", M, level.rows())
+    return level
+
+
+def lift_to(M: int, force: bool = False) -> PermClass:
+    """The class V of degree M, lifted from degree 1 one level at a time."""
+    return PermClass.from_array("V", M, lift_level(M, force).rows())
+
+
+def sorted_blocks(level: Level) -> Iterator[np.ndarray]:
+    """The members of a level in lexicographic order, as consecutive blocks of rows.
+
+    Lexicographic order puts theta(1) first, and equal rows have equal
+    theta(1), so the (first, last) pairs are put in theta(1) order by a
+    stable argsort (a counting sort) and cut into blocks of whole theta(1)
+    groups, each block's decoded rows at most BLOCK_BYTES unless one group
+    is larger.  Each block is decoded, byte-sorted, deduplicated and checked
+    as a PermClass does (a ValueError for a row that is not a permutation),
+    so the blocks in turn are the rows of the class, and no more than one
+    block of rows is held at a time.
+    """
+    m = level.m
+    order = np.argsort(level.first, kind="stable")
+    grouped = Level(m, level.first[order], level.last[order])
+    block_rows = BLOCK_BYTES // (m * _dtype_for(m).itemsize)
+    start = stop = 0
+    for end in np.cumsum(np.bincount(grouped.first)).tolist():  # where each group ends
+        if end - start > block_rows and stop > start:
+            yield _sorted_rows("V", m, grouped.rows(start, stop))
+            start = stop
+        stop = end
+    if stop > start:
+        yield _sorted_rows("V", m, grouped.rows(start, stop))
 
 
 def generate_up_to(M: int, force: bool = False) -> list[PermClass]:

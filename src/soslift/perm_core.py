@@ -305,20 +305,74 @@ def _row_items(rows: np.ndarray) -> np.ndarray:
 
 
 def _rows_in(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Mask of the rows of an (N, m) array that are also rows of an (M, m) array."""
-    return np.isin(_row_items(rows), _row_items(other))
+    """Mask of the rows of an (N, m) array that are also rows of an (M, m) array.
+
+    The items of ``other`` are sorted once and each item of ``rows`` is
+    looked up by binary search, so the test holds little beyond the two
+    item copies (np.isin on opaque items held about ten times its inputs).
+    """
+    keys = _row_items(other)
+    keys.sort()
+    items = _row_items(rows)
+    if not len(keys):
+        return np.zeros(len(items), dtype=bool)
+    at = np.searchsorted(keys, items).clip(max=len(keys) - 1)
+    return keys[at] == items
 
 
 def _misses_a_value(rows: np.ndarray) -> np.ndarray:
-    """Mask of the rows of an (N, m) array of values in 1..m that are not permutations."""
-    seen = np.zeros((len(rows), rows.shape[1] + 1), dtype=bool)
-    seen[np.arange(len(rows))[:, None], rows] = True
-    return ~seen[:, 1:].all(axis=1)
+    """Mask of the rows of an (N, m) array of values in 1..m that are not permutations.
+
+    Each block of 1024 rows is scattered by flat index into one reused
+    (1024, m + 1) mask, so no index array of the whole input is formed.
+    """
+    n, m = rows.shape
+    block = max(1, min(n, 1024))
+    seen = np.empty((block, m + 1), dtype=bool)
+    offsets = np.arange(0, block * (m + 1), m + 1)[:, None]
+    misses = np.empty(n, dtype=bool)
+    for start in range(0, n, block):
+        part = rows[start:start + block]
+        k = len(part)
+        seen[:k] = False
+        seen.ravel()[part + offsets[:k]] = True
+        np.logical_not(seen[:k, 1:].all(axis=1), out=misses[start:start + k])
+    return misses
 
 
 def _check_degree(label: str, m: int) -> None:
     if m < 1:
         raise ValueError(f"{label} needs a positive degree, got {m}")
+
+
+def _sorted_rows(label: str, m: int, array: np.ndarray) -> np.ndarray:
+    """The rows of an (N, m) integer array as the members of a class: in
+    lexicographic order, deduplicated, of dtype _dtype_for(m), and each
+    checked to be a permutation of 1..m (ValueError naming the label if not).
+
+    The rows are sorted as big-endian byte items (_row_items) in one copy
+    of the array, which the result views.
+    """
+    _check_degree(label, m)
+    if array.ndim != 2 or array.shape[1] != m or not np.issubdtype(array.dtype, np.integer):
+        raise ValueError(f"{label} of degree {m} needs an (N, {m}) integer array, "
+                         f"got shape {array.shape} of {array.dtype}")
+    if len(array) and (array.min() < 1 or array.max() > m):
+        rows, bad = array, ((array < 1) | (array > m)).any(axis=1)
+    else:
+        items = _row_items(array)
+        items.sort()
+        distinct = items[1:] != items[:-1]
+        if not distinct.all():
+            items = items[np.concatenate(([True], distinct))]
+        rows = items.view(_dtype_for(m).newbyteorder(">")).reshape(len(items), m)
+        if rows.dtype != _dtype_for(m):  # swap the same buffer back to native order
+            rows = rows.byteswap(inplace=True).view(_dtype_for(m))
+        bad = _misses_a_value(rows)
+    if bad.any():
+        row = tuple(rows[int(np.argmax(bad))].tolist())
+        raise ValueError(f"not a permutation of 1..{m} in {label}: {row}")
+    return rows
 
 
 class PermClass:
@@ -349,25 +403,7 @@ class PermClass:
         return obj
 
     def _set_rows(self, label: str, m: int, array: np.ndarray) -> None:
-        _check_degree(label, m)
-        if array.ndim != 2 or array.shape[1] != m or not np.issubdtype(array.dtype, np.integer):
-            raise ValueError(f"{label} of degree {m} needs an (N, {m}) integer array, "
-                             f"got shape {array.shape} of {array.dtype}")
-        if len(array) and (array.min() < 1 or array.max() > m):
-            rows, bad = array, ((array < 1) | (array > m)).any(axis=1)
-        else:
-            items = _row_items(array)
-            items.sort()
-            distinct = items[1:] != items[:-1]
-            if not distinct.all():
-                items = items[np.concatenate(([True], distinct))]
-            rows = items.view(_dtype_for(m).newbyteorder(">")).reshape(len(items), m)
-            if rows.dtype != _dtype_for(m):  # swap the same buffer back to native order
-                rows = rows.byteswap(inplace=True).view(_dtype_for(m))
-            bad = _misses_a_value(rows)
-        if bad.any():
-            row = tuple(rows[int(np.argmax(bad))].tolist())
-            raise ValueError(f"not a permutation of 1..{m} in {label}: {row}")
+        rows = _sorted_rows(label, m, array)
         rows.flags.writeable = False
         self.label, self.m, self._array, self._members = label, m, rows, None
 

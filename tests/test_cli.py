@@ -194,19 +194,37 @@ def test_class_output_matches_permutation_text(capsys: pytest.CaptureFixture, m:
             assert capsys.readouterr().out == text
 
 
-@pytest.mark.parametrize("bad_row", [[3, 3, 1], [2, 3, 4]])
+# (theta(1), theta(3)) pairs that the V congruence decodes to 3 2 2 and 1 1 1
+@pytest.mark.parametrize("bad_row", [[3, 3], [1, 1]])
 @pytest.mark.parametrize("fmt", ["oneline", "json"])
 def test_class_output_rejects_a_non_permutation_row(
     monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture, bad_row: list[int], fmt: str
 ) -> None:
-    rows = np.array([[1, 2, 3], [2, 3, 1], bad_row], dtype=np.uint8)
-    monkeypatch.setattr(cli, "lift_to", lambda M, force=False: PermClass.from_array("V", 3, rows))
+    level = lifting.Level(3, np.array([1, 2, bad_row[0]], dtype=np.uint8),
+                          np.array([3, 1, bad_row[1]], dtype=np.uint8))
+    monkeypatch.setattr(cli, "lift_level", lambda M, force=False: level)
     assert main(["lift", "--to-m", "3", "--format", fmt]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("error:") and "not a permutation of 1..3" in captured.err
     with pytest.raises(ValueError, match="not a permutation"):
-        PermClass.from_array("V", 3, rows).members
+        PermClass.from_array("V", 3, level.rows()).members
+
+
+@pytest.mark.parametrize("fmt", ["oneline", "json"])
+def test_lift_output_stops_before_the_block_with_a_bad_row(
+        monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture, fmt: str) -> None:
+    # the rows 123, 231, 312, 321 and 322, one theta(1) group per block: the
+    # last block fails its check after the first two are written
+    level = lifting.Level(3, np.array([1, 2, 3, 3, 3], dtype=np.uint8),
+                          np.array([3, 1, 2, 1, 3], dtype=np.uint8))
+    monkeypatch.setattr(cli, "lift_level", lambda M, force=False: level)
+    monkeypatch.setattr(lifting, "BLOCK_BYTES", 1)
+    assert main(["lift", "--to-m", "3", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == perm_core.format_rows(np.array([[1, 2, 3], [2, 3, 1]]), 3, fmt)
+    assert captured.err == "error: not a permutation of 1..3 in V: (3, 2, 2)\n"
+    assert "Traceback" not in captured.err
 
 
 def test_enumerate_lift_refusal_names_the_flag(capsys: pytest.CaptureFixture) -> None:

@@ -22,14 +22,17 @@ from soslift.lifting import (
     generate_up_to,
     iter_levels,
     lift_fibers,
+    lift_level,
     lift_once,
     lift_to,
     project,
+    sorted_blocks,
 )
 from soslift.perm_core import (
     PermClass,
     Permutation,
     _dtype_for,
+    format_rows,
     cds,
     in_V,
     psi_inverse,
@@ -372,3 +375,69 @@ def test_lift_runs_the_kernel_once_per_degree(monkeypatch: pytest.MonkeyPatch,
     assert [children.shape for children, _, _ in calls] == [
         (totient_sum(m), m) for m in range(2, 41)]
     assert [int((tags == 0).sum()) for _, _, tags in calls] == totients(40)[2:]
+
+
+def _lift_fibers_by_insert(parents: Level) -> tuple[Level, np.ndarray, np.ndarray]:
+    """The reference kernel: each (1)-child inserted after its (0)-child with np.insert."""
+    m = parents.m + 1
+    first = parents.first.astype(np.int16)
+    s = first + parents.last
+    up = s > m
+    branching = np.flatnonzero(s == m)
+    after = branching + 1
+    dtype = _dtype_for(m)
+    children = Level(m, np.insert(first + up, after, first[branching] + 1).astype(dtype),
+                     np.insert(np.where(up, s + (1 - m), s), after, 1).astype(dtype))
+    parent_index = np.insert(np.arange(len(s), dtype=np.int64), after, branching)
+    left_rows = branching + np.arange(len(branching))
+    tags = np.full(len(parent_index), TAG_SINGLE, dtype=np.int8)
+    tags[left_rows] = TAG_LEFT
+    tags[left_rows + 1] = TAG_RIGHT
+    return children, parent_index, tags
+
+
+def test_lift_fibers_equals_the_insert_kernel_to_degree_300() -> None:
+    parents = None
+    for level, parent_index, tags in iter_levels(300):
+        if parents is not None:
+            ref_level, ref_index, ref_tags = _lift_fibers_by_insert(parents)
+            for got, want in ((level.first, ref_level.first), (level.last, ref_level.last),
+                              (parent_index, ref_index), (tags, ref_tags)):
+                assert got.dtype == want.dtype, level.m
+                assert np.array_equal(got, want), level.m
+        parents = level
+
+
+# every degree to 60, a stride to 300, and the uint8/uint16 boundary
+STREAM_DEGREES = sorted({*range(1, 61), *range(61, 301, 48), 255, 256, 257})
+
+
+@pytest.mark.parametrize("bound", ["default", "one group"])
+@pytest.mark.parametrize("fmt", ["oneline", "json"])
+def test_lift_output_equals_the_sorted_class(monkeypatch: pytest.MonkeyPatch,
+                                             capsys: pytest.CaptureFixture,
+                                             fmt: str, bound: str) -> None:
+    if bound == "one group":
+        monkeypatch.setattr(lifting, "BLOCK_BYTES", 1)
+    for level, _, _ in iter_levels(max(STREAM_DEGREES)):
+        if level.m not in STREAM_DEGREES:
+            continue
+        monkeypatch.setattr(cli, "lift_level", lambda M, force=False: level)
+        assert cli.main(["lift", "--to-m", str(level.m), "--format", fmt]) == 0
+        rows = PermClass.from_array("V", level.m, level.rows()).as_array()
+        assert capsys.readouterr().out == format_rows(rows, level.m, fmt), level.m
+
+
+def test_sorted_blocks_hold_whole_theta_one_groups(monkeypatch: pytest.MonkeyPatch) -> None:
+    level = lift_level(200)
+    rows = PermClass.from_array("V", 200, level.rows()).as_array()
+    assert [len(b) for b in sorted_blocks(level)] == [len(rows)]  # 2.4 MB: one block
+    monkeypatch.setattr(lifting, "BLOCK_BYTES", 1)
+    blocks = list(sorted_blocks(level))
+    assert [b[0, 0] for b in blocks] == list(range(1, 201))
+    assert all((b[:, 0] == b[0, 0]).all() for b in blocks)
+    monkeypatch.setattr(lifting, "BLOCK_BYTES", 200 * 1000)
+    blocks = list(sorted_blocks(level))
+    assert all(b.nbytes <= 200 * 1000 for b in blocks)
+    assert len(blocks) < 2 * len(rows) * 200 // (200 * 1000) + 2  # the blocks are nearly full
+    assert np.array_equal(np.concatenate(blocks), rows)

@@ -247,6 +247,41 @@ def test_perm_class_from_array_rejects_every_non_permutation_row() -> None:
                 PermClass.from_array("V", 3, np.array(bad))
 
 
+def _misses_by_scatter(rows: np.ndarray) -> np.ndarray:
+    """The reference check: one (N, m + 1) mask scattered by a row index."""
+    seen = np.zeros((len(rows), rows.shape[1] + 1), dtype=bool)
+    seen[np.arange(len(rows))[:, None], rows] = True
+    return ~seen[:, 1:].all(axis=1)
+
+
+@pytest.mark.parametrize("m", [1, 3, 40, 300])
+def test_misses_a_value_equals_the_whole_scatter(m: int) -> None:
+    rng = np.random.default_rng(m)
+    good = np.array([rng.permutation(m) + 1 for _ in range(64)], dtype=_dtype_for(m))
+    for n in (0, 1, 1023, 1024, 1025, 2049, 3000):
+        rows = good[np.arange(n) % len(good)].copy()
+        planted = [k for k in (0, 1023, 1024) if k < n] if m > 1 else []
+        rows[planted, -1] = rows[planted, 0]  # the two rows on either side of the first block edge
+        got = perm_core._misses_a_value(rows)
+        assert got.dtype == bool and got.shape == (n,)
+        assert np.array_equal(got, _misses_by_scatter(rows)), (m, n)
+        assert np.flatnonzero(got).tolist() == planted
+
+
+@pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
+def test_rows_in_equals_isin(dtype) -> None:
+    v = lift_to(12).as_array().astype(dtype)
+    rng = np.random.default_rng(7)
+    others = [v, v[:0], v[::3], np.concatenate([v[5:9]] * 3), v[rng.permutation(len(v))][:20]]
+    for rows in (v, v[:0], np.concatenate([v, v[::-1]])):
+        for other in others:
+            want = np.isin(perm_core._row_items(rows), perm_core._row_items(other))
+            got = perm_core._rows_in(rows, other)
+            assert got.dtype == bool and np.array_equal(got, want)
+    wide = np.array([np.arange(1, 301), np.arange(300, 0, -1)], dtype=np.uint16)
+    assert perm_core._rows_in(wide, wide[1:]).tolist() == [False, True]
+
+
 def test_perm_class_from_array_rejects_wrong_shape_or_dtype() -> None:
     for bad in (np.ones((2, 4), dtype=np.uint8), np.array([1, 2, 3]), np.array([[1.0, 2.0, 3.0]])):
         with pytest.raises(ValueError, match=r"V of degree 3 needs an \(N, 3\) integer array"):
