@@ -32,8 +32,8 @@ from soslift.perm_core import (
     PermClass,
     Permutation,
     _dtype_for,
-    format_rows,
     cds,
+    format_rows,
     in_V,
     psi_inverse,
     shift,

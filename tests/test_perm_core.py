@@ -261,7 +261,7 @@ def test_misses_a_value_equals_the_whole_scatter(m: int) -> None:
     for n in (0, 1, 1023, 1024, 1025, 2049, 3000):
         rows = good[np.arange(n) % len(good)].copy()
         planted = [k for k in (0, 1023, 1024) if k < n] if m > 1 else []
-        rows[planted, -1] = rows[planted, 0]  # the two rows on either side of the first block edge
+        rows[planted, -1] = rows[planted, 0]  # row 0 and both sides of the first block edge
         got = perm_core._misses_a_value(rows)
         assert got.dtype == bool and got.shape == (n,)
         assert np.array_equal(got, _misses_by_scatter(rows)), (m, n)
