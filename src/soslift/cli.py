@@ -30,7 +30,7 @@ from .farey import (
 )
 from .lifting import (MAX_LIFT_DEGREE, Level, check_lift_degree, lift_fibers, lift_level, project,
                       sorted_blocks)
-from .perm_core import Permutation, _json_values, _rows_in, format_rows
+from .perm_core import Permutation, _json_values, _rows_in, check_degree, format_rows
 from .perm_sets import (
     LABELS,
     METHODS,
@@ -74,8 +74,8 @@ def _cmd_enumerate(args) -> int:
 
 
 def _cmd_lift(args) -> int:
-    if args.from_m is not None and args.from_m < 1:
-        raise ValueError(f"source degree must be positive, got {args.from_m}")
+    if args.from_m is not None:
+        check_degree(args.from_m, None, "source degree")  # the target degree has the ceiling
     if args.input and args.from_m is None:
         raise ValueError("--input holds V of degree --from-m and cannot be combined with --to-m")
     if args.input:
@@ -116,8 +116,7 @@ def _cmd_tau(args) -> int:
 
 
 def _cmd_farey(args) -> int:
-    if args.m > MAX_LIFT_DEGREE:
-        raise ValueError(f"order {args.m} exceeds the supported ceiling {MAX_LIFT_DEGREE}")
+    check_degree(args.m, MAX_LIFT_DEGREE, "order")
     intervals = farey_intervals(args.m)
     terms = [iv.lo for iv in intervals] + [intervals[-1].hi]
     if args.format == "json":

@@ -12,6 +12,8 @@ from fractions import Fraction
 
 import numpy as np
 
+from .perm_core import check_degree
+
 
 def parse_fraction(text: str) -> Fraction:
     """Parse "p/q" (or a bare integer) into an exact Fraction."""
@@ -64,8 +66,7 @@ def farey_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
     >>> [f"{p}/{q}" for p, q in zip(*farey_terms(3))]
     ['0/1', '1/3', '1/2', '2/3', '1/1']
     """
-    if m < 1:
-        raise ValueError(f"order must be positive, got {m}")
+    check_degree(m, None, "order")
     a, b, c, d = 0, 1, 1, m
     num, den = [0], [1]
     while c <= m and not (c == 1 and d == 1):
@@ -124,6 +125,5 @@ def totient_sum(m: int) -> int:
     >>> totient_sum(1), totient_sum(4), totient_sum(6)
     (1, 6, 12)
     """
-    if m < 1:
-        raise ValueError(f"order must be positive, got {m}")
+    check_degree(m, None, "order")
     return sum(totients(m)[1:])

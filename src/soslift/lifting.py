@@ -33,8 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .perm_core import (PermClass, Permutation, _dtype_for, _misses_a_value, _sorted_rows, gamma,
-                        in_V, psi)
+from .perm_core import (PermClass, Permutation, _dtype_for, _misses_a_value, _sorted_rows,
+                        check_degree, gamma, in_V, psi)
 
 FORCE_THRESHOLD = 500
 MAX_LIFT_DEGREE = 2000
@@ -111,8 +111,7 @@ class Level:
             raise ValueError(f"expected a 2-d parent array of integers, got shape {array.shape} "
                              f"of {array.dtype}")
         m = array.shape[1]
-        if m > MAX_LIFT_DEGREE:
-            raise ValueError(f"degree {m} exceeds the supported ceiling {MAX_LIFT_DEGREE}")
+        check_degree(m, MAX_LIFT_DEGREE)
         bad = _outside_V(array)
         if bad.any():
             k = int(np.argmax(bad))
@@ -186,10 +185,7 @@ def check_lift_degree(M: int, force: bool = False) -> None:
     Both routes to V_M that build whole levels, lifting and the Farey
     table, take their degree through this guard.
     """
-    if M < 1:
-        raise ValueError(f"target degree must be positive, got {M}")
-    if M > MAX_LIFT_DEGREE:
-        raise ValueError(f"degrees beyond degree {MAX_LIFT_DEGREE} are not supported")
+    check_degree(M, MAX_LIFT_DEGREE, "target degree")
     if M > FORCE_THRESHOLD and not force:
         raise ValueError(f"degree {M} > {FORCE_THRESHOLD} needs force=True "
                          "(soslift lift --force, soslift enumerate --force)")

@@ -15,6 +15,18 @@ import numpy as np
 MAX_DEGREE = 10_000
 
 
+def check_degree(m: int, ceiling: int | None = MAX_DEGREE, name: str = "degree") -> None:
+    """Refuse m below 1 or above ceiling (None: no ceiling), before any work.
+
+    Every degree, order and depth that soslift takes is refused here, and
+    only here, by one of the two texts below.
+    """
+    if m < 1:
+        raise ValueError(f"{name} must be positive, got {m}")
+    if ceiling is not None and m > ceiling:
+        raise ValueError(f"{name} {m} exceeds the supported ceiling {ceiling}")
+
+
 def mod_m(j: int, m: int) -> int:
     """Standard residue of j modulo m, in {0, ..., m-1}.
 
@@ -52,8 +64,7 @@ class Permutation:
         m = len(vals)
         if m < 1:
             raise ValueError("permutation needs at least one value")
-        if m > MAX_DEGREE:
-            raise ValueError(f"degree {m} exceeds the supported ceiling {MAX_DEGREE}")
+        check_degree(m)
         if sorted(vals) != list(range(1, m + 1)):
             raise ValueError(f"not a permutation of 1..{m}: {vals}")
         self._values = vals
@@ -340,11 +351,6 @@ def _misses_a_value(rows: np.ndarray) -> np.ndarray:
     return misses
 
 
-def _check_degree(label: str, m: int) -> None:
-    if m < 1:
-        raise ValueError(f"{label} needs a positive degree, got {m}")
-
-
 def _sorted_rows(label: str, m: int, array: np.ndarray) -> np.ndarray:
     """The rows of an (N, m) integer array as the members of a class: in
     lexicographic order, deduplicated, of dtype _dtype_for(m), and each
@@ -353,7 +359,7 @@ def _sorted_rows(label: str, m: int, array: np.ndarray) -> np.ndarray:
     The rows are sorted as big-endian byte items (_row_items) in one copy
     of the array, which the result views.
     """
-    _check_degree(label, m)
+    check_degree(m, name=f"{label} degree")
     if array.ndim != 2 or array.shape[1] != m or not np.issubdtype(array.dtype, np.integer):
         raise ValueError(f"{label} of degree {m} needs an (N, {m}) integer array, "
                          f"got shape {array.shape} of {array.dtype}")
@@ -387,7 +393,7 @@ class PermClass:
     __slots__ = ("label", "m", "_members", "_array")
 
     def __init__(self, label: str, m: int, members: Iterable[Permutation] = ()):
-        _check_degree(label, m)
+        check_degree(m, name=f"{label} degree")
         rows = []
         for p in members:
             if p.m != m:

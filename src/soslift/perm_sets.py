@@ -29,8 +29,9 @@ reads the same rules with .all over the steps; it is the reference the
 tests compare the search with, and no command runs it; the per-row
 predicates (in_V, in_W, ...) are the reference for the walk.  Sstar is the Farey
 table itself, read with no search, as is SstarTilde, its shift closure.
-Method 'brute' is capped at m = 10, for enumerate_class and verify_theorems
-alike, unless SOSLIFT_MAX_BRUTE_M raises it.
+Method 'brute' is capped at m = 10, for enumerate_class, enumerate_classes
+and verify_theorems alike (_check_brute_guard), unless SOSLIFT_MAX_BRUTE_M,
+a positive integer, raises it; no value of it admits m above MAX_DEGREE.
 """
 from __future__ import annotations
 
@@ -45,6 +46,7 @@ import numpy as np
 from . import lifting
 from .farey import totient_sum, totients
 from .perm_core import (
+    MAX_DEGREE,
     PermClass,
     Permutation,
     _dtype_for,
@@ -52,6 +54,7 @@ from .perm_core import (
     _rows_in,
     ascents,
     cds,
+    check_degree,
     delta,
     in_V,
     shift_closure,
@@ -98,23 +101,26 @@ def in_X(theta: Permutation) -> bool:
     return max(residues) - min(residues) <= 1 and 0 not in residues
 
 
-def _max_brute_m() -> int:
+def _check_brute_guard(m: int, name: str = "degree") -> None:
+    """Refuse brute force at degree m, before any work, above the cap and
+    outside 1..MAX_DEGREE whatever the cap.  The cap is SOSLIFT_MAX_BRUTE_M,
+    which must be a positive integer, or 10.  verify_theorems passes name
+    "m_max", which also refuses 1 and names the range."""
     raw = os.environ.get(ENV_MAX_BRUTE_M)
-    if raw is None:
-        return DEFAULT_MAX_BRUTE_M
     try:
-        return int(raw)
+        cap = DEFAULT_MAX_BRUTE_M if raw is None else int(raw)
     except ValueError:
         raise ValueError(f"{ENV_MAX_BRUTE_M} must be an integer, got {raw!r}") from None
-
-
-def _check_brute_guard(m: int) -> None:
-    cap = _max_brute_m()
+    check_degree(cap, None, ENV_MAX_BRUTE_M)
+    if name == "m_max" and not 2 <= m <= cap:
+        raise ValueError(f"m_max must lie in [2, {cap}] for exhaustive checks, got {m}; "
+                         f"set {ENV_MAX_BRUTE_M} to raise the cap")
     if m > cap:
         raise ValueError(
             f"brute-force enumeration over S_{m} refused (cap {cap}); "
             f"set {ENV_MAX_BRUTE_M} to raise it"
         )
+    check_degree(m, MAX_DEGREE, name)
 
 
 def _lex_perms(k: int) -> np.ndarray:
@@ -360,16 +366,21 @@ def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
     values that rule.solve gives for theta(i+1) (theta(m) itself at the last
     step), and each is kept only when the visited mask of its prefix does not
     hold it and rule.step accepts it.  A step with several candidates first
-    splits its frontier into parts whose children fit _FRONTIER_BYTES.
+    splits its frontier into parts whose children fit _FRONTIER_BYTES, but
+    never below one prefix a part: at the first step of Y and X one prefix
+    has m candidates, whose children take m row_bytes, about m(3m + 1)
+    bytes.  A step therefore holds about max(16 MiB, m(3m + 1)) bytes of
+    children, about 0.3 GB at MAX_DEGREE (computed from the shapes, not
+    measured).
     Returns an (N, m) array of dtype _dtype_for(m), rows in no particular order.
     """
     dtype = _dtype_for(m)
     if m == 1:
         return np.ones((1, 1), dtype=dtype)  # no steps to fail
-    # the step columns: every value a rule computes lies within 3m + 2 of 0
-    cols = np.int16 if m <= 10000 else np.int32
-    first = np.repeat(np.asarray(firsts, dtype=cols), m - 1)
-    last = np.tile(np.arange(1, m, dtype=cols), len(firsts))
+    # the step columns: every value a rule computes lies within 3m + 2 of 0,
+    # which int16 holds up to MAX_DEGREE (_check_brute_guard)
+    first = np.repeat(np.asarray(firsts, dtype=np.int16), m - 1)
+    last = np.tile(np.arange(1, m, dtype=np.int16), len(firsts))
     last += last >= first  # every value but first, in order
     row_bytes = m * dtype.itemsize + m + 1
     block = max(1, _FRONTIER_BYTES // row_bytes)
@@ -460,8 +471,7 @@ def enumerate_class(label: str, m: int, method: str = "brute", force: bool = Fal
         raise ValueError(f"unknown class label {label!r}; expected one of {LABELS}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    if m < 1:
-        raise ValueError(f"degree must be positive, got {m}")
+    check_degree(m, None)  # each route below has its own ceiling
 
     if method in ("lift", "farey"):
         if label not in ("V", "Sstar"):
@@ -474,17 +484,18 @@ def enumerate_class(label: str, m: int, method: str = "brute", force: bool = Fal
         return PermClass.from_array(label, m, suranyi_table(m).as_array())
 
     if label in ("VL0", "VL1"):
+        check_degree(m)  # before PermClass, whose refusal names the label
         b = int(label[-1])
         return PermClass(label, m, (theta_ab(m, a, b) for a in range(1, m + 1) if gcd(a, m) == 1))
 
+    if label in WALK_LABELS:
+        return enumerate_classes((label,), m)[label]
     _check_brute_guard(m)
     if label == "Vminus":
         v, vl1 = _search(("V",), m)["V"], enumerate_class("VL1", m).as_array()
         return PermClass.from_array(label, m, v[~_rows_in(v, vl1)])
-    if label in ("Sstar", "SstarTilde"):
-        sstar = PermClass.from_array(label, m, suranyi_table(m).as_array())
-        return sstar if label == "Sstar" else shift_closure(sstar)
-    return PermClass.from_array(label, m, _search((label,), m)[label])
+    sstar = PermClass.from_array(label, m, suranyi_table(m).as_array())
+    return sstar if label == "Sstar" else shift_closure(sstar)
 
 
 def enumerate_classes(labels: tuple[str, ...], m: int) -> dict[str, PermClass]:
@@ -496,8 +507,6 @@ def enumerate_classes(labels: tuple[str, ...], m: int) -> dict[str, PermClass]:
     unknown = [label for label in labels if label not in WALK_LABELS]
     if unknown:
         raise ValueError(f"enumerate_classes solves only {WALK_LABELS}, not {unknown}")
-    if m < 1:
-        raise ValueError(f"degree must be positive, got {m}")
     _check_brute_guard(m)
     return {label: PermClass.from_array(label, m, rows) for label, rows in _search(labels, m).items()}
 
@@ -508,10 +517,7 @@ def verify_theorems(m_max: int) -> list[dict]:
     Returns one record per check: {"m", "check", "passed", "detail"}.
     Failures become records, not exceptions.
     """
-    cap = _max_brute_m()
-    if not 2 <= m_max <= cap:
-        raise ValueError(f"m_max must lie in [2, {cap}] for exhaustive checks, got {m_max}; "
-                         f"set {ENV_MAX_BRUTE_M} to raise the cap")
+    _check_brute_guard(m_max, "m_max")
     phi = totients(m_max)
     records = []
 

@@ -24,23 +24,15 @@ from math import gcd
 import numpy as np
 
 from .farey import FareyInterval, farey_intervals, farey_terms, mediant, totient_sum
-from .perm_core import (MAX_DEGREE, Permutation, _dtype_for, _row_items, _rows_in, gamma,
+from .perm_core import (Permutation, _dtype_for, _row_items, _rows_in, check_degree, gamma,
                         inverse, psi, supermod_m)
 
 SIDES = ("below", "at", "above")
 
 
-def _check_degree(m: int) -> None:
-    """Refuse m outside 1..MAX_DEGREE, before building anything."""
-    if m < 1:
-        raise ValueError(f"degree must be positive, got {m}")
-    if m > MAX_DEGREE:
-        raise ValueError(f"degree {m} exceeds the supported ceiling {MAX_DEGREE}")
-
-
 def _check_angle(m: int, alpha: Fraction) -> None:
-    """Refuse m as _check_degree does, and alpha outside (0, 1)."""
-    _check_degree(m)
+    """Refuse m outside 1..MAX_DEGREE and alpha outside (0, 1), before building anything."""
+    check_degree(m)
     if not 0 < alpha < 1:
         raise ValueError(f"alpha must satisfy 0 < alpha < 1, got {alpha}")
 
@@ -118,7 +110,7 @@ def theta_ab(m: int, a: int, b: int) -> Permutation:
 
     Bijective exactly when gcd(a, m) = 1.
     """
-    _check_degree(m)
+    check_degree(m)
     if gcd(a, m) != 1:
         raise ValueError(f"theta_ab not invertible: gcd({a}, {m}) != 1")
     return Permutation(supermod_m(a * i + b, m) for i in range(1, m + 1))
@@ -249,8 +241,7 @@ def suranyi_table(m: int) -> SuranyiTable:
     (bc - ad = 1 and b + d > m), that no two intervals share a tau and that
     there are totient_sum(m) intervals.
     """
-    if m < 1:
-        raise ValueError(f"degree must be positive, got {m}")
+    check_degree(m, None)  # the tau keys bound m (_check_tau_keys)
     _check_tau_keys(m, 2 * m, 2 * m)
     num, den = farey_terms(m)
     apart = (num[1:] * den[:-1] - num[:-1] * den[1:] != 1) | (den[:-1] + den[1:] <= m)
@@ -275,7 +266,7 @@ def tau_near_fraction(m: int, a: int, side: str) -> Permutation:
     """
     if side not in SIDES:
         raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    _check_degree(m)
+    check_degree(m)
     if not 1 <= a <= m:
         raise ValueError(f"a must lie in [1, {m}], got {a}")
     if gcd(a, m) != 1:

@@ -18,8 +18,8 @@ from fractions import Fraction
 import numpy as np
 
 from .farey import farey_terms
-from .lifting import TAG_LEFT, TAG_RIGHT, TAG_SINGLE, check_lift_degree, iter_levels
-from .perm_core import format_rows
+from .lifting import MAX_LIFT_DEGREE, TAG_LEFT, TAG_RIGHT, TAG_SINGLE, iter_levels
+from .perm_core import check_degree, format_rows
 from .sos import SuranyiTable, suranyi_table
 
 
@@ -41,13 +41,6 @@ class Tree:
     tags: tuple[np.ndarray, ...]
     offsets: tuple[np.ndarray, ...]
     rows: tuple[np.ndarray, ...] = ()
-
-
-def _check_depth(M: int) -> None:
-    """Refuse depths below 1 and above the lifting ceiling, before any work."""
-    if M < 1:
-        raise ValueError(f"depth must be positive, got {M}")
-    check_lift_degree(M, force=True)
 
 
 _LEAVES = np.zeros(0, dtype=np.int64)  # the parent index below the last level
@@ -73,7 +66,7 @@ def _contained(pnum: np.ndarray, pden: np.ndarray, num: np.ndarray, den: np.ndar
 
 def build_gen_tree(M: int) -> Tree:
     """Lift level by level from the single degree-1 node."""
-    _check_depth(M)
+    check_degree(M, MAX_LIFT_DEGREE, "depth")
     levels, parents, tags = zip(*iter_levels(M, force=True))
     offsets = tuple(_offsets(p, len(level)) for level, p in zip(levels, parents[1:] + (_LEAVES,)))
     rows = tuple(level.rows() for level in levels)
@@ -83,7 +76,7 @@ def build_gen_tree(M: int) -> Tree:
 
 def build_farey_tree(M: int) -> Tree:
     """Level m lists the order-m intervals left to right; edges are containment."""
-    _check_depth(M)
+    check_degree(M, MAX_LIFT_DEGREE, "depth")
     terms = [farey_terms(m) for m in range(1, M + 1)]
     parents = [_farey_parents(m, den) for m, (_, den) in enumerate(terms[1:], start=2)]
     offsets = tuple(_offsets(p, len(den) - 1) for (_, den), p in zip(terms, parents + [_LEAVES]))
@@ -166,7 +159,7 @@ def check_isomorphism(M: int) -> list[dict]:
     Returns one record per check, every level's records before the
     splitting records; failures are records, not exceptions.
     """
-    _check_depth(M)
+    check_degree(M, MAX_LIFT_DEGREE, "depth")
     records: list[dict] = []
     divisions: list[dict] = []
 

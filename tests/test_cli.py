@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -50,6 +51,49 @@ def test_enumerate_guard_failure_is_usage_error(capsys: pytest.CaptureFixture) -
     assert main(["enumerate", "--set", "V", "--m", "11"]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error:")
+
+
+BIG = "99999999999999999999"
+
+
+@pytest.mark.parametrize("argv, message", [
+    (["verify", "--m-max", BIG], f"m_max {BIG} exceeds the supported ceiling 10000"),
+    (["enumerate", "--set", "V", "--m", "20000"], "degree 20000 exceeds the supported ceiling 10000"),
+])
+def test_raised_brute_cap_stops_at_the_degree_ceiling(
+        monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture,
+        argv: list[str], message: str) -> None:
+    # no value of the variable admits brute force past MAX_DEGREE: the call is
+    # refused before any work, so it allocates next to nothing
+    monkeypatch.setenv(perm_sets.ENV_MAX_BRUTE_M, BIG)
+    tracemalloc.start()
+    try:
+        status = main(argv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    captured = capsys.readouterr()
+    assert status == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+    assert peak < 1 << 20, peak
+
+
+@pytest.mark.parametrize("argv", [["verify", "--m-max", "3"], ["enumerate", "--set", "V", "--m", "3"],
+                                  ["sosrec", "--m", "3"]])
+@pytest.mark.parametrize("value, message", [
+    ("0", "SOSLIFT_MAX_BRUTE_M must be positive, got 0"),
+    ("-5", "SOSLIFT_MAX_BRUTE_M must be positive, got -5"),
+    ("abc", "SOSLIFT_MAX_BRUTE_M must be an integer, got 'abc'"),
+])
+def test_brute_cap_must_be_a_positive_integer(
+        monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture,
+        argv: list[str], value: str, message: str) -> None:
+    monkeypatch.setenv(perm_sets.ENV_MAX_BRUTE_M, value)
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
 
 
 def test_lift_from_m(capsys: pytest.CaptureFixture) -> None:
@@ -238,8 +282,11 @@ def test_enumerate_lift_refusal_names_the_flag(capsys: pytest.CaptureFixture) ->
 @pytest.mark.parametrize("argv, message", [
     (["--m", "0"], "degree must be positive"),
     (["--m", "501"], "needs force=True (soslift lift --force, soslift enumerate --force)"),
-    (["--m", "2001"], "beyond degree 2000"),
-    (["--m", "2001", "--force"], "beyond degree 2000"),
+    # the ids name the case, as they did before the refusal took its present text
+    pytest.param(["--m", "2001"], "target degree 2001 exceeds the supported ceiling 2000",
+                 id="argv2-beyond degree 2000"),
+    pytest.param(["--m", "2001", "--force"], "target degree 2001 exceeds the supported ceiling 2000",
+                 id="argv3-beyond degree 2000"),
 ])
 def test_enumerate_degree_refusals_build_nothing(
         monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture,
@@ -281,7 +328,7 @@ def test_lift_force_gate(capsys: pytest.CaptureFixture) -> None:
     assert main(["lift", "--to-m", "501"]) == 2
     assert "--force" in capsys.readouterr().err
     assert main(["lift", "--to-m", "2001", "--force"]) == 2
-    assert "not supported" in capsys.readouterr().err
+    assert capsys.readouterr().err == "error: target degree 2001 exceeds the supported ceiling 2000\n"
 
 
 def test_project(capsys: pytest.CaptureFixture) -> None:
@@ -413,8 +460,9 @@ def test_tree_both_with_y_levels_lifts_the_gen_document_only(capsys: pytest.Capt
 
 
 @pytest.mark.parametrize("kind", ["gen", "farey", "both"])
-@pytest.mark.parametrize("depth, message", [("0", "depth must be positive"),
-                                            ("2001", "beyond degree 2000")])
+@pytest.mark.parametrize("depth, message", [
+    ("0", "depth must be positive"),
+    pytest.param("2001", "depth 2001 exceeds the supported ceiling 2000", id="2001-beyond degree 2000")])
 def test_tree_depth_outside_1_to_2000_builds_nothing(
         monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture,
         kind: str, depth: str, message: str) -> None:
@@ -581,7 +629,8 @@ def test_verify_tree(capsys: pytest.CaptureFixture) -> None:
     out = capsys.readouterr().out
     assert "PASS" in out
     assert "FAIL" not in out
-    for depth, message in (("0", "depth must be positive"), ("2001", "beyond degree 2000")):
+    for depth, message in (("0", "depth must be positive, got 0"),
+                           ("2001", "depth 2001 exceeds the supported ceiling 2000")):
         assert main(["verify-tree", "--depth", depth]) == 2
         assert message in capsys.readouterr().err
 

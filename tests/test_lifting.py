@@ -149,7 +149,8 @@ def test_lift_once_matches_brute_force() -> None:
 def test_lift_once_refuses_to_lift_past_the_ceiling() -> None:
     # a stub Level of degree 2000, which from_rows admits: its lift would be degree 2001
     one = np.ones(1, dtype=_dtype_for(MAX_LIFT_DEGREE))
-    with pytest.raises(ValueError, match=f"beyond degree {MAX_LIFT_DEGREE} are not supported"):
+    with pytest.raises(ValueError, match=f"^target degree {MAX_LIFT_DEGREE + 1} exceeds the "
+                                         f"supported ceiling {MAX_LIFT_DEGREE}$"):
         lift_once(Level(MAX_LIFT_DEGREE, one, one))
 
 
@@ -184,7 +185,7 @@ def test_generate_up_to_guards() -> None:
         generate_up_to(0)
     with pytest.raises(ValueError, match="needs force"):
         generate_up_to(FORCE_THRESHOLD + 1)
-    with pytest.raises(ValueError, match="not supported"):
+    with pytest.raises(ValueError, match="^target degree 2001 exceeds the supported ceiling 2000$"):
         generate_up_to(MAX_LIFT_DEGREE + 1, force=True)
 
 
@@ -229,7 +230,7 @@ def test_iter_levels_and_lift_to_guards() -> None:
     with pytest.raises(ValueError, match=r"needs force=True "
                        r"\(soslift lift --force, soslift enumerate --force\)"):
         lift_to(FORCE_THRESHOLD + 1)
-    with pytest.raises(ValueError, match="not supported"):
+    with pytest.raises(ValueError, match="^target degree 2001 exceeds the supported ceiling 2000$"):
         lift_to(MAX_LIFT_DEGREE + 1, force=True)
 
 

@@ -290,10 +290,10 @@ def test_perm_class_from_array_rejects_wrong_shape_or_dtype() -> None:
 
 def test_perm_class_rejects_nonpositive_degree() -> None:
     for m in (0, -1):
-        with pytest.raises(ValueError, match=f"V needs a positive degree, got {m}"):
+        with pytest.raises(ValueError, match=f"^V degree must be positive, got {m}$"):
             PermClass("V", m)
     for m in (0, -1):
-        with pytest.raises(ValueError, match=f"V needs a positive degree, got {m}"):
+        with pytest.raises(ValueError, match=f"^V degree must be positive, got {m}$"):
             PermClass.from_array("V", m, np.zeros((0, 0), dtype=np.uint8))
 
 

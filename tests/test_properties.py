@@ -1,16 +1,24 @@
 """Property tests: PermClass's canonical form, the projection of lifted children, the
-round trip of formatted rows, and the shift, gamma and psi maps."""
+round trip of formatted rows, the shift, gamma and psi maps, and the exit codes of
+the command line."""
 from __future__ import annotations
 
+import io
 import json
+import os
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from unittest import mock
 
 import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from soslift.lifting import Level, lift_fibers, lift_to, project
+from soslift.cli import main
+from soslift.lifting import Level, lift_fibers, lift_level, lift_to, project
 from soslift.perm_core import (PermClass, Permutation, _dtype_for, format_rows, gamma, psi,
                                psi_inverse, shift, shift_closure, shift_equivalent)
+from soslift.perm_sets import ENV_MAX_BRUTE_M, LABELS, METHODS
 
 INT_DTYPES = (np.int8, np.int16, np.int32, np.int64, np.uint8, np.uint16, np.uint32, np.uint64)
 
@@ -129,3 +137,122 @@ def test_shift_closure_of_a_class_equals_the_object_shifts(case) -> None:
     closed = shift_closure(PermClass("X", m, map(Permutation, rows)))
     assert closed.label == "X"
     assert set(closed) == {shift(Permutation(r), k) for r in rows for k in range(m)}
+
+
+BIG = "99999999999999999999"
+INPUT = "<input>"  # stands for the --input file of one example
+
+
+def _degrees(ceilings, largest):
+    """Values of a degree, order or depth flag: the refused 0, -1, 10^20, non-numbers
+    and each ceiling + 1, and accepted values 1..largest, cheap to run."""
+    refused = ("0", "-1", BIG, "abc", "1/0", "", "1.5", *(str(c + 1) for c in ceilings))
+    return st.one_of(st.sampled_from(refused), st.integers(1, largest).map(str))
+
+
+_json_documents = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 1 << 70) | st.floats() | st.text(max_size=4),
+    lambda inner: st.lists(inner, max_size=4)
+    | st.dictionaries(st.sampled_from(["m", "values", "x"]), inner, max_size=3),
+    max_leaves=12)
+
+
+@st.composite
+def _input_file(draw, m):
+    """The bytes of an --input file: random bytes, or JSON lines mixing random
+    documents, lists of small integers and rows of V_m."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    rows = lift_level(int(m)).rows().tolist() if m.isdigit() and 1 <= int(m) <= 12 else []
+    lines = draw(st.lists(st.one_of(
+        _json_documents,
+        st.fixed_dictionaries({"values": st.lists(st.integers(-1, 13), max_size=12)},
+                              optional={"m": st.integers(-1, 13)}),
+        *([st.sampled_from(rows).map(lambda row: {"values": row})] if rows else [])), max_size=6))
+    return "".join(json.dumps(line) + "\n" for line in lines).encode()
+
+
+@st.composite
+def cli_calls(draw):
+    """(argv, SOSLIFT_MAX_BRUTE_M or None, --input bytes or None) for one subcommand."""
+    env = draw(st.sampled_from((None, "0", "-5", "abc", "3", BIG)))
+    # 11 is refused by the default cap; under a raised cap it would run S_11, so it is not drawn
+    cap = () if env == BIG else (10,)
+    fmt = ("--format", draw(st.sampled_from(("oneline", "json"))))
+    report = ("--format", draw(st.sampled_from(("text", "json"))))
+    force = ("--force",) if draw(st.booleans()) else ()
+    command = draw(st.sampled_from(("enumerate", "lift", "project", "tau", "farey", "tree",
+                                    "verify", "verify-tree", "sosrec")))
+    content = None
+    if command == "enumerate":
+        label, method = draw(st.sampled_from(LABELS)), draw(st.sampled_from(METHODS))
+        if method != "brute":
+            m = draw(_degrees((2000,) + (() if force else (500,)), 40))
+        elif label in ("VL0", "VL1"):
+            m = draw(_degrees((10_000,), 40))
+        else:
+            m = draw(_degrees((10_000, *cap), 9))
+        argv = ["enumerate", "--set", label, "--m", m, "--method", method, *force, *fmt]
+    elif command == "lift":
+        flag = draw(st.sampled_from(("--to-m", "--from-m")))
+        ceilings = (2000,) if force else (500, 2000)
+        m = draw(_degrees([c - (flag == "--from-m") for c in ceilings], 40))
+        argv = ["lift", flag, m, *force, *fmt]
+        if draw(st.booleans()):
+            content = draw(_input_file(m))
+            argv += ["--input", INPUT]
+    elif command == "project":
+        argv = ["project", "--perm", draw(st.text("0123456789 -ab", max_size=12))]
+    elif command == "tau":
+        alpha = draw(st.one_of(st.sampled_from(("1/2", "2/5", "1/0", "abc", "0", "1", "-1/3", "3/2", "")),
+                               st.tuples(st.integers(-3, 50), st.integers(0, 50)).map("{0[0]}/{0[1]}".format)))
+        argv = ["tau", "--m", draw(_degrees((10_000,), 40)), "--alpha", alpha]
+    elif command == "farey":
+        argv = ["farey", "--m", draw(_degrees((2000,), 40)), *report]
+    elif command == "tree":
+        kind = draw(st.sampled_from(("gen", "farey", "both")))
+        y_levels = ("--with-y-levels",) if draw(st.booleans()) else ()
+        argv = ["tree", "--depth", draw(_degrees((2000,), 40)), "--kind", kind,
+                "--format", draw(st.sampled_from(("dot", "json"))), *y_levels]
+    elif command == "verify":
+        argv = ["verify", "--m-max", draw(_degrees((10_000, *cap), 9)),
+                "--samples", draw(st.sampled_from(("0", "5", "-1", "abc"))),
+                "--seed", str(draw(st.integers(-5, 5))), *report]
+    elif command == "verify-tree":
+        argv = ["verify-tree", "--depth", draw(_degrees((2000,), 40)), *report]
+    else:
+        argv = ["sosrec", "--m", draw(_degrees((10_000, *cap), 9)), *report]
+    return argv, env, content
+
+
+@settings(max_examples=150, deadline=None)
+@given(cli_calls())
+@example((["verify", "--m-max", BIG], BIG, None))
+@example((["enumerate", "--set", "V", "--m", "20000"], BIG, None))
+def test_every_cli_call_keeps_the_exit_code_contract(call) -> None:
+    # exit 0, 1 or 2, no exception out of main, and one error line for every
+    # usage error that a subcommand raises (argparse's own exit 2 prints usage too)
+    argv, env, content = call
+    out, err = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, mock.patch.dict(os.environ):
+        os.environ.pop(ENV_MAX_BRUTE_M, None)
+        if env is not None:
+            os.environ[ENV_MAX_BRUTE_M] = env
+        if content is not None:
+            path = os.path.join(tmp, "input.jsonl")
+            with open(path, "wb") as fh:
+                fh.write(content)
+            argv = [path if a == INPUT else a for a in argv]
+        with redirect_stdout(out), redirect_stderr(err):
+            try:
+                status, by_argparse = main(argv), False
+            except SystemExit as exc:
+                status, by_argparse = exc.code, True
+    assert status in (0, 1, 2), (argv, status)
+    if by_argparse:
+        assert status == 2, argv
+    elif status == 2:
+        lines = err.getvalue().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (argv, err.getvalue())
+    elif status == 0:
+        assert err.getvalue() == "", (argv, err.getvalue())

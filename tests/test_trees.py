@@ -198,7 +198,7 @@ def test_trees_reject_nonpositive_depth() -> None:
 
 def test_trees_reject_depth_above_2000() -> None:
     for build in (build_gen_tree, build_farey_tree, check_isomorphism):
-        with pytest.raises(ValueError, match="beyond degree 2000"):
+        with pytest.raises(ValueError, match="^depth 2001 exceeds the supported ceiling 2000$"):
             build(2001)
 
 
