@@ -22,12 +22,7 @@ from array import array
 
 import numpy as np
 
-from .farey import (
-    farey_intervals,
-    format_fraction,
-    fraction_to_json,
-    parse_fraction,
-)
+from . import farey
 from .lifting import (MAX_LIFT_DEGREE, Level, check_lift_degree, lift_fibers, lift_level, project,
                       sorted_blocks)
 from .perm_core import Permutation, _json_values, _rows_in, check_degree, format_rows
@@ -90,9 +85,10 @@ def _cmd_lift(args) -> int:
                         raise ValueError(f"degree mismatch in V: expected {m}, got {len(row)}")
                     values.extend(row)
             parents = Level.from_rows(np.frombuffer(values, dtype=np.int64).reshape(-1, m))
-        except (OSError, KeyError, TypeError, ValueError, OverflowError) as exc:
+        except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             # ValueError covers undecodable bytes, bad JSON, rows outside V and
-            # rows whose degree is not --from-m; OverflowError, values beyond int64
+            # rows whose degree is not --from-m; OverflowError, values beyond int64;
+            # RecursionError, JSON nested deeper than the decoder recurses
             raise ValueError(f"cannot read {args.input}: {type(exc).__name__}: {exc}") from None
         if len(parents) == 0:
             raise ValueError(f"no permutations read from {args.input}")
@@ -110,29 +106,22 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    alpha = parse_fraction(args.alpha)
+    alpha = farey.parse_fraction(args.alpha)
     print(tau_from_alpha(args.m, alpha).one_line())
     return 0
 
 
 def _cmd_farey(args) -> int:
     check_degree(args.m, MAX_LIFT_DEGREE, "order")
-    intervals = farey_intervals(args.m)
-    terms = [iv.lo for iv in intervals] + [intervals[-1].hi]
+    num, den = farey.farey_terms(args.m)
     if args.format == "json":
-        doc = {
-            "m": args.m,
-            "terms": [fraction_to_json(t) for t in terms],
-            "intervals": [
-                {"lo": fraction_to_json(iv.lo), "hi": fraction_to_json(iv.hi), "index": iv.index}
-                for iv in intervals
-            ],
-        }
-        print(json.dumps(doc, indent=2))
+        terms = [{"num": p, "den": q} for p, q in zip(num.tolist(), den.tolist())]
+        intervals = [{"lo": lo, "hi": hi, "index": t}
+                     for t, (lo, hi) in enumerate(zip(terms, terms[1:]), start=1)]
+        print(json.dumps({"m": args.m, "terms": terms, "intervals": intervals}, indent=2))
     else:
-        print(" ".join(format_fraction(t) for t in terms))
-        for iv in intervals:
-            print(str(iv))
+        terms, intervals = farey.farey_labels(num, den)
+        print(" ".join(terms), "\n".join(intervals), sep="\n")
     return 0
 
 

@@ -79,6 +79,16 @@ def farey_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
     return np.array(num, dtype=np.int64), np.array(den, dtype=np.int64)
 
 
+def farey_labels(num: np.ndarray, den: np.ndarray) -> tuple[list[str], list[str]]:
+    """The terms of farey_terms as "p/q" and their open intervals as "(a/b, c/d)".
+
+    >>> farey_labels(*farey_terms(2))
+    (['0/1', '1/2', '1/1'], ['(0/1, 1/2)', '(1/2, 1/1)'])
+    """
+    terms = [f"{p}/{q}" for p, q in zip(num.tolist(), den.tolist())]
+    return terms, [f"({lo}, {hi})" for lo, hi in zip(terms, terms[1:])]
+
+
 def farey_sequence(m: int) -> list[Fraction]:
     """The order-m Farey terms of farey_terms as exact Fractions, ascending.
 

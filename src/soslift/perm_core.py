@@ -87,11 +87,12 @@ class Permutation:
             parts = tok.split()
         else:
             parts = list(tok)
-        try:
-            vals = [int(p) for p in parts]
-        except ValueError:
-            bad = next(p for p in parts if not p.lstrip("-").isdigit())
-            raise ValueError(f"invalid permutation token {bad!r} in {text!r}") from None
+        vals = []
+        for p in parts:
+            try:
+                vals.append(int(p))
+            except ValueError:  # also a digit run past int's digit limit
+                raise ValueError(f"invalid permutation token {p!r} in {text!r}") from None
         try:
             return cls(vals)
         except ValueError:

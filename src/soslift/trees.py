@@ -17,7 +17,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .farey import farey_terms
+from .farey import farey_labels, farey_terms
 from .lifting import MAX_LIFT_DEGREE, TAG_LEFT, TAG_RIGHT, TAG_SINGLE, iter_levels
 from .perm_core import check_degree, format_rows
 from .sos import SuranyiTable, suranyi_table
@@ -88,12 +88,9 @@ def build_farey_tree(M: int) -> Tree:
             raise AssertionError(f"an order-{m} interval escapes its parent")
         if not np.isin(np.diff(first), (1, 2)).all():
             raise AssertionError(f"an order-{m - 1} interval has neither 1 nor 2 children")
-    levels = []
-    for num, den in terms:
-        ends = [f"{p}/{q}" for p, q in zip(num.tolist(), den.tolist())]
-        levels.append([f"({lo}, {hi})" for lo, hi in zip(ends, ends[1:])])
+    levels = tuple(farey_labels(num, den)[1] for num, den in terms)
     tags = tuple(np.full(len(level), TAG_SINGLE, dtype=np.int8) for level in levels)
-    return Tree("farey", M, tuple(levels), tags, offsets)
+    return Tree("farey", M, levels, tags, offsets)
 
 
 def _same_edges(m: int, parent_index: np.ndarray, parents: SuranyiTable,

@@ -170,6 +170,16 @@ def test_lift_input_malformed_line_is_usage_error(
     assert len(err.splitlines()) == 1
 
 
+def test_lift_input_nested_past_the_decoder_depth_is_usage_error(
+        tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
+    src = tmp_path / "nested.jsonl"
+    src.write_text("[" * 200_000 + "\n", encoding="utf-8")
+    assert main(["lift", "--from-m", "3", "--input", str(src)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {src}: RecursionError")
+    assert len(err.splitlines()) == 1
+
+
 @pytest.mark.parametrize("text", ["", "\n  \n"])
 def test_lift_input_without_rows_is_usage_error(
         tmp_path: Path, capsys: pytest.CaptureFixture, text: str) -> None:
@@ -341,6 +351,15 @@ def test_project_malformed_token(capsys: pytest.CaptureFixture) -> None:
     assert "invalid permutation token" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("perm", ["\u00b2", "1 " + "9" * 5000], ids=["superscript", "past-int-digit-limit"])
+def test_project_token_that_looks_like_digits_is_usage_error(capsys: pytest.CaptureFixture,
+                                                             perm: str) -> None:
+    assert main(["project", "--perm", perm]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: invalid permutation token")
+    assert len(err.splitlines()) == 1
+
+
 def test_tau(capsys: pytest.CaptureFixture) -> None:
     assert main(["tau", "--m", "5", "--alpha", "2/5"]) == 0
     assert capsys.readouterr().out.strip() == "35241"
@@ -388,6 +407,27 @@ def test_farey_output_builds_the_sequence_once(monkeypatch: pytest.MonkeyPatch,
         assert main(["farey", "--m", str(m), "--format", "json"]) == 0
         assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
         assert builds == [m, m]
+
+
+def test_commands_build_no_fraction_list_of_the_farey_sequence(
+        monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture) -> None:
+    """farey, verify and the interval tree read farey_terms' arrays, so none of
+    them calls farey_intervals, farey_sequence or mediant; verify's report is
+    the one printed when its mediants came from farey_intervals."""
+    def refuse(*args):
+        raise AssertionError("a Fraction list of the Farey sequence was built")
+    for module in (farey, sos, trees, cli):
+        for name in ("farey_intervals", "farey_sequence", "mediant"):
+            if hasattr(module, name):
+                monkeypatch.setattr(module, name, refuse)
+    for argv in (["farey", "--m", "30"], ["farey", "--m", "30", "--format", "json"],
+                 ["tree", "--depth", "8", "--kind", "farey"]):
+        assert main(argv) == 0
+    capsys.readouterr()
+    assert main(["verify", "--m-max", "6", "--format", "json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "95fd748f0242b7acbdb17d437a9e4a2b30b7414eed00b1c98daabcaca1f05f1c")
 
 
 def test_farey_refuses_orders_past_the_ceiling(

@@ -8,6 +8,7 @@ import pytest
 from soslift.farey import (
     FareyInterval,
     farey_intervals,
+    farey_labels,
     farey_sequence,
     farey_terms,
     format_fraction,
@@ -91,6 +92,13 @@ def test_interval_membership_is_strict() -> None:
     assert Fraction(2, 5) in iv
     assert iv.lo not in iv
     assert iv.hi not in iv
+
+
+def test_farey_labels_are_the_text_of_the_fraction_intervals() -> None:
+    for m in range(1, 41):
+        terms, intervals = farey_labels(*farey_terms(m))
+        assert terms == [format_fraction(f) for f in farey_sequence(m)]
+        assert intervals == [str(iv) for iv in farey_intervals(m)]
 
 
 def test_mediant_lies_inside_and_is_reduced() -> None:

@@ -80,6 +80,16 @@ def test_parse_rejects_bad_input() -> None:
         Permutation.parse("   ")
 
 
+@pytest.mark.parametrize("text, token", [("\u00b2", "\u00b2"), ("2 1 \u00b2", "\u00b2"),
+                                         ("1 " + "9" * 5000, "9" * 5000)],
+                         ids=["superscript", "spaced-superscript", "past-int-digit-limit"])
+def test_parse_names_a_token_that_looks_like_digits(text: str, token: str) -> None:
+    # str.isdigit accepts both tokens, and int refuses both
+    with pytest.raises(ValueError, match="invalid permutation token") as exc:
+        Permutation.parse(text)
+    assert repr(token) in str(exc.value)
+
+
 def test_constructor_validates_bijection_and_ceiling() -> None:
     with pytest.raises(ValueError, match="not a permutation"):
         Permutation((1, 1))

@@ -202,7 +202,9 @@ def cli_calls(draw):
             content = draw(_input_file(m))
             argv += ["--input", INPUT]
     elif command == "project":
-        argv = ["project", "--perm", draw(st.text("0123456789 -ab", max_size=12))]
+        # "\u00b2" and a digit run past int's digit limit pass str.isdigit but not int
+        argv = ["project", "--perm", draw(st.one_of(st.text("0123456789 -ab\u00b2", max_size=12),
+                                                     st.just("1 " + "9" * 5000)))]
     elif command == "tau":
         alpha = draw(st.one_of(st.sampled_from(("1/2", "2/5", "1/0", "abc", "0", "1", "-1/3", "3/2", "")),
                                st.tuples(st.integers(-3, 50), st.integers(0, 50)).map("{0[0]}/{0[1]}".format)))
@@ -229,6 +231,9 @@ def cli_calls(draw):
 @given(cli_calls())
 @example((["verify", "--m-max", BIG], BIG, None))
 @example((["enumerate", "--set", "V", "--m", "20000"], BIG, None))
+@example((["project", "--perm", "\u00b2"], None, None))
+@example((["project", "--perm", "1 " + "9" * 5000], None, None))
+@example((["lift", "--from-m", "3", "--input", INPUT], None, b"[" * 200_000 + b"\n"))
 def test_every_cli_call_keeps_the_exit_code_contract(call) -> None:
     # exit 0, 1 or 2, no exception out of main, and one error line for every
     # usage error that a subcommand raises (argparse's own exit 2 prints usage too)
