@@ -11,7 +11,7 @@ from .farey import (
     totient_sum,
     totients,
 )
-from .lifting import Level, generate_up_to, iter_levels, lift_fibers, lift_once, lift_to, project
+from .lifting import Level, generate_up_to, iter_levels, lift_fibers, lift_level, lift_once, project
 from .perm_core import (
     PermClass,
     Permutation,
@@ -30,7 +30,6 @@ from .perm_core import (
 )
 from .perm_sets import (
     enumerate_class,
-    enumerate_classes,
     in_V,
     in_W,
     in_X,

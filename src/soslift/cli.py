@@ -30,7 +30,6 @@ from .perm_sets import (
     LABELS,
     METHODS,
     enumerate_class,
-    enumerate_classes,
     report_passed,
     verify_theorems,
 )
@@ -148,8 +147,7 @@ def _cmd_verify_tree(args) -> int:
 
 
 def _cmd_sosrec(args) -> int:
-    classes = enumerate_classes(("SosRec", "V"), args.m)
-    found, v = classes["SosRec"].as_array(), classes["V"].as_array()
+    found, v = (enumerate_class(label, args.m).as_array() for label in ("SosRec", "V"))
     v_inverses = np.empty_like(v)  # inverse(theta)(theta(i)) = i; distinct as the rows of V
     v_inverses[np.arange(len(v))[:, None], v - 1] = np.arange(1, args.m + 1)
     known, contains_sos = _rows_in(found, v_inverses), bool(_rows_in(v_inverses, found).all())

@@ -176,7 +176,7 @@ def lift_once(parents: Level) -> PermClass:
     """Lift the degree-(m-1) class V, checked into a Level by Level.from_rows, to degree m."""
     check_lift_degree(parents.m + 1, force=True)
     children, _, _ = lift_fibers(parents)
-    return PermClass.from_array("V", children.m, children.rows())
+    return PermClass("V", children.m, children.rows())
 
 
 def check_lift_degree(M: int, force: bool = False) -> None:
@@ -213,11 +213,6 @@ def lift_level(M: int, force: bool = False) -> Level:
     return level
 
 
-def lift_to(M: int, force: bool = False) -> PermClass:
-    """The class V of degree M, lifted from degree 1 one level at a time."""
-    return PermClass.from_array("V", M, lift_level(M, force).rows())
-
-
 def sorted_blocks(level: Level) -> Iterator[np.ndarray]:
     """The members of a level in lexicographic order, as consecutive blocks of rows.
 
@@ -249,10 +244,10 @@ def generate_up_to(M: int, force: bool = False) -> list[PermClass]:
 
     Each level is a PermClass, so its rows are put in lexicographic order
     and checked when it is built.  Storage for all levels grows like M^4/13
-    bytes; lift_to keeps one, and iter_levels yields each level in
+    bytes; lift_level keeps one, and iter_levels yields each level in
     generation order unsorted, as two columns.
     """
-    return [PermClass.from_array("V", level.m, level.rows())
+    return [PermClass("V", level.m, level.rows())
             for level, _, _ in iter_levels(M, force)]
 
 

@@ -393,24 +393,9 @@ class PermClass:
 
     __slots__ = ("label", "m", "_members", "_array")
 
-    def __init__(self, label: str, m: int, members: Iterable[Permutation] = ()):
-        check_degree(m, name=f"{label} degree")
-        rows = []
-        for p in members:
-            if p.m != m:
-                raise ValueError(f"degree mismatch in {label}: expected {m}, got {p.m}")
-            rows.append(p.values)
-        self._set_rows(label, m, np.array(rows, dtype=_dtype_for(m)).reshape(len(rows), m))
-
-    @classmethod
-    def from_array(cls, label: str, m: int, array: np.ndarray) -> "PermClass":
+    def __init__(self, label: str, m: int, rows: np.ndarray):
         """The class of the rows of an (N, m) integer array, in any order and with repeats."""
-        obj = cls.__new__(cls)
-        obj._set_rows(label, m, np.asarray(array))
-        return obj
-
-    def _set_rows(self, label: str, m: int, array: np.ndarray) -> None:
-        rows = _sorted_rows(label, m, array)
+        rows = _sorted_rows(label, m, np.asarray(rows))
         rows.flags.writeable = False
         self.label, self.m, self._array, self._members = label, m, rows, None
 
@@ -450,4 +435,4 @@ class PermClass:
 def shift_closure(perms: PermClass) -> PermClass:
     """The class saturated under all shifts, with the same label.  Idempotent."""
     m, rows = perms.m, perms.as_array().astype(np.int32)
-    return PermClass.from_array(perms.label, m, np.concatenate([(rows + k) % m + 1 for k in range(m)]))
+    return PermClass(perms.label, m, np.concatenate([(rows + k) % m + 1 for k in range(m)]))

@@ -9,7 +9,8 @@ Classes by label:
   X       congruential difference set inside some {k, k+1}
   Sstar   inverses of the Sos permutations (via the Farey interval table)
   SstarTilde  shift closure of Sstar
-  VL0/VL1 affine layers {theta_ab(m, a, b) : gcd(a, m) = 1}
+  VL0/VL1 affine layers: the rows i -> (a i + b - 1) mod m + 1 of sos.theta_ab,
+          one per a coprime to m, with b = 0 or 1
   Vminus  V minus VL1
   SosRec  permutations satisfying the three-case Sos recurrence (exploratory:
           whether it ever exceeds the inverses of V is open; compare it with
@@ -29,16 +30,18 @@ reads the same rules with .all over the steps; it is the reference the
 tests compare the search with, and no command runs it; the per-row
 predicates (in_V, in_W, ...) are the reference for the walk.  Sstar is the Farey
 table itself, read with no search, as is SstarTilde, its shift closure.
-Method 'brute' is capped at m = 10, for enumerate_class, enumerate_classes
+VL0 and VL1 are built as arrays from their affine rows, to MAX_DEGREE.
+Method 'brute' is capped at m = 10 for the other labels, in enumerate_class
 and verify_theorems alike (_check_brute_guard), unless SOSLIFT_MAX_BRUTE_M,
 a positive integer, raises it; no value of it admits m above MAX_DEGREE.
+enumerate_class is the one function that enumerates a class by label:
+verify_theorems and the sosrec command call it once per class and degree.
 """
 from __future__ import annotations
 
 import os
 from functools import cached_property
 from itertools import permutations as _sym_group
-from math import gcd
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -59,7 +62,7 @@ from .perm_core import (
     in_V,
     shift_closure,
 )
-from .sos import suranyi_table, theta_ab
+from .sos import suranyi_table
 
 LABELS = ("V", "W", "Y", "Yprime", "X", "Sstar", "SstarTilde", "VL0", "VL1", "Vminus", "SosRec")
 METHODS = ("brute", "lift", "farey")
@@ -434,27 +437,26 @@ def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
     return np.concatenate(found)
 
 
-def _search(labels: tuple[str, ...], m: int) -> dict[str, np.ndarray]:
-    """The rows of each labeled class of degree m, solved from its step rule.
+def _search(label: str, m: int) -> np.ndarray:
+    """The rows of the labeled class of degree m, solved from its step rule.
 
     Y is solved from every start pair, as verify_theorems checks that it is
-    shift-closed, and Yprime is Y filtered by its own rule.  X is solved from
-    theta(1) = 1 and then shift-closed: a shift leaves every difference mod m
-    as it is.  Returns {label: (N, m) array of dtype _dtype_for(m)}, rows in
-    no particular order.
+    shift-closed, and Yprime is Y filtered by its own rule (_passing).  X is
+    solved from theta(1) = 1 and then shift-closed: a shift leaves every
+    difference mod m as it is.  Returns an (N, m) array of dtype
+    _dtype_for(m), rows in no particular order.
     """
     every = np.arange(1, m + 1)
-    found = {}
-    for label in labels:
-        if label == "Yprime":
-            y = found["Y"] if "Y" in found else _solve(_RULES["Y"], m, every)
-            found[label] = y[_accepts(label, _Block(y, m))]
-        elif label == "X":
-            from_1 = PermClass.from_array(label, m, _solve(_RULES[label], m, every[:1]))
-            found[label] = shift_closure(from_1).as_array()
-        else:
-            found[label] = _solve(_RULES[label], m, every)
-    return found
+    if label == "Yprime":
+        return _passing(label, _solve(_RULES["Y"], m, every))
+    if label == "X":
+        return shift_closure(PermClass(label, m, _solve(_RULES[label], m, every[:1]))).as_array()
+    return _solve(_RULES[label], m, every)
+
+
+def _passing(label: str, rows: np.ndarray) -> np.ndarray:
+    """The rows of an (N, m) array that pass every step of the labeled rule."""
+    return rows[_accepts(label, _Block(rows, rows.shape[1]))]
 
 
 def enumerate_class(label: str, m: int, method: str = "brute", force: bool = False) -> PermClass:
@@ -477,38 +479,24 @@ def enumerate_class(label: str, m: int, method: str = "brute", force: bool = Fal
         if label not in ("V", "Sstar"):
             raise ValueError(f"method {method!r} only enumerates V or Sstar, not {label}")
         lifting.check_lift_degree(m, force)
-        if method == "lift":
-            lifted = lifting.lift_to(m, force)
-            lifted.label = label
-            return lifted
-        return PermClass.from_array(label, m, suranyi_table(m).as_array())
+        rows = lifting.lift_level(m, force).rows() if method == "lift" else suranyi_table(m).as_array()
+        return PermClass(label, m, rows)
 
     if label in ("VL0", "VL1"):
-        check_degree(m)  # before PermClass, whose refusal names the label
+        check_degree(m)  # before the (phi(m), m) rows are built
+        # theta_ab(m, a, b)(i) = (a*i + b - 1) mod m + 1, one row per a coprime to m
+        i = np.arange(1, m + 1, dtype=np.int32)  # a*i < 2^31 to MAX_DEGREE
         b = int(label[-1])
-        return PermClass(label, m, (theta_ab(m, a, b) for a in range(1, m + 1) if gcd(a, m) == 1))
+        return PermClass(label, m, (np.multiply.outer(i[np.gcd(i, m) == 1], i) + (b - 1)) % m + 1)
 
+    _check_brute_guard(m)
     if label in WALK_LABELS:
-        return enumerate_classes((label,), m)[label]
-    _check_brute_guard(m)
+        return PermClass(label, m, _search(label, m))
     if label == "Vminus":
-        v, vl1 = _search(("V",), m)["V"], enumerate_class("VL1", m).as_array()
-        return PermClass.from_array(label, m, v[~_rows_in(v, vl1)])
-    sstar = PermClass.from_array(label, m, suranyi_table(m).as_array())
+        v, vl1 = _search("V", m), enumerate_class("VL1", m).as_array()
+        return PermClass(label, m, v[~_rows_in(v, vl1)])
+    sstar = PermClass(label, m, suranyi_table(m).as_array())
     return sstar if label == "Sstar" else shift_closure(sstar)
-
-
-def enumerate_classes(labels: tuple[str, ...], m: int) -> dict[str, PermClass]:
-    """Brute-force classes of degree m, each solved from its step rule.
-
-    labels: from WALK_LABELS, the labels with a step rule.
-    Guarded and validated like enumerate_class.
-    """
-    unknown = [label for label in labels if label not in WALK_LABELS]
-    if unknown:
-        raise ValueError(f"enumerate_classes solves only {WALK_LABELS}, not {unknown}")
-    _check_brute_guard(m)
-    return {label: PermClass.from_array(label, m, rows) for label, rows in _search(labels, m).items()}
 
 
 def verify_theorems(m_max: int) -> list[dict]:
@@ -524,18 +512,18 @@ def verify_theorems(m_max: int) -> list[dict]:
     def record(m: int, check: str, passed: bool, detail: str = "") -> None:
         records.append({"m": m, "check": check, "passed": passed, "detail": detail})
 
-    prev_w = PermClass.from_array("W", 1, np.ones((1, 1), dtype=np.uint8))
+    prev_w = PermClass("W", 1, np.ones((1, 1), dtype=np.uint8))
     for m in range(2, m_max + 1):
-        classes = enumerate_classes(("V", "W", "Y", "X") + (("Yprime",) if m >= 3 else ()), m)
-        v, w, y, x = (classes[label] for label in ("V", "W", "Y", "X"))
-        sstar = enumerate_class("Sstar", m, method="farey")
+        v, w, y, x, sstar = (enumerate_class(label, m) for label in ("V", "W", "Y", "X", "Sstar"))
         vl0, vl1 = (enumerate_class(label, m).as_array() for label in ("VL0", "VL1"))
         rows = v.as_array().astype(np.int16)
 
         record(m, "V = W", v == w, f"|V|={len(v)}, |W|={len(w)}")
         record(m, "W subset of Y", bool(_rows_in(w.as_array(), y.as_array()).all()))
         if m >= 3:
-            record(m, "Y = Yprime", y == classes["Yprime"], f"|Y|={len(y)}")
+            # Yprime is Y filtered by its rule, as _search solves it
+            yprime = PermClass("Yprime", m, _passing("Yprime", y.as_array()))
+            record(m, "Y = Yprime", y == yprime, f"|Y|={len(y)}")
         record(m, "Y is shift-closed", shift_closure(y) == y)
         record(m, "X = shift-closure of V", x == shift_closure(v), f"|X|={len(x)}")
         record(m, "Sstar (Farey table) = V", sstar == v)
@@ -555,7 +543,7 @@ def verify_theorems(m_max: int) -> list[dict]:
                     and not (in0 & in1).any()))
 
         ya = y.as_array()
-        image = PermClass.from_array("psi-image", m - 1, ya[ya[:, 0] == 1, 1:] - 1)
+        image = PermClass("psi-image", m - 1, ya[ya[:, 0] == 1, 1:] - 1)
         record(m, "psi(S^1 intersect Y) = W of degree m-1", image == prev_w,
                f"|image|={len(image)}")
 

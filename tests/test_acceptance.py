@@ -97,13 +97,13 @@ def test_criterion_05_lifting_recursion_reproduces_v_exactly() -> None:
     for m in range(2, 9):
         ok = ok and levels[m - 1] == _brute("V", m)
     for m in range(2, 13):
-        table_col = PermClass.from_array("V", m, suranyi_table(m).as_array())
+        table_col = PermClass("V", m, suranyi_table(m).as_array())
         ok = ok and levels[m - 1] == table_col
     _report(5, ok, "lifted levels equal brute force for m=2..8 and the Farey column for m=2..12")
     for m in range(2, 9):
         assert levels[m - 1] == _brute("V", m)
     for m in range(2, 13):
-        assert levels[m - 1] == PermClass.from_array("V", m, suranyi_table(m).as_array())
+        assert levels[m - 1] == PermClass("V", m, suranyi_table(m).as_array())
 
 
 def test_criterion_06_scaling_to_degree_200_with_fiber_census() -> None:

@@ -14,7 +14,7 @@ import pytest
 from soslift import cli, farey, lifting, perm_core, perm_sets, sos, trees
 from soslift.cli import main
 from soslift.farey import totient_sum
-from soslift.lifting import lift_to
+from soslift.lifting import lift_level
 from soslift.perm_core import PermClass, Permutation, inverse
 
 V4_LINES = ["1234", "2341", "2413", "3142", "3214", "4321"]
@@ -234,7 +234,7 @@ def test_lift_input_with_to_m_is_usage_error(tmp_path: Path, capsys: pytest.Capt
 
 @pytest.mark.parametrize("m", [1, 9, 10, 40])
 def test_class_output_matches_permutation_text(capsys: pytest.CaptureFixture, m: int) -> None:
-    members = sorted(Permutation(row) for row in lift_to(m).as_array().tolist())
+    members = sorted(Permutation(row) for row in lift_level(m).rows().tolist())
     for p in members:
         assert p.one_line() == ("" if m <= 9 else " ").join(map(str, p.values))
     expected = {
@@ -262,7 +262,7 @@ def test_class_output_rejects_a_non_permutation_row(
     assert captured.out == ""
     assert captured.err.startswith("error:") and "not a permutation of 1..3" in captured.err
     with pytest.raises(ValueError, match="not a permutation"):
-        PermClass.from_array("V", 3, level.rows()).members
+        PermClass("V", 3, level.rows()).members
 
 
 @pytest.mark.parametrize("fmt", ["oneline", "json"])
@@ -319,15 +319,15 @@ def test_enumerate_force_admits_degree_501(monkeypatch: pytest.MonkeyPatch,
     identity = np.arange(1, 502, dtype=np.uint16)[None, :]  # a member of V_501
     built = []
 
-    def lift_to(M, force=False):
+    def lift_level(M, force=False):
         built.append((M, force))
-        return PermClass.from_array("V", M, identity)
+        return lifting.Level(M, identity[:, 0], identity[:, -1])
 
     def suranyi_table(m):
         built.append((m, None))
         return type("Table", (), {"as_array": lambda self: identity})()
 
-    monkeypatch.setattr(lifting, "lift_to", lift_to)
+    monkeypatch.setattr(lifting, "lift_level", lift_level)
     monkeypatch.setattr(perm_sets, "suranyi_table", suranyi_table)
     assert main(["enumerate", "--set", "V", "--m", "501", "--method", method, "--force"]) == 0
     assert capsys.readouterr().out == " ".join(map(str, range(1, 502))) + "\n"

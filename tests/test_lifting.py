@@ -24,7 +24,6 @@ from soslift.lifting import (
     lift_fibers,
     lift_level,
     lift_once,
-    lift_to,
     project,
     sorted_blocks,
 )
@@ -197,7 +196,7 @@ def test_iter_levels_matches_generate_up_to_row_for_row() -> None:
     assert parent_index.tolist() == [0]
     assert tags.tolist() == [TAG_SINGLE]
     for m, ((level, parent_index, tags), kept) in enumerate(zip(levels, generate_up_to(12)), start=1):
-        assert kept == PermClass.from_array("V", m, level.rows())
+        assert kept == PermClass("V", m, level.rows())
         assert len(parent_index) == len(tags) == len(level)
     for (parents, _, _), (children, parent_index, tags) in zip(levels, levels[1:]):
         expected = lift_fibers(parents)
@@ -209,8 +208,8 @@ def test_iter_levels_matches_generate_up_to_row_for_row() -> None:
 
 def test_lift_to_matches_brute_force() -> None:
     for m in range(1, 9):
-        lifted = lift_to(m)
-        assert lifted.m == m
+        lifted = enumerate_class("V", m, "lift")
+        assert lifted.m == m and lifted.label == "V"
         assert lifted == enumerate_class("V", m)
 
 
@@ -226,12 +225,12 @@ def test_iter_levels_and_lift_to_guards() -> None:
     with pytest.raises(ValueError, match="needs force"):
         next(levels)
     with pytest.raises(ValueError, match="target degree must be positive"):
-        lift_to(0)
+        lift_level(0)
     with pytest.raises(ValueError, match=r"needs force=True "
                        r"\(soslift lift --force, soslift enumerate --force\)"):
-        lift_to(FORCE_THRESHOLD + 1)
+        lift_level(FORCE_THRESHOLD + 1)
     with pytest.raises(ValueError, match="^target degree 2001 exceeds the supported ceiling 2000$"):
-        lift_to(MAX_LIFT_DEGREE + 1, force=True)
+        lift_level(MAX_LIFT_DEGREE + 1, force=True)
 
 
 def test_lifting_imports_only_numpy_and_perm_core() -> None:
@@ -425,13 +424,13 @@ def test_lift_output_equals_the_sorted_class(monkeypatch: pytest.MonkeyPatch,
             continue
         monkeypatch.setattr(cli, "lift_level", lambda M, force=False: level)
         assert cli.main(["lift", "--to-m", str(level.m), "--format", fmt]) == 0
-        rows = PermClass.from_array("V", level.m, level.rows()).as_array()
+        rows = PermClass("V", level.m, level.rows()).as_array()
         assert capsys.readouterr().out == format_rows(rows, level.m, fmt), level.m
 
 
 def test_sorted_blocks_hold_whole_theta_one_groups(monkeypatch: pytest.MonkeyPatch) -> None:
     level = lift_level(200)
-    rows = PermClass.from_array("V", 200, level.rows()).as_array()
+    rows = PermClass("V", 200, level.rows()).as_array()
     assert [len(b) for b in sorted_blocks(level)] == [len(rows)]  # 2.4 MB: one block
     monkeypatch.setattr(lifting, "BLOCK_BYTES", 1)
     blocks = list(sorted_blocks(level))

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from soslift import perm_core
-from soslift.lifting import lift_to
+from soslift.lifting import lift_level
 from soslift.perm_core import (
     MAX_DEGREE,
     PermClass,
@@ -27,6 +27,11 @@ from soslift.perm_core import (
     shift_equivalent,
     supermod_m,
 )
+
+
+def _cls(label: str, *texts: str) -> PermClass:
+    """The class of the rows written as digit strings."""
+    return PermClass(label, len(texts[0]), [list(map(int, text)) for text in texts])
 
 
 def _p(text: str) -> Permutation:
@@ -198,18 +203,18 @@ def test_inverse() -> None:
 
 
 def test_perm_class_dedups_and_sorts() -> None:
-    cls = PermClass("V", 2, [_p("21"), _p("12"), _p("21")])
+    cls = _cls("V", "21", "12", "21")
     assert cls.members == (_p("12"), _p("21"))
     assert len(cls) == 2
     assert list(cls) == [_p("12"), _p("21")]
 
 
 def test_perm_class_equality_ignores_label() -> None:
-    a = PermClass("V", 2, [_p("12"), _p("21")])
-    b = PermClass("W", 2, [_p("21"), _p("12")])
+    a = _cls("V", "12", "21")
+    b = _cls("W", "21", "12")
     assert a == b
-    assert a != PermClass("V", 2, [_p("12")])
-    single = PermClass("V", 2, [_p("12")])
+    assert a != _cls("V", "12")
+    single = _cls("V", "12")
     assert _p("12") in single and _p("21") in a
     assert _p("21") not in single
     assert _p("1") not in single and _p("123") not in single
@@ -217,20 +222,23 @@ def test_perm_class_equality_ignores_label() -> None:
 
 
 def test_perm_class_rejects_degree_mismatch() -> None:
-    with pytest.raises(ValueError, match="degree mismatch in V"):
-        PermClass("V", 2, [_p("123")])
+    # rows of another degree, and Permutation objects of any degree, are not
+    # an (N, 2) integer array
+    for rows in ([[1, 2, 3]], np.ones((1, 1), dtype=np.uint8), [_p("12")], [_p("123")]):
+        with pytest.raises(ValueError, match=r"^V of degree 2 needs an \(N, 2\) integer array"):
+            PermClass("V", 2, rows)
 
 
 def test_perm_class_from_array_matches_eager() -> None:
     arr = np.array([[2, 1], [1, 2]], dtype=np.uint8)
-    lazy = PermClass.from_array("V", 2, arr)
+    lazy = PermClass("V", 2, arr)
     assert len(lazy) == 2
-    assert lazy == PermClass("V", 2, [_p("12"), _p("21")])
+    assert lazy == _cls("V", "12", "21")
     assert list(lazy) == [_p("12"), _p("21")]
     back = lazy.as_array()
     assert back.shape == (2, 2)
     assert sorted(map(tuple, back.tolist())) == [(1, 2), (2, 1)]
-    sparse = PermClass.from_array("V", 3, np.array([[2, 3, 1], [1, 2, 3]], dtype=np.uint8))
+    sparse = PermClass("V", 3, np.array([[2, 3, 1], [1, 2, 3]], dtype=np.uint8))
     assert _p("123") in sparse and _p("231") in sparse
     assert _p("132") not in sparse and _p("321") not in sparse
     assert _p("12") not in sparse and _p("1234") not in sparse
@@ -238,9 +246,9 @@ def test_perm_class_from_array_matches_eager() -> None:
 
 
 def test_perm_class_from_array_dedups_and_compares_without_members() -> None:
-    eager = PermClass("V", 2, [_p("12")])
-    repeated = PermClass.from_array("V", 2, [[1, 2], [1, 2]])
-    other = PermClass.from_array("W", 2, np.array([[1, 2]], dtype=np.int64))
+    eager = _cls("V", "12")
+    repeated = PermClass("V", 2, [[1, 2], [1, 2]])
+    other = PermClass("W", 2, np.array([[1, 2]], dtype=np.int64))
     assert len(repeated) == len(eager) == 1
     assert repeated == other and hash(repeated) == hash(other)
     assert repeated._members is None and other._members is None
@@ -254,7 +262,7 @@ def test_perm_class_from_array_rejects_every_non_permutation_row() -> None:
     for row in rows:
         for bad in ([row], [[1, 2, 3], row, [3, 1, 2]]):
             with pytest.raises(ValueError, match=r"not a permutation of 1\.\.3 in V"):
-                PermClass.from_array("V", 3, np.array(bad))
+                PermClass("V", 3, np.array(bad))
 
 
 def _misses_by_scatter(rows: np.ndarray) -> np.ndarray:
@@ -280,7 +288,7 @@ def test_misses_a_value_equals_the_whole_scatter(m: int) -> None:
 
 @pytest.mark.parametrize("dtype", [np.uint8, np.uint16, np.int64])
 def test_rows_in_equals_isin(dtype) -> None:
-    v = lift_to(12).as_array().astype(dtype)
+    v = PermClass("V", 12, lift_level(12).rows()).as_array().astype(dtype)
     rng = np.random.default_rng(7)
     others = [v, v[:0], v[::3], np.concatenate([v[5:9]] * 3), v[rng.permutation(len(v))][:20]]
     for rows in (v, v[:0], np.concatenate([v, v[::-1]])):
@@ -295,16 +303,13 @@ def test_rows_in_equals_isin(dtype) -> None:
 def test_perm_class_from_array_rejects_wrong_shape_or_dtype() -> None:
     for bad in (np.ones((2, 4), dtype=np.uint8), np.array([1, 2, 3]), np.array([[1.0, 2.0, 3.0]])):
         with pytest.raises(ValueError, match=r"V of degree 3 needs an \(N, 3\) integer array"):
-            PermClass.from_array("V", 3, bad)
+            PermClass("V", 3, bad)
 
 
 def test_perm_class_rejects_nonpositive_degree() -> None:
     for m in (0, -1):
         with pytest.raises(ValueError, match=f"^V degree must be positive, got {m}$"):
-            PermClass("V", m)
-    for m in (0, -1):
-        with pytest.raises(ValueError, match=f"^V degree must be positive, got {m}$"):
-            PermClass.from_array("V", m, np.zeros((0, 0), dtype=np.uint8))
+            PermClass("V", m, np.zeros((0, 0), dtype=np.uint8))
 
 
 def _reference_lines(rows: np.ndarray, fmt: str) -> str:
@@ -335,7 +340,7 @@ def test_format_rows_builds_each_token_table_once(monkeypatch: pytest.MonkeyPatc
     built: list[list[str]] = []
     monkeypatch.setattr(perm_core, "_token_table", lambda tokens: built.append(tokens) or build(tokens))
     perm_core._encoding.cache_clear()
-    rows = lift_to(40).as_array()
+    rows = PermClass("V", 40, lift_level(40).rows()).as_array()
     lines = [Permutation(row).one_line() for row in rows.tolist()]
     assert len(lines) == 490 and len(built) == 2
     assert "".join(line + "\n" for line in lines) == format_rows(rows, 40, "oneline")
@@ -345,12 +350,12 @@ def test_format_rows_builds_each_token_table_once(monkeypatch: pytest.MonkeyPatc
 
 
 def test_shift_closure_of_a_single_row() -> None:
-    closed = shift_closure(PermClass("V", 2, [_p("12")]))
+    closed = shift_closure(_cls("V", "12"))
     assert closed.members == (_p("12"), _p("21"))
 
 
 def test_shift_closure_is_idempotent_and_preserves_label() -> None:
-    base = PermClass("V", 4, [_p("1234"), _p("2413")])
+    base = _cls("V", "1234", "2413")
     closed = shift_closure(base)
     assert isinstance(closed, PermClass)
     assert closed.label == base.label

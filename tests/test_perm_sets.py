@@ -1,13 +1,15 @@
 from __future__ import annotations
 
 import itertools
+from math import gcd
 
 import numpy as np
 import pytest
 
 from soslift import perm_sets
 from soslift.farey import totients, totient_sum
-from soslift.lifting import lift_to
+from soslift.cli import main
+from soslift.lifting import lift_level
 from soslift.perm_core import PermClass, Permutation, _dtype_for, inverse, shift_closure
 from soslift.perm_sets import (
     DEFAULT_MAX_BRUTE_M,
@@ -18,7 +20,6 @@ from soslift.perm_sets import (
     _search,
     _sym,
     enumerate_class,
-    enumerate_classes,
     in_V,
     in_W,
     in_X,
@@ -27,7 +28,7 @@ from soslift.perm_sets import (
     report_passed,
     verify_theorems,
 )
-from soslift.sos import satisfies_sos_recurrence, suranyi_table
+from soslift.sos import satisfies_sos_recurrence, suranyi_table, theta_ab
 
 
 def _p(text: str) -> Permutation:
@@ -114,14 +115,12 @@ def test_verify_theorems_walks_no_s_m(monkeypatch: pytest.MonkeyPatch) -> None:
 def _solved_and_walked(labels: tuple[str, ...], m: int) -> None:
     """The search finds, for each label, the rows the walk of S_m finds."""
     walked = perm_sets._walk(labels, m)
-    for solved in (_search(labels, m), {label: _search((label,), m)[label] for label in labels}):
-        assert list(solved) == list(labels)
-        for label in labels:
-            rows = solved[label]
-            assert rows.dtype == _dtype_for(m) and rows.shape[1] == m, label
-            cls = PermClass.from_array(label, m, rows)
-            assert len(cls) == len(rows), label  # no row found twice
-            assert cls == PermClass.from_array(label, m, walked[label]), (label, m)
+    for label in labels:
+        rows = _search(label, m)
+        assert rows.dtype == _dtype_for(m) and rows.shape[1] == m, label
+        cls = PermClass(label, m, rows)
+        assert len(cls) == len(rows), label  # no row found twice
+        assert cls == PermClass(label, m, walked[label]), (label, m)
 
 
 @pytest.mark.parametrize("m", range(1, 11))
@@ -143,65 +142,31 @@ def test_search_splits_its_frontier_and_finds_the_same_rows(monkeypatch: pytest.
 def test_search_edge_degrees() -> None:
     for m in (1, 2):
         every = [list(p) for p in itertools.permutations(range(1, m + 1))]
-        assert sorted(_search(("Y",), m)["Y"].tolist()) == every
-        with pytest.raises(ValueError, match=f"Yprime needs degree >= 3, got {m}"):
-            _search(("Yprime",), m)
-        with pytest.raises(ValueError, match=f"Yprime needs degree >= 3, got {m}"):
-            enumerate_classes(("Y", "Yprime"), m)
-    for label in ("X", "SosRec", "V", "W"):
-        assert _search((label,), 1)[label].tolist() == [[1]], label
+        assert sorted(_search("Y", m).tolist()) == every
+        for solve in (_search, enumerate_class):
+            with pytest.raises(ValueError, match=f"Yprime needs degree >= 3, got {m}"):
+                solve("Yprime", m)
+    for label in ("X", "SosRec", "V", "W", "Y"):
+        assert _search(label, 1).tolist() == [[1]], label
+        assert enumerate_class(label, 1) == PermClass("S1", 1, [[1]]), label
 
 
 def test_search_rows_past_degree_255_are_uint16() -> None:
-    found = _search(("V", "W", "SosRec"), 256)
+    found = {label: _search(label, 256) for label in ("V", "W", "SosRec")}
     assert all(rows.dtype == np.uint16 and rows.shape == (totient_sum(256), 256)
                for rows in found.values())
-    v = PermClass.from_array("V", 256, found["V"])
-    assert PermClass.from_array("W", 256, found["W"]) == v
+    v = PermClass("V", 256, found["V"])
+    assert PermClass("W", 256, found["W"]) == v
     inverses = np.argsort(v.as_array(), axis=1) + 1
-    assert PermClass.from_array("SosRec", 256, found["SosRec"]) == PermClass.from_array("inv", 256, inverses)
+    assert PermClass("SosRec", 256, found["SosRec"]) == PermClass("inv", 256, inverses)
 
 
 def test_v_search_lift_and_farey_table_agree_at_degree_151() -> None:
     m = 151
-    solved = PermClass.from_array("V", m, _search(("V",), m)["V"]).as_array()
-    assert np.array_equal(solved, lift_to(m).as_array())
-    assert np.array_equal(solved, PermClass.from_array("Sstar", m, suranyi_table(m).as_array()).as_array())
+    solved = PermClass("V", m, _search("V", m)).as_array()
+    assert np.array_equal(solved, PermClass("V", m, lift_level(m).rows()).as_array())
+    assert np.array_equal(solved, PermClass("Sstar", m, suranyi_table(m).as_array()).as_array())
     assert len(solved) == totient_sum(m)
-
-
-def test_enumerate_classes_matches_enumerate_class(monkeypatch: pytest.MonkeyPatch) -> None:
-    labels = ("V", "W", "Y", "X", "SosRec")
-    for m in range(1, 7):
-        classes = enumerate_classes(labels, m)
-        assert all(classes[label] == enumerate_class(label, m) for label in labels)
-    with pytest.raises(ValueError, match="degree must be positive"):
-        enumerate_classes(("V",), 0)
-    monkeypatch.setenv(ENV_MAX_BRUTE_M, "3")
-    with pytest.raises(ValueError, match=r"refused \(cap 3\)"):
-        enumerate_classes(("V", "SosRec"), 4)
-
-
-def test_enumerate_classes_matches_enumerate_class_at_degree_1() -> None:
-    for label in perm_sets.WALK_LABELS:
-        if label == "Yprime":
-            for enumerate_one in (enumerate_class, lambda label, m: enumerate_classes((label,), m)):
-                with pytest.raises(ValueError, match="Yprime needs degree >= 3"):
-                    enumerate_one(label, 1)
-            continue
-        one = enumerate_classes((label,), 1)[label]
-        assert one == enumerate_class(label, 1) == PermClass("S1", 1, [_p("1")]), label
-
-
-@pytest.mark.parametrize("label", ["Vminus", "VL0", "Q", "Sstar"])
-def test_enumerate_classes_refuses_labels_it_cannot_walk(
-        monkeypatch: pytest.MonkeyPatch, label: str) -> None:
-    def no_walk(m):
-        raise AssertionError("walked S_m")
-    monkeypatch.setattr(perm_sets, "_sym", no_walk)
-    with pytest.raises(ValueError, match=r"solves only \('V', 'W', 'Y', 'Yprime', 'X', 'SosRec'\), "
-                                         r"not \[" + repr(label)):
-        enumerate_classes(("V", label), 5)
 
 
 def test_sstar_classes_are_read_from_the_farey_table(monkeypatch: pytest.MonkeyPatch) -> None:
@@ -251,6 +216,14 @@ def test_affine_layers_frozen_for_m5() -> None:
     layer1 = [p.one_line() for p in enumerate_class("VL1", 5)]
     assert sorted(layer0) == ["12345", "24135", "31425", "43215"]
     assert sorted(layer1) == ["23451", "35241", "42531", "54321"]
+
+
+@pytest.mark.parametrize("m", [*range(1, 61), 255, 256, 257])
+def test_affine_layers_are_the_theta_ab_rows(m: int) -> None:
+    for b, label in enumerate(("VL0", "VL1")):
+        rows = sorted(list(theta_ab(m, a, b).values) for a in range(1, m + 1) if gcd(a, m) == 1)
+        got = enumerate_class(label, m).as_array()
+        assert got.dtype == _dtype_for(m) and got.tolist() == rows, label
 
 
 def test_affine_layers_are_disjoint_subsets_of_v() -> None:
@@ -330,12 +303,31 @@ def test_verify_theorems_passes_and_reports() -> None:
         assert set(r) == {"m", "check", "passed", "detail"}
 
 
-def test_verify_theorems_reads_no_permutation_objects(monkeypatch: pytest.MonkeyPatch) -> None:
-    def refuse(self):
-        raise AssertionError("PermClass.members was read")
+def test_verify_theorems_reads_no_permutation_objects(monkeypatch: pytest.MonkeyPatch,
+                                                      capsys: pytest.CaptureFixture) -> None:
+    def refuse(self, values):
+        raise AssertionError("a Permutation was built")
 
-    monkeypatch.setattr(PermClass, "members", property(refuse))
+    monkeypatch.setattr(Permutation, "__init__", refuse)
     assert report_passed(verify_theorems(7))
+    # the affine layers are built as arrays too: phi(12) = 4 rows each
+    for label in ("VL0", "VL1"):
+        assert main(["enumerate", "--set", label, "--m", "12"]) == 0
+        assert len(capsys.readouterr().out.splitlines()) == 4, label
+
+
+def test_verify_theorems_solves_y_once_per_degree(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Yprime is read from the Y rows that verify_theorems already holds
+    solve, degrees = perm_sets._solve, []
+
+    def counting_solve(rule, m, firsts):
+        if rule is perm_sets._RULES["Y"]:
+            degrees.append(m)
+        return solve(rule, m, firsts)
+
+    monkeypatch.setattr(perm_sets, "_solve", counting_solve)
+    assert report_passed(verify_theorems(6))
+    assert degrees == [2, 3, 4, 5, 6]
 
 
 @pytest.mark.parametrize("accept", ["all", "none"])

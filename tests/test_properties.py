@@ -15,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from soslift.cli import main
-from soslift.lifting import Level, lift_fibers, lift_level, lift_to, project
+from soslift.lifting import Level, lift_fibers, lift_level, project
 from soslift.perm_core import (PermClass, Permutation, _dtype_for, format_rows, gamma, psi,
                                psi_inverse, shift, shift_closure, shift_equivalent)
 from soslift.perm_sets import ENV_MAX_BRUTE_M, LABELS, METHODS
@@ -52,11 +52,12 @@ def straddling_rows(m: int, dtype: type) -> tuple:
 @example(straddling_rows(257, np.uint16))
 def test_from_array_equals_the_eager_class(case) -> None:
     m, rows, dtype = case
-    from_rows = PermClass.from_array("V", m, np.array(rows, dtype=dtype).reshape(len(rows), m))
-    eager = PermClass("V", m, map(Permutation, rows))
+    from_rows = PermClass("V", m, np.array(rows, dtype=dtype).reshape(len(rows), m))
+    distinct = sorted(set(map(tuple, rows)))
+    eager = PermClass("V", m, np.array(distinct, dtype=np.int64).reshape(len(distinct), m))
     assert from_rows == eager
     assert hash(from_rows) == hash(eager)
-    assert len(from_rows) == len(set(map(tuple, rows)))
+    assert from_rows.members == tuple(map(Permutation, distinct))
 
 
 @given(repeated_rows())
@@ -65,7 +66,7 @@ def test_from_array_equals_the_eager_class(case) -> None:
 @example(straddling_rows(257, np.uint16))
 def test_as_array_is_lexsorted_unique_and_narrow(case) -> None:
     m, rows, dtype = case
-    arr = PermClass.from_array("V", m, np.array(rows, dtype=dtype).reshape(len(rows), m)).as_array()
+    arr = PermClass("V", m, np.array(rows, dtype=dtype).reshape(len(rows), m)).as_array()
     assert arr.dtype == _dtype_for(m)
     assert arr.shape == (len(set(map(tuple, rows))), m)
     assert arr.tolist() == [list(row) for row in sorted(set(map(tuple, rows)))]
@@ -74,7 +75,7 @@ def test_as_array_is_lexsorted_unique_and_narrow(case) -> None:
 @settings(deadline=None)
 @given(st.integers(2, 40), st.data())
 def test_project_maps_every_lifted_child_to_its_parent(m, data) -> None:
-    parents = lift_to(m - 1).as_array()
+    parents = lift_level(m - 1).rows()
     children, parent_index, _ = lift_fibers(Level.from_rows(parents))
     i = data.draw(st.integers(0, len(children) - 1))
     assert project(Permutation(children.rows(i, i + 1)[0])) == Permutation(parents[parent_index[i]])
@@ -134,7 +135,7 @@ def test_psi_inverse_undoes_psi(theta) -> None:
                                  .map(lambda rows: (m, rows))))
 def test_shift_closure_of_a_class_equals_the_object_shifts(case) -> None:
     m, rows = case
-    closed = shift_closure(PermClass("X", m, map(Permutation, rows)))
+    closed = shift_closure(PermClass("X", m, np.array(rows, dtype=np.int64).reshape(len(rows), m)))
     assert closed.label == "X"
     assert set(closed) == {shift(Permutation(r), k) for r in rows for k in range(m)}
 
