@@ -11,7 +11,7 @@ from .farey import (
     totient_sum,
     totients,
 )
-from .lifting import Level, generate_up_to, iter_levels, lift_fibers, lift_level, lift_once, project
+from .lifting import Level, generate_up_to, iter_levels, lift_fibers, lift_level, project
 from .perm_core import (
     PermClass,
     Permutation,
@@ -31,15 +31,10 @@ from .perm_core import (
 from .perm_sets import (
     enumerate_class,
     in_V,
-    in_W,
-    in_X,
-    in_Y,
-    in_Yprime,
     verify_theorems,
 )
 from .sos import (
     SuranyiTable,
-    satisfies_sos_recurrence,
     sos_from_alpha,
     suranyi_table,
     tau_explicit,

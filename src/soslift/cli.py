@@ -15,14 +15,16 @@ and nothing of the failing one.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
 from array import array
+from itertools import islice
 
 import numpy as np
 
-from . import farey
+from . import farey, lifting
 from .lifting import (MAX_LIFT_DEGREE, Level, check_lift_degree, lift_fibers, lift_level, project,
                       sorted_blocks)
 from .perm_core import Permutation, _json_values, _rows_in, check_degree, format_rows
@@ -67,6 +69,32 @@ def _cmd_enumerate(args) -> int:
     return 0
 
 
+def _read_parents(path: str, m: int) -> Level:
+    """V of degree m from a JSON-lines file, one row per non-blank line.
+
+    The rows are read in blocks of at most lifting.BLOCK_BYTES of int64
+    values.  Level.from_rows checks each block, a refusal naming the row's
+    index in the file, and only the block's two columns are kept.
+    """
+    block_rows = max(1, lifting.BLOCK_BYTES // (8 * m))
+    firsts, lasts, read = [], [], 0
+    with open(path, encoding="utf-8") as fh:
+        lines = filter(str.strip, fh)
+        while True:
+            values = array("q")  # the int64 values of the block's rows, in file order
+            for line in islice(lines, block_rows):
+                row = _json_values(json.loads(line))
+                if len(row) != m:
+                    raise ValueError(f"degree mismatch in V: expected {m}, got {len(row)}")
+                values.extend(row)
+            block = Level.from_rows(np.frombuffer(values, dtype=np.int64).reshape(-1, m), read)
+            firsts.append(block.first)
+            lasts.append(block.last)
+            read += len(block)
+            if len(block) < block_rows:
+                return Level(m, np.concatenate(firsts), np.concatenate(lasts))
+
+
 def _cmd_lift(args) -> int:
     if args.from_m is not None:
         check_degree(args.from_m, None, "source degree")  # the target degree has the ceiling
@@ -76,14 +104,7 @@ def _cmd_lift(args) -> int:
         m = args.from_m
         check_lift_degree(m + 1, args.force)
         try:
-            values = array("q")  # the int64 values of every row, in file order
-            with open(args.input, encoding="utf-8") as fh:
-                for line in filter(str.strip, fh):
-                    row = _json_values(json.loads(line))
-                    if len(row) != m:
-                        raise ValueError(f"degree mismatch in V: expected {m}, got {len(row)}")
-                    values.extend(row)
-            parents = Level.from_rows(np.frombuffer(values, dtype=np.int64).reshape(-1, m))
+            parents = _read_parents(args.input, m)
         except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             # ValueError covers undecodable bytes, bad JSON, rows outside V and
             # rows whose degree is not --from-m; OverflowError, values beyond int64;
@@ -169,7 +190,9 @@ def _cmd_sosrec(args) -> int:
     return 0
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The parser of every subcommand, built once per process."""
     parser = argparse.ArgumentParser(
         prog="soslift",
         description="Enumerate, lift, and cross-verify the inverses of Sos permutations.",

@@ -28,14 +28,6 @@ def format_fraction(f: Fraction) -> str:
     return f"{f.numerator}/{f.denominator}"
 
 
-def fraction_to_json(f: Fraction) -> dict:
-    return {"num": f.numerator, "den": f.denominator}
-
-
-def fraction_from_json(obj: dict) -> Fraction:
-    return Fraction(obj["num"], obj["den"])
-
-
 @dataclass(frozen=True)
 class FareyInterval:
     """Open interval (lo, hi) between successive order-m Farey terms.

@@ -104,8 +104,12 @@ class Level:
         return columns.T
 
     @classmethod
-    def from_rows(cls, array: np.ndarray) -> "Level":
-        """The level of the rows of an (N, m) integer array, each checked to lie in V."""
+    def from_rows(cls, array: np.ndarray, start: int = 0) -> "Level":
+        """The level of the rows of an (N, m) integer array, each checked to lie in V.
+
+        A refused row is named by its index plus start: its index in a source
+        read block by block, of which the array is the block from row start.
+        """
         array = np.asarray(array)
         if array.ndim != 2 or array.shape[1] < 1 or not np.issubdtype(array.dtype, np.integer):
             raise ValueError(f"expected a 2-d parent array of integers, got shape {array.shape} "
@@ -115,7 +119,7 @@ class Level:
         bad = _outside_V(array)
         if bad.any():
             k = int(np.argmax(bad))
-            raise ValueError(f"row {k} ({' '.join(map(str, array[k].tolist()))}) is not a "
+            raise ValueError(f"row {start + k} ({' '.join(map(str, array[k].tolist()))}) is not a "
                              f"permutation that satisfies the V congruence; input is not the class V")
         dtype = _dtype_for(m)
         return cls(m, array[:, 0].astype(dtype), array[:, -1].astype(dtype))
@@ -170,13 +174,6 @@ def lift_fibers(parents: Level) -> tuple[Level, np.ndarray, np.ndarray]:
     tags[right_rows - 1] = TAG_LEFT
     tags[right_rows] = TAG_RIGHT
     return Level(m, child_first, child_last), parent_index, tags
-
-
-def lift_once(parents: Level) -> PermClass:
-    """Lift the degree-(m-1) class V, checked into a Level by Level.from_rows, to degree m."""
-    check_lift_degree(parents.m + 1, force=True)
-    children, _, _ = lift_fibers(parents)
-    return PermClass("V", children.m, children.rows())
 
 
 def check_lift_degree(M: int, force: bool = False) -> None:

@@ -1,4 +1,4 @@
-"""Membership predicates and brute-force enumeration of the permutation classes.
+"""Step rules and brute-force enumeration of the permutation classes.
 
 Classes by label:
 
@@ -27,8 +27,9 @@ delta(1)) and three for X (its least and greatest residue).  Yprime is Y
 filtered by its own rule; X is solved from theta(1) = 1 and shift-closed.
 The walk of S_m in lexicographic order as uint8 blocks (_walk, _brute)
 reads the same rules with .all over the steps; it is the reference the
-tests compare the search with, and no command runs it; the per-row
-predicates (in_V, in_W, ...) are the reference for the walk.  Sstar is the Farey
+tests compare the search with, and no command runs it.  _RULES is the one
+statement of these rules here: the tests hold per-row predicates, written
+from the definitions, as the reference for the walk.  Sstar is the Farey
 table itself, read with no search, as is SstarTilde, its shift closure.
 VL0 and VL1 are built as arrays from their affine rows, to MAX_DEGREE.
 Method 'brute' is capped at m = 10 for the other labels, in enumerate_class
@@ -51,15 +52,11 @@ from .farey import totient_sum, totients
 from .perm_core import (
     MAX_DEGREE,
     PermClass,
-    Permutation,
     _dtype_for,
     _row_items,
     _rows_in,
-    ascents,
-    cds,
     check_degree,
-    delta,
-    in_V,
+    in_V,  # re-exported as perm_sets.in_V
     shift_closure,
 )
 from .sos import suranyi_table
@@ -68,40 +65,6 @@ LABELS = ("V", "W", "Y", "Yprime", "X", "Sstar", "SstarTilde", "VL0", "VL1", "Vm
 METHODS = ("brute", "lift", "farey")
 DEFAULT_MAX_BRUTE_M = 10
 ENV_MAX_BRUTE_M = "SOSLIFT_MAX_BRUTE_M"
-
-
-def in_W(theta: Permutation) -> bool:
-    """Exact-integer variant of the recurrence (the class W)."""
-    m = theta.m
-    vals = theta.values
-    first, last = vals[0], vals[-1]
-    return all(
-        vals[i + 1] - vals[i]
-        == first - (last <= vals[i]) + m * ((vals[i] <= vals[i + 1]) - 1)
-        for i in range(m - 1)
-    )
-
-
-def in_Y(theta: Permutation) -> bool:
-    """Constant-delta membership; every degree-2 permutation qualifies."""
-    if theta.m < 3:
-        return True
-    d = delta(theta)
-    return all(v == d[0] for v in d)
-
-
-def in_Yprime(theta: Permutation) -> bool:
-    """delta identically -A_theta; defined for m >= 3 only."""
-    if theta.m < 3:
-        raise ValueError(f"Yprime needs degree >= 3, got {theta.m}")
-    a = ascents(theta)
-    return all(v == -a for v in delta(theta))
-
-
-def in_X(theta: Permutation) -> bool:
-    """Quasi-progression of diameter 1: cds inside {k, k+1} for some k in [m-1]."""
-    residues = cds(theta)
-    return max(residues) - min(residues) <= 1 and 0 not in residues
 
 
 def _check_brute_guard(m: int, name: str = "degree") -> None:

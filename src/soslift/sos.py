@@ -24,8 +24,8 @@ from math import gcd
 import numpy as np
 
 from .farey import FareyInterval, farey_terms, totient_sum
-from .perm_core import (Permutation, _dtype_for, _row_items, _rows_in, check_degree, gamma,
-                        inverse, psi, supermod_m)
+from .perm_core import (Permutation, _dtype_for, _row_items, check_degree, gamma, inverse, psi,
+                        supermod_m)
 
 SIDES = ("below", "at", "above")
 
@@ -116,31 +116,6 @@ def theta_ab(m: int, a: int, b: int) -> Permutation:
     return Permutation(supermod_m(a * i + b, m) for i in range(1, m + 1))
 
 
-def satisfies_sos_recurrence(sigma: Permutation) -> bool:
-    """Check the three-case additive recurrence of Sos permutations.
-
-    sigma(i+1) = sigma(i) + sigma(1)            if sigma(i) <= m - sigma(1)
-                 sigma(i) + sigma(1) - sigma(m) if m - sigma(1) < sigma(i) < sigma(m)
-                 sigma(i) - sigma(m)            if sigma(m) <= sigma(i)
-
-    The guards can overlap only when sigma(1) + sigma(m) <= m (never the
-    case for an actual Sos permutation); every guard that fires must then
-    agree, so the predicate is order-independent.
-    """
-    m = sigma.m
-    first, last = sigma(1), sigma(m)
-    vals = sigma.values
-    for i in range(m - 1):
-        cur, nxt = vals[i], vals[i + 1]
-        if cur <= m - first and nxt != cur + first:
-            return False
-        if m - first < cur < last and nxt != cur + first - last:
-            return False
-        if last <= cur and nxt != cur - last:
-            return False
-    return True
-
-
 TAU_BLOCK_ROWS = 4096
 
 
@@ -226,12 +201,6 @@ class SuranyiTable:
     def entries(self) -> Sequence[tuple[FareyInterval, Permutation]]:
         return _RowView(len(self._rows),
                         lambda t: (self.interval(t + 1), Permutation(self._rows[t].tolist())))
-
-    def interval_of(self, perm: Permutation) -> FareyInterval:
-        hits = _rows_in(self._rows, np.array([perm.values])) if perm.m == self.m else ()
-        if not np.any(hits):
-            raise KeyError(f"{perm.one_line()} is not in the order-{self.m} table")
-        return self.interval(int(np.argmax(hits)) + 1)
 
 
 def suranyi_table(m: int) -> SuranyiTable:

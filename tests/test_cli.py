@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import argparse
 import hashlib
 import json
 import os
@@ -222,6 +223,32 @@ def test_lift_input_is_checked_once_and_only_the_output_is_sorted(
     assert items == [61]
 
 
+def test_lift_input_is_checked_block_by_block_and_names_a_row_by_its_index_in_the_file(
+        monkeypatch: pytest.MonkeyPatch, tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
+    assert main(["lift", "--to-m", "4", "--format", "json"]) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert main(["lift", "--to-m", "5"]) == 0
+    v5 = capsys.readouterr().out
+    blocks = []
+    from_rows = lifting.Level.from_rows
+    monkeypatch.setattr(lifting.Level, "from_rows",
+                        lambda rows, start=0: blocks.append((start, len(rows))) or from_rows(rows, start))
+    monkeypatch.setattr(lifting, "BLOCK_BYTES", 4 * 8 * 4)  # four rows of V_4 as int64
+    src = tmp_path / "v4.jsonl"
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["lift", "--from-m", "4", "--input", str(src)]) == 0
+    assert capsys.readouterr().out == v5
+    assert blocks == [(0, 4), (4, 2)]
+    # a row outside V past the first block is named by its index in the file
+    lines[5] = json.dumps({"m": 4, "values": [1, 3, 2, 4]})
+    src.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    assert main(["lift", "--from-m", "4", "--input", str(src)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (f"error: cannot read {src}: ValueError: row 5 (1 3 2 4) is not a "
+                            "permutation that satisfies the V congruence; input is not the class V\n")
+
+
 def test_lift_input_with_to_m_is_usage_error(tmp_path: Path, capsys: pytest.CaptureFixture) -> None:
     src = tmp_path / "v3.jsonl"
     src.write_text(json.dumps({"m": 3, "values": [1, 2, 3]}) + "\n", encoding="utf-8")
@@ -397,8 +424,9 @@ def test_farey_output_builds_the_sequence_once(monkeypatch: pytest.MonkeyPatch,
         text = " ".join(map(farey.format_fraction, terms)) + "\n" + "".join(f"{iv}\n" for iv in intervals)
         doc = {
             "m": m,
-            "terms": [farey.fraction_to_json(t) for t in terms],
-            "intervals": [{"lo": farey.fraction_to_json(iv.lo), "hi": farey.fraction_to_json(iv.hi),
+            "terms": [{"num": t.numerator, "den": t.denominator} for t in terms],
+            "intervals": [{"lo": {"num": iv.lo.numerator, "den": iv.lo.denominator},
+                           "hi": {"num": iv.hi.numerator, "den": iv.hi.denominator},
                            "index": iv.index} for iv in intervals],
         }
         builds.clear()
@@ -753,6 +781,28 @@ def test_report_stdout_is_byte_identical(capsys: pytest.CaptureFixture, argv: li
                                          digest: str) -> None:
     assert main(argv + ["--format", "json"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+def test_main_builds_one_parser_and_every_usage_error_exits_2(
+        monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture) -> None:
+    assert main(["tau", "--m", "3", "--alpha", "2/5"]) == 0  # the parser is built by now
+    built = []
+    init = argparse.ArgumentParser.__init__
+    monkeypatch.setattr(argparse.ArgumentParser, "__init__",
+                        lambda parser, *args, **kwargs: built.append(parser) or init(parser, *args, **kwargs))
+    for argv in ([], ["nope"], ["enumerate", "--set", "V"], ["enumerate", "--set", "V", "--m", "x"],
+                 ["lift", "--from-m", "3", "--to-m", "4"], ["tree", "--depth", "3", "--kind", "oak"]):
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == 2, argv
+        assert capsys.readouterr().err.startswith("usage: soslift")
+    assert main(["enumerate", "--set", "V", "--m", "11"]) == 2
+    assert main(["lift", "--to-m", "0"]) == 2
+    capsys.readouterr()
+    assert main(["enumerate", "--set", "V", "--m", "4"]) == 0
+    assert capsys.readouterr().out.splitlines() == V4_LINES
+    assert built == []
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_missing_subcommand_is_usage_error() -> None:

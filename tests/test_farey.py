@@ -12,8 +12,6 @@ from soslift.farey import (
     farey_sequence,
     farey_terms,
     format_fraction,
-    fraction_from_json,
-    fraction_to_json,
     mediant,
     parse_fraction,
     totient_sum,
@@ -137,9 +135,3 @@ def test_fraction_text_round_trip() -> None:
         parse_fraction("2/0")
     with pytest.raises(ValueError, match="invalid fraction token"):
         parse_fraction("x")
-
-
-def test_fraction_json_round_trip() -> None:
-    alpha = Fraction(3, 7)
-    doc = fraction_to_json(alpha)
-    assert fraction_from_json(doc) == alpha

@@ -95,3 +95,18 @@ def test_every_op_matches_golden_under_the_tracer() -> None:
     after = _soslift_bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+def test_the_workers_checked_pass_finds_no_problem(monkeypatch: pytest.MonkeyPatch) -> None:
+    """The worker's own content checks, as its untimed first pass runs them:
+    row counts, sampled rows in V, the lifted levels against phi, and the
+    verification records."""
+    # the worker imports tracing and workloads by name, and puts src/ on
+    # sys.path; monkeypatch restores sys.path afterwards
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    worker = _perfbench_module("worker")
+    golden = json.loads(worker.GOLDEN_FILE.read_text())
+    for workload in worker.WORKLOADS:
+        results = worker.checked_pass(workload, SEED, golden, worker.Tracer())
+        assert [r.op.name for r in results] == [op.name for op in worker.WORKLOADS[workload]]
+        assert {r.op.name: r.problems for r in results if r.problems} == {}, workload

@@ -23,7 +23,6 @@ from soslift.lifting import (
     iter_levels,
     lift_fibers,
     lift_level,
-    lift_once,
     project,
     sorted_blocks,
 )
@@ -139,18 +138,11 @@ def test_lift_fibers_at_dtype_boundaries(prev_m: int) -> None:
         assert in_V(child)
 
 
-def test_lift_once_matches_brute_force() -> None:
+def test_lift_of_the_parent_rows_matches_brute_force() -> None:
+    # lift --input's route: the rows of V_{m-1}, checked into a Level and lifted once
     for m in range(2, 9):
-        prev = Level.from_rows(enumerate_class("V", m - 1).as_array())
-        assert lift_once(prev) == enumerate_class("V", m)
-
-
-def test_lift_once_refuses_to_lift_past_the_ceiling() -> None:
-    # a stub Level of degree 2000, which from_rows admits: its lift would be degree 2001
-    one = np.ones(1, dtype=_dtype_for(MAX_LIFT_DEGREE))
-    with pytest.raises(ValueError, match=f"^target degree {MAX_LIFT_DEGREE + 1} exceeds the "
-                                         f"supported ceiling {MAX_LIFT_DEGREE}$"):
-        lift_once(Level(MAX_LIFT_DEGREE, one, one))
+        children = lift_fibers(Level.from_rows(enumerate_class("V", m - 1).as_array()))[0]
+        assert PermClass("V", m, children.rows()) == enumerate_class("V", m)
 
 
 def test_lift_fibers_rejects_non_member_rows() -> None:

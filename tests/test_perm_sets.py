@@ -21,14 +21,12 @@ from soslift.perm_sets import (
     _sym,
     enumerate_class,
     in_V,
-    in_W,
-    in_X,
-    in_Y,
-    in_Yprime,
     report_passed,
     verify_theorems,
 )
-from soslift.sos import satisfies_sos_recurrence, suranyi_table, theta_ab
+from soslift.sos import suranyi_table, theta_ab
+
+from oracles import in_W, in_X, in_Y, in_Yprime, satisfies_sos_recurrence
 
 
 def _p(text: str) -> Permutation:
