@@ -135,10 +135,9 @@ def _cmd_farey(args) -> int:
     check_degree(args.m, MAX_LIFT_DEGREE, "order")
     num, den = farey.farey_terms(args.m)
     if args.format == "json":
-        terms = [{"num": p, "den": q} for p, q in zip(num.tolist(), den.tolist())]
-        intervals = [{"lo": lo, "hi": hi, "index": t}
-                     for t, (lo, hi) in enumerate(zip(terms, terms[1:]), start=1)]
-        print(json.dumps({"m": args.m, "terms": terms, "intervals": intervals}, indent=2))
+        for piece in farey.farey_json_pieces(args.m, num, den):
+            sys.stdout.write(piece)
+        sys.stdout.write("\n")
     else:
         terms, intervals = farey.farey_labels(num, den)
         print(" ".join(terms), "\n".join(intervals), sep="\n")

@@ -7,6 +7,7 @@ reduced and compare exactly.  Text form is always "p/q" (so 0 and
 """
 from __future__ import annotations
 
+from collections.abc import Iterator
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -79,6 +80,38 @@ def farey_labels(num: np.ndarray, den: np.ndarray) -> tuple[list[str], list[str]
     """
     terms = [f"{p}/{q}" for p, q in zip(num.tolist(), den.tolist())]
     return terms, [f"({lo}, {hi})" for lo, hi in zip(terms, terms[1:])]
+
+
+def farey_json_pieces(m: int, num: np.ndarray, den: np.ndarray) -> Iterator[str]:
+    """The text of json.dumps({"m": m, "terms": [...], "intervals": [...]},
+    indent=2) for the terms of farey_terms, {"num": p, "den": q} each, and
+    their intervals, {"lo": term, "hi": term, "index": t} each, in pieces of
+    at most 4096 terms or intervals.  There are always two terms or more, so
+    neither list is empty.
+
+    >>> import json
+    >>> json.loads("".join(farey_json_pieces(1, *farey_terms(1))))["intervals"]
+    [{'lo': {'num': 0, 'den': 1}, 'hi': {'num': 1, 'den': 1}, 'index': 1}]
+    """
+    # the fixed text of one term and of one interval, at the nesting depth
+    # where json.dumps(indent=2) writes them
+    term = '    {\n      "num": %d,\n      "den": %d\n    }'
+    interval = ('    {\n      "lo": {\n        "num": %d,\n        "den": %d\n      },\n'
+                '      "hi": {\n        "num": %d,\n        "den": %d\n      },\n'
+                '      "index": %d\n    }')
+    p, q = num.tolist(), den.tolist()
+    yield f'{{\n  "m": {m},\n  "terms": [\n'
+    for start in range(0, len(p), 4096):
+        stop = start + 4096
+        part = zip(p[start:stop], q[start:stop])
+        yield (",\n" if start else "") + ",\n".join([term % pq for pq in part])
+    yield '\n  ],\n  "intervals": [\n'
+    for start in range(0, len(p) - 1, 4096):
+        stop = start + 4096
+        part = zip(p[start:stop], q[start:stop], p[start + 1:stop + 1], q[start + 1:stop + 1],
+                   range(start + 1, stop + 1))
+        yield (",\n" if start else "") + ",\n".join([interval % iv for iv in part])
+    yield "\n  ]\n}"
 
 
 def farey_sequence(m: int) -> list[Fraction]:

@@ -22,16 +22,19 @@ tests, one per step i, on theta(i), theta(i+1), theta(1) and theta(m), and
 its step rule (_RULES) gives the values of theta(i+1) that can pass.  The
 search (_search) fixes theta(1) and theta(m) and extends injective prefixes
 by those values only, re-checked with the step formula and a visited mask;
-one value per step for V, W and SosRec, at most four for Y (which carries
-delta(1)) and three for X (its least and greatest residue).  Yprime is Y
-filtered by its own rule; X is solved from theta(1) = 1 and shift-closed.
-The walk of S_m in lexicographic order as uint8 blocks (_walk, _brute)
+one value per step for V, W and SosRec, and at most four for Y (which
+carries delta(1)).  Yprime is Y filtered by its own rule.  X is solved from
+theta(1) = 1 once per residue pair {k, k+1} (_X_BY_PAIR), at most two values
+per step, dropping the prefixes that leave a value no step can enter, and
+then shift-closed; the X rule of _RULES, which carries the least and
+greatest residue, is its reference.  The walk of S_m in lexicographic order as uint8 blocks (_walk, _brute)
 reads the same rules with .all over the steps; it is the reference the
 tests compare the search with, and no command runs it.  _RULES is the one
 statement of these rules here: the tests hold per-row predicates, written
 from the definitions, as the reference for the walk.  Sstar is the Farey
 table itself, read with no search, as is SstarTilde, its shift closure.
-VL0 and VL1 are built as arrays from their affine rows, to MAX_DEGREE.
+VL0 and VL1 are built as arrays from their affine rows (sos.affine_rows), to
+MAX_DEGREE.
 Method 'brute' is capped at m = 10 for the other labels, in enumerate_class
 and verify_theorems alike (_check_brute_guard), unless SOSLIFT_MAX_BRUTE_M,
 a positive integer, raises it; no value of it admits m above MAX_DEGREE.
@@ -59,7 +62,7 @@ from .perm_core import (
     in_V,  # re-exported as perm_sets.in_V
     shift_closure,
 )
-from .sos import suranyi_table
+from .sos import affine_rows, suranyi_table
 
 LABELS = ("V", "W", "Y", "Yprime", "X", "Sstar", "SstarTilde", "VL0", "VL1", "Vminus", "SosRec")
 METHODS = ("brute", "lift", "farey")
@@ -181,17 +184,23 @@ class _Block(_Steps):
 # the given steps taken in (from None: from these steps alone), and
 # rule.solve(steps, ref) gives, for steps whose nxt is unknown, every value of
 # theta(i+1) in 1..m that can pass, as rows of a (k, N) array; values outside
-# 1..m stand for none.
+# 1..m stand for none.  A search may also fix ref at the start:
+# rule.start(m, first, last) returns the start pairs to search, each with its
+# ref, and rule.prune(m, rows, i, seen, last, ref), after the step that fills
+# column i of rows, marks the prefixes that can still be completed.
 
 class _Rule(NamedTuple):
     step: Callable[[_Steps, tuple | None], np.ndarray]
     solve: Callable[[_Steps, tuple | None], np.ndarray] | None
     carry: Callable[[_Steps, tuple | None], tuple] | None = None
+    start: Callable[[int, np.ndarray, np.ndarray], tuple] | None = None
+    prune: Callable[[int, np.ndarray, int, np.ndarray, np.ndarray, tuple], np.ndarray] | None = None
 
 
 def _every_value(s: _Steps, ref: tuple | None) -> np.ndarray:
     """1..m, for a step whose rule leaves theta(i+1) free."""
-    return np.arange(1, int(s.m) + 1, dtype=s.cur.dtype)[:, None]
+    return np.broadcast_to(np.arange(1, int(s.m) + 1, dtype=s.cur.dtype)[:, None],
+                           (int(s.m), s.cur.shape[-1]))
 
 
 def _v_step(s: _Steps, ref: None) -> np.ndarray:
@@ -258,6 +267,57 @@ def _x_solve(s: _Steps, ref: tuple | None) -> np.ndarray:
     return np.where(r <= lo + 1, (s.cur - 1 + r) % s.m + 1, 0)
 
 
+def _x_pair_start(m: int, first: np.ndarray, last: np.ndarray) -> tuple:
+    """Each start pair once per residue pair {k, k+1}, k in 1..m-1, as ref =
+    (k,), but for the starts whose rows never step by k.
+
+    A row that steps by k j times and by k+1 the other m-1-j ends at
+    theta(m) = theta(1) - (k + 1) - j mod m, so it has j = 0 exactly when
+    (theta(1) - theta(m)) mod m = k + 1: those rows, of the one residue k+1,
+    are found from the pair k+1.  No row is found twice.
+    """
+    k = np.repeat(np.arange(1, m, dtype=first.dtype), len(first))
+    first, last = np.tile(first, m - 1), np.tile(last, m - 1)
+    keep = (first - last) % m != k + 1
+    return first[keep], last[keep], (k[keep][None],)
+
+
+def _x_pair_step(s: _Steps, ref: tuple) -> np.ndarray:
+    # the residue less k is 0 or 1; a residue of 0 gives -k, below both
+    r = s.residue - ref[0]
+    return (r == 0) | (r == 1)
+
+
+def _x_pair_solve(s: _Steps, ref: tuple) -> np.ndarray:
+    # theta(i) + k and theta(i) + k + 1 mod m; at k = m - 1 the second is
+    # theta(i) itself, which is visited
+    r = ref[0] + np.arange(2, dtype=s.cur.dtype)[:, None]
+    return (s.cur - 1 + r) % s.m + 1
+
+
+def _x_pair_prune(m: int, rows: np.ndarray, i: int, seen: np.ndarray, last: np.ndarray,
+                  ref: tuple) -> np.ndarray:
+    """The prefixes theta(1..i+1) of a search by residue pair that can still
+    enter every value, given that their prefixes theta(1..i) could.
+
+    A value still to be entered, unvisited or theta(m), is entered from one of
+    its two in-neighbours, itself less k or k + 1 mod m.  A prefix is dead when
+    some such value has both in-neighbours visited and neither is the current
+    end.  The step from u = theta(i) to theta(i+1) makes u the one visited
+    value that is not the current end and was not so before, so only the
+    out-neighbour v of u that the step did not enter can have died: v =
+    theta(i+1) + 1 after a step by k, whose other in-neighbour is u + 1, and
+    v = theta(i+1) - 1 after a step by k + 1, whose other in-neighbour is u - 1.
+    seen: the (n, m + 1) visited masks, theta(m) included.
+    """
+    u, nxt = rows[i - 1:i + 1].astype(np.int16) - 1  # values 0..m-1
+    d = 1 - 2 * ((nxt - u - ref[0][0]) % m)  # +1 after a step by k, -1 after k + 1
+    v, w = (nxt + d) % m + 1, (u + d) % m + 1
+    at = np.arange(0, len(u) * (m + 1), m + 1)
+    flat = seen.ravel()
+    return ~((~flat[at + v] | (v == last)) & flat[at + w] & (w != nxt + 1))
+
+
 def _sosrec_step(s: _Steps, ref: None) -> np.ndarray:
     cur, nxt, first, last, m = s.cur, s.nxt, s.first, s.last, s.m
     return ~(
@@ -285,6 +345,10 @@ _RULES = {
     "SosRec": _Rule(_sosrec_step, _sosrec_solve),
 }
 WALK_LABELS = tuple(_RULES)
+# X by residue pair: every residue is k or k + 1, with k fixed at the start, so
+# a step has at most two candidates; the prefixes that can no longer enter
+# every value are dropped.  The X rule above is its reference
+_X_BY_PAIR = _Rule(_x_pair_step, _x_pair_solve, start=_x_pair_start, prune=_x_pair_prune)
 
 
 def _accepts(label: str, s: _Steps) -> np.ndarray:
@@ -319,25 +383,30 @@ def _brute(label: str, m: int) -> np.ndarray:
 _FRONTIER_BYTES = 1 << 24
 
 
-def _take(ref: tuple | None, shape: tuple, *index) -> tuple | None:
-    """The carried values of a frontier of the given shape at index, each as a (1, n) array."""
-    return None if ref is None else tuple(np.broadcast_to(r[0], shape)[index][None] for r in ref)
+def _take(ref: tuple | None, *index) -> tuple | None:
+    """The carried values at index, each as a (1, n) array.
+
+    index addresses a frontier's (k, n) candidates, or its n prefixes.  A
+    value is held per candidate, a (1, k, n) array, or once per prefix, a
+    (1, n) array, which the trailing parts of index address alone.
+    """
+    return None if ref is None else tuple(r[0][index[len(index) - r[0].ndim:]][None] for r in ref)
 
 
 def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
     """The rows of S_m that start with a value in firsts and pass every step of rule.
 
-    theta(1) and theta(m) are fixed, over every pair of distinct values, in
-    blocks of start pairs.  A prefix theta(1..i) is extended only by the
-    values that rule.solve gives for theta(i+1) (theta(m) itself at the last
-    step), and each is kept only when the visited mask of its prefix does not
-    hold it and rule.step accepts it.  A step with several candidates first
+    theta(1) and theta(m) are fixed, over every pair of distinct values (or
+    the starts that rule.start makes of them), in blocks of starts.  A prefix
+    theta(1..i) is extended only by the values that rule.solve gives for
+    theta(i+1) (theta(m) itself at the last step), and each is kept only when
+    the visited mask of its prefix does not hold it, rule.step accepts it and
+    rule.prune, if any, keeps it.  A step with several candidates first
     splits its frontier into parts whose children fit _FRONTIER_BYTES, but
-    never below one prefix a part: at the first step of Y and X one prefix
-    has m candidates, whose children take m row_bytes, about m(3m + 1)
-    bytes.  A step therefore holds about max(16 MiB, m(3m + 1)) bytes of
-    children, about 0.3 GB at MAX_DEGREE (computed from the shapes, not
-    measured).
+    never below one prefix a part: at the first step of Y one prefix has m
+    candidates, whose children take m row_bytes, about m(3m + 1) bytes.  A
+    step therefore holds about max(16 MiB, m(3m + 1)) bytes of children,
+    about 0.3 GB at MAX_DEGREE (computed from the shapes, not measured).
     Returns an (N, m) array of dtype _dtype_for(m), rows in no particular order.
     """
     dtype = _dtype_for(m)
@@ -348,11 +417,15 @@ def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
     first = np.repeat(np.asarray(firsts, dtype=np.int16), m - 1)
     last = np.tile(np.arange(1, m, dtype=np.int16), len(firsts))
     last += last >= first  # every value but first, in order
+    refs = None
+    if rule.start:
+        first, last, refs = rule.start(m, first, last)
     row_bytes = m * dtype.itemsize + m + 1
     block = max(1, _FRONTIER_BYTES // row_bytes)
     found = []
     for start in range(0, len(first), block):
         f, l = first[start:start + block], last[start:start + block]
+        ref = None if refs is None else tuple(r[:, start:start + block] for r in refs)
         # a frontier holds one prefix per column of rows and per row of seen,
         # its visited mask (C-contiguous, so ravel is a view); theta(m) counts
         # as visited from the start, and alive marks the prefixes still open
@@ -360,19 +433,18 @@ def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
         rows[0], rows[-1] = f, l
         seen = np.zeros((len(f), m + 1), dtype=bool)
         seen[np.arange(len(f))[:, None], np.stack([f, l], axis=1)] = True
-        stack = [(1, rows, seen, f, l, f, None, np.ones(len(f), dtype=bool))]
+        stack = [(1, rows, seen, f, l, f, ref, np.ones(len(f), dtype=bool))]
         while stack:
             i, rows, seen, first_i, last_i, cur, ref, alive = stack.pop()
             while i < m and len(cur):
                 n = len(cur)
                 s = _Steps(m, cur[None], None, first_i[None], last_i[None])
                 cand = last_i[None] if i == m - 1 else rule.solve(s, ref)
-                cand = np.broadcast_to(cand, (len(cand), n))
                 part = max(1, _FRONTIER_BYTES // (len(cand) * row_bytes))
                 if n > part and len(cand) > 1:
                     stack += [(i, rows[:, a:a + part], seen[a:a + part], first_i[a:a + part],
                                last_i[a:a + part], cur[a:a + part],
-                               _take(ref, (n,), slice(a, a + part)), alive[a:a + part])
+                               _take(ref, slice(a, a + part)), alive[a:a + part])
                               for a in range(0, n, part)]
                     break
                 ok = alive & (cand >= 1) & (cand <= m)
@@ -380,19 +452,22 @@ def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
                     ok &= ~seen.ravel()[np.arange(n) * (m + 1) + np.where(ok, cand, 0)]
                 # one step, whose columns are the (k, n) candidates
                 s = _Steps(m, s.cur[None], cand[None], s.first[None], s.last[None])
-                ref = rule.carry(s, ref) if rule.carry else None
+                if rule.carry:
+                    ref = rule.carry(s, ref)
                 ok &= rule.step(s, ref)[0]
                 if len(cand) > 1 or 2 * np.count_nonzero(ok) < n:
                     # the children replace their prefixes, which may have several
                     j, parent = np.divmod(np.flatnonzero(ok), n)
                     rows, seen = rows[:, parent], seen[parent]
                     first_i, last_i, nxt = first_i[parent], last_i[parent], cand[j, parent]
-                    ref, alive = _take(ref, ok.shape, j, parent), np.ones(len(parent), dtype=bool)
+                    ref, alive = _take(ref, j, parent), np.ones(len(parent), dtype=bool)
                 else:
                     # one child at most, and most prefixes have it: mark the others closed
-                    alive, nxt, ref = ok[0], np.where(ok[0], cand[0], 0), _take(ref, ok.shape, 0)
+                    alive, nxt, ref = ok[0], np.where(ok[0], cand[0], 0), _take(ref, 0, slice(None))
                 rows[i] = nxt
                 seen.ravel()[np.arange(len(nxt)) * (m + 1) + nxt] = True
+                if rule.prune and i < m - 1:
+                    alive = alive & rule.prune(m, rows, i, seen, last_i, ref)
                 cur = nxt
                 i += 1
             else:
@@ -405,15 +480,15 @@ def _search(label: str, m: int) -> np.ndarray:
 
     Y is solved from every start pair, as verify_theorems checks that it is
     shift-closed, and Yprime is Y filtered by its own rule (_passing).  X is
-    solved from theta(1) = 1 and then shift-closed: a shift leaves every
-    difference mod m as it is.  Returns an (N, m) array of dtype
+    solved from theta(1) = 1 by residue pair (_X_BY_PAIR) and then
+    shift-closed: a shift leaves every difference mod m as it is.  Returns an (N, m) array of dtype
     _dtype_for(m), rows in no particular order.
     """
     every = np.arange(1, m + 1)
     if label == "Yprime":
         return _passing(label, _solve(_RULES["Y"], m, every))
     if label == "X":
-        return shift_closure(PermClass(label, m, _solve(_RULES[label], m, every[:1]))).as_array()
+        return shift_closure(PermClass(label, m, _solve(_X_BY_PAIR, m, every[:1]))).as_array()
     return _solve(_RULES[label], m, every)
 
 
@@ -446,11 +521,7 @@ def enumerate_class(label: str, m: int, method: str = "brute", force: bool = Fal
         return PermClass(label, m, rows)
 
     if label in ("VL0", "VL1"):
-        check_degree(m)  # before the (phi(m), m) rows are built
-        # theta_ab(m, a, b)(i) = (a*i + b - 1) mod m + 1, one row per a coprime to m
-        i = np.arange(1, m + 1, dtype=np.int32)  # a*i < 2^31 to MAX_DEGREE
-        b = int(label[-1])
-        return PermClass(label, m, (np.multiply.outer(i[np.gcd(i, m) == 1], i) + (b - 1)) % m + 1)
+        return PermClass(label, m, affine_rows(m, int(label[-1])))
 
     _check_brute_guard(m)
     if label in WALK_LABELS:

@@ -10,8 +10,9 @@ Permutation; it is the reference.  _rank_taus ranks the keys at many p/q
 at once, a block of rows per argsort.  suranyi_table runs it at the
 mediants of the order-m Farey terms, into one (N, m) array: the Farey route
 to the class V, which uses no congruence and no lifting.  verify_invariants
-runs it at random rationals and checks each row against the closed form of
-tau_explicit.
+checks the tau formulas on integer arrays alone: _rank_taus against a
+binary search of the sorted keys (_searched_ranks) at the mediants, and
+against the closed form of tau_explicit at random rationals.
 """
 from __future__ import annotations
 
@@ -24,8 +25,7 @@ from math import gcd
 import numpy as np
 
 from .farey import FareyInterval, farey_terms, totient_sum
-from .perm_core import (Permutation, _dtype_for, _row_items, check_degree, gamma, inverse, psi,
-                        supermod_m)
+from .perm_core import Permutation, _dtype_for, _row_items, check_degree, supermod_m
 
 SIDES = ("below", "at", "above")
 
@@ -114,6 +114,14 @@ def theta_ab(m: int, a: int, b: int) -> Permutation:
     if gcd(a, m) != 1:
         raise ValueError(f"theta_ab not invertible: gcd({a}, {m}) != 1")
     return Permutation(supermod_m(a * i + b, m) for i in range(1, m + 1))
+
+
+def affine_rows(m: int, b: int) -> np.ndarray:
+    """The rows of theta_ab(m, a, b), one per a coprime to m in increasing order,
+    as a (phi(m), m) int32 array: a*i < 2^31 up to MAX_DEGREE."""
+    check_degree(m)  # before the (phi(m), m) rows are built
+    i = np.arange(1, m + 1, dtype=np.int32)
+    return (np.multiply.outer(i[np.gcd(i, m) == 1], i) + (b - 1)) % m + 1
 
 
 TAU_BLOCK_ROWS = 4096
@@ -262,6 +270,23 @@ def random_interior_rational(m: int, rng: random.Random) -> Fraction:
     return Fraction(*_interior_pq(m, rng))
 
 
+def _key_rows(m: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """The keys (i*p) mod q, i in [m], at every p/q of the (n,) int64 arrays p, q: (n, m) int64."""
+    return np.multiply.outer(p, np.arange(1, m + 1, dtype=np.int64)) % q[:, None]
+
+
+def _searched_ranks(keys: np.ndarray) -> np.ndarray:
+    """tau by its definition, as tau_from_alpha counts it: entry i of a row is the
+    number of keys of the row that are at most key i, by one binary search of
+    the rows' sorted keys.  keys: an (n, m) int64 array of values >= 0."""
+    n, m = keys.shape
+    # row t is raised by t * span, so the rows, each sorted, are sorted as one array
+    span = int(keys.max(initial=0)) + 1
+    raised = keys + np.arange(0, n * span, span, dtype=np.int64)[:, None]
+    ranked = np.sort(raised, axis=1).ravel()
+    return np.searchsorted(ranked, raised, side="right") - np.arange(0, n * m, m, dtype=np.int64)[:, None]
+
+
 def verify_invariants(m_max: int, samples: int = 200, seed: int = 1729) -> list[dict]:
     """Exact cross-checks of the tau formulas, one report record per check.
 
@@ -269,8 +294,13 @@ def verify_invariants(m_max: int, samples: int = 200, seed: int = 1729) -> list[
     mediant; tau_explicit = tau_from_alpha on seeded random interior
     rationals with the first/last-term identities; the degree-compatibility
     psi(gamma(tau_m)) = tau_{m-1}; and the behavior of tau around each
-    boundary fraction a/m.  The random rationals are checked as arrays,
-    TAU_BLOCK_ROWS at a time: tau by its rank definition (_rank_taus)
+    boundary fraction a/m.  Every check compares two integer arrays computed
+    apart from the keys (i*p) mod q, and builds no Fraction or Permutation:
+    tau by binary search (_searched_ranks) against the inverse of the keys'
+    argsort (_rank_taus) at the mediants, psi(gamma(tau_m)) as
+    ((tau - tau(1)) mod m)[2..m] against the degree-(m-1) search, and the
+    searched tau at (2am -+ 1)/(2m^2) and at a/m against the affine rows.
+    The random rationals are checked TAU_BLOCK_ROWS at a time: _rank_taus
     against the closed form (_closed_form_taus).
     """
     if samples < 0:
@@ -283,37 +313,40 @@ def verify_invariants(m_max: int, samples: int = 200, seed: int = 1729) -> list[
 
     for m in range(2, m_max + 1):
         num, den = farey_terms(m)
-        mediants = list(map(Fraction, (num[:-1] + num[1:]).tolist(), (den[:-1] + den[1:]).tolist()))
-        ok = all(tau_from_alpha(m, al) == inverse(sos_from_alpha(m, al)) for al in mediants)
-        record(m, "tau = inverse(sos) at mediants", ok, f"{len(mediants)} mediants")
+        p, q = num[:-1] + num[1:], den[:-1] + den[1:]
+        keys = _key_rows(m, p, q)
+        tau = _searched_ranks(keys)
+        ok = np.array_equal(tau, _rank_taus(m, p, q))
+        record(m, "tau = inverse(sos) at mediants", ok, f"{len(p)} mediants")
 
         ok_exp = ok_fl = True
         for start in range(0, samples, TAU_BLOCK_ROWS):
             # the same rationals, in the same order, as random_interior_rational
             n = min(TAU_BLOCK_ROWS, samples - start)
             p, q = np.array([_interior_pq(m, rng) for _ in range(n)], dtype=np.int64).T
-            tau = _rank_taus(m, p, q).astype(np.int64)  # the identities below wrap in uint8
-            ok_exp = ok_exp and np.array_equal(_closed_form_taus(m, p, q), tau)
+            sample_tau = _rank_taus(m, p, q).astype(np.int64)  # the identities below wrap in uint8
+            ok_exp = ok_exp and np.array_equal(_closed_form_taus(m, p, q), sample_tau)
             floors = np.multiply.outer(p, np.arange(1, m + 1)) // q[:, None]
-            first, last = tau[:, 0], tau[:, -1]
+            first, last = sample_tau[:, 0], sample_tau[:, -1]
             ok_fl = (ok_fl and np.array_equal(first, 1 + floors[:, -1])
                      and np.array_equal(last, 2 * m + 1 - (m + 1) * first + 2 * floors.sum(axis=1)))
         record(m, "tau_explicit = tau_from_alpha on random rationals", ok_exp, f"{samples} samples")
         record(m, "first/last-term identities", ok_fl, f"{samples} samples")
 
         if m >= 3:
-            ok = all(
-                psi(gamma(tau_from_alpha(m, al))) == tau_from_alpha(m - 1, al)
-                for al in mediants
-            )
-            record(m, "psi(gamma(tau_m)) = tau_{m-1} at mediants", ok, f"{len(mediants)} mediants")
+            # gamma shifts tau(1) to 1 and psi drops it: the keys of degree m - 1
+            # are the first m - 1 keys
+            ok = np.array_equal(((tau - tau[:, :1]) % m)[:, 1:], _searched_ranks(keys[:, :-1]))
+            record(m, "psi(gamma(tau_m)) = tau_{m-1} at mediants", ok, f"{len(tau)} mediants")
 
-        ok = all(
-            tau_near_fraction(m, a, "below") == theta_ab(m, a, 0)
-            and tau_near_fraction(m, a, "at") == theta_ab(m, a, 1)
-            and tau_near_fraction(m, a, "above") == theta_ab(m, a, 1)
-            for a in range(1, m + 1)
-            if gcd(a, m) == 1
-        )
+        # just below a/m is theta_ab(m, a, 0), at and just above it theta_ab(m, a, 1):
+        # (2am -+ 1)/(2m^2) are reduced, as no prime factor of m divides 2am -+ 1
+        a = np.arange(1, m + 1, dtype=np.int64)
+        a = a[np.gcd(a, m) == 1]
+        near = np.full(len(a), 2 * m * m, dtype=np.int64)
+        p = np.concatenate([2 * a * m - 1, a, 2 * a * m + 1])
+        q = np.concatenate([near, np.full(len(a), m, dtype=np.int64), near])
+        vl0, vl1 = affine_rows(m, 0), affine_rows(m, 1)
+        ok = np.array_equal(_searched_ranks(_key_rows(m, p, q)), np.concatenate([vl0, vl1, vl1]))
         record(m, "tau around a/m matches the affine layers", ok)
     return records

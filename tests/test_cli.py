@@ -415,11 +415,13 @@ def test_farey_json(capsys: pytest.CaptureFixture) -> None:
 def test_farey_output_builds_the_sequence_once(monkeypatch: pytest.MonkeyPatch,
                                                capsys: pytest.CaptureFixture) -> None:
     """farey prints, from one build of the sequence, the bytes that a build for
-    the terms and another for the intervals printed."""
+    the terms and another for the intervals printed, and as JSON the bytes of
+    json.dumps(indent=2).  Order 120 has 4387 terms, so its JSON is written in
+    two pieces of each list."""
     builds = []
     farey_terms = farey.farey_terms
     monkeypatch.setattr(farey, "farey_terms", lambda m: builds.append(m) or farey_terms(m))
-    for m in range(1, 31):
+    for m in [*range(1, 31), 120]:
         terms, intervals = farey.farey_sequence(m), farey.farey_intervals(m)
         text = " ".join(map(farey.format_fraction, terms)) + "\n" + "".join(f"{iv}\n" for iv in intervals)
         doc = {
@@ -657,6 +659,20 @@ def test_verify_exits_1_on_one_wrong_closed_form_entry(monkeypatch: pytest.Monke
     lines = capsys.readouterr().out.splitlines()
     assert [line for line in lines if line.startswith("FAIL")] == [
         "FAIL m=3: tau_explicit = tau_from_alpha on random rationals  [5 samples]"]
+
+
+def test_verify_reads_no_permutation_objects(monkeypatch: pytest.MonkeyPatch,
+                                            capsys: pytest.CaptureFixture) -> None:
+    # the theorem checks and the tau formula checks alike run on arrays
+    assert main(["verify", "--m-max", "8"]) == 0
+    expected = capsys.readouterr().out
+
+    def refuse(self, values):
+        raise AssertionError("a Permutation was built")
+
+    monkeypatch.setattr(Permutation, "__init__", refuse)
+    assert main(["verify", "--m-max", "8"]) == 0
+    assert capsys.readouterr().out == expected
 
 
 def test_verify_negative_samples_is_usage_error(capsys: pytest.CaptureFixture) -> None:

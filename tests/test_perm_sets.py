@@ -137,6 +137,53 @@ def test_search_splits_its_frontier_and_finds_the_same_rows(monkeypatch: pytest.
                              if (label, m) != ("Yprime", 2)), m)
 
 
+@pytest.mark.parametrize("m", range(1, 17))
+def test_x_by_residue_pair_finds_the_rows_of_the_x_rule(m: int) -> None:
+    paired = perm_sets._solve(perm_sets._X_BY_PAIR, m, np.array([1]))
+    generic = perm_sets._solve(perm_sets._RULES["X"], m, np.array([1]))
+    assert len(PermClass("X", m, paired)) == len(paired)  # no row found twice
+    assert sorted(paired.tolist()) == sorted(generic.tolist())
+
+
+@pytest.mark.parametrize("m", range(2, 7))
+def test_x_pair_step_accepts_the_residues_k_and_k_plus_1(m: int) -> None:
+    rows = perm_sets._lex_perms(m) + 1
+    block = perm_sets._Block(rows, m)
+    for k in range(1, m):
+        ref = (np.full((1, len(rows)), k, dtype=np.int16),)
+        accepted = perm_sets._x_pair_step(block, ref).all(axis=0)
+        expected = [all((b - a) % m in (k, k + 1) for a, b in zip(row, row[1:])) for row in rows.tolist()]
+        assert accepted.tolist() == expected, k
+
+
+@pytest.mark.parametrize("m", range(2, 11))
+def test_x_pair_prune_drops_exactly_the_dead_prefixes(monkeypatch: pytest.MonkeyPatch,
+                                                      m: int) -> None:
+    """The prune reads the last step alone; it drops the prefixes that leave a
+    value to enter, unvisited or theta(m), whose two in-neighbours are both
+    visited and neither is the current end, and no other."""
+    prune, seen_prefixes, lengths = perm_sets._x_pair_prune, [], set()
+
+    def checked(m, rows, i, seen, last, ref):
+        keep = prune(m, rows, i, seen, last, ref)
+        for prefix, end, k, kept in zip(rows[:i + 1].T.tolist(), last.tolist(),
+                                        ref[0][0].tolist(), keep.tolist()):
+            visited = set(prefix) | {end}
+            blocked = visited - {prefix[-1]}
+            pending = set(range(1, m + 1)) - visited | {end}
+            dead = any({(v - k - 1) % m + 1, (v - k - 2) % m + 1} <= blocked for v in pending)
+            assert kept is not dead, (prefix, end, k)
+            seen_prefixes.append(kept)
+            lengths.add(len(prefix))
+        return keep
+
+    monkeypatch.setattr(perm_sets, "_X_BY_PAIR", perm_sets._X_BY_PAIR._replace(prune=checked))
+    assert PermClass("X", m, _search("X", m)) == PermClass("X", m, perm_sets._brute("X", m))
+    assert lengths == set(range(2, m))  # every step but the last, which enters theta(m)
+    if m >= 5:
+        assert not all(seen_prefixes)  # some prefix was dropped
+
+
 def test_search_edge_degrees() -> None:
     for m in (1, 2):
         every = [list(p) for p in itertools.permutations(range(1, m + 1))]

@@ -356,6 +356,39 @@ def test_verify_invariants_fails_on_one_wrong_closed_form_entry(
     assert failed == {(4, "tau_explicit = tau_from_alpha on random rationals")}
 
 
+MEDIANTS, PSI, AFFINE = ("tau = inverse(sos) at mediants", "psi(gamma(tau_m)) = tau_{m-1} at mediants",
+                          "tau around a/m matches the affine layers")
+
+
+@pytest.mark.parametrize("name, call, failed", [
+    # per degree, _searched_ranks ranks the mediants, then (m >= 3) their
+    # degree-(m-1) keys, then the keys around each a/m: calls 5, 6, 7 at degree 4
+    ("_searched_ranks", 5, {MEDIANTS, PSI}),  # tau_4 itself, which both checks read
+    ("_searched_ranks", 6, {PSI}),
+    ("_searched_ranks", 7, {AFFINE}),
+    # _rank_taus ranks the mediants, then each block of samples: call 4 at degree 4
+    ("_rank_taus", 4, {MEDIANTS}),
+    # affine_rows builds VL0, then VL1: call 5 at degree 4
+    ("affine_rows", 5, {AFFINE}),
+])
+def test_verify_invariants_fails_on_one_wrong_array(monkeypatch: pytest.MonkeyPatch, name: str,
+                                                    call: int, failed: set) -> None:
+    """Each formula check compares two arrays computed apart: two entries
+    swapped in one row of either side fail the records that read it, at that
+    degree alone."""
+    original, calls = getattr(sos, name), []
+
+    def swapped(*args):
+        out = original(*args).copy()
+        if len(calls) == call:
+            out[-1, [1, 2]] = out[-1, [2, 1]]
+        calls.append(name)
+        return out
+    monkeypatch.setattr(sos, name, swapped)
+    records = verify_invariants(5, samples=5, seed=2)
+    assert {(r["m"], r["check"]) for r in records if not r["passed"]} == {(4, c) for c in failed}
+
+
 def test_rank_taus_matches_tau_from_alpha_across_dtypes() -> None:
     rng = random.Random(21)
     for m in (1, 2, 7, 255, 256, 300):
