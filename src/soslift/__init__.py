@@ -39,7 +39,6 @@ from .sos import (
     suranyi_table,
     tau_explicit,
     tau_from_alpha,
-    tau_near_fraction,
     theta_ab,
     verify_invariants,
 )

@@ -170,7 +170,10 @@ def _cmd_sosrec(args) -> int:
     found, v = (enumerate_class(label, args.m).as_array() for label in ("SosRec", "V"))
     v_inverses = np.empty_like(v)  # inverse(theta)(theta(i)) = i; distinct as the rows of V
     v_inverses[np.arange(len(v))[:, None], v - 1] = np.arange(1, args.m + 1)
-    known, contains_sos = _rows_in(found, v_inverses), bool(_rows_in(v_inverses, found).all())
+    known = _rows_in(found, v_inverses)
+    # the rows are distinct on both sides, so all of v_inverses is found when
+    # that many rows of found are known
+    contains_sos = int(known.sum()) == len(v_inverses)
     doc = {
         "m": args.m,
         "recurrence_count": len(found),

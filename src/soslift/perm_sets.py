@@ -25,11 +25,13 @@ by those values only, re-checked with the step formula and a visited mask;
 one value per step for V, W and SosRec, and at most four for Y (which
 carries delta(1)).  Yprime is Y filtered by its own rule.  X is solved from
 theta(1) = 1 once per residue pair {k, k+1} (_X_BY_PAIR), at most two values
-per step, dropping the prefixes that leave a value no step can enter, and
-then shift-closed; the X rule of _RULES, which carries the least and
-greatest residue, is its reference.  The walk of S_m in lexicographic order as uint8 blocks (_walk, _brute)
-reads the same rules with .all over the steps; it is the reference the
-tests compare the search with, and no command runs it.  _RULES is the one
+per step, and then shift-closed; its prune drops the candidates that leave a
+value no step can enter, judged with the visited and step tests before any
+child is copied, so nothing is pruned after the copy.  The X rule of _RULES,
+which carries the least and greatest residue, is its reference.  The walk of
+S_m in lexicographic order as uint8 blocks (_walk, _brute) reads the same
+rules with .all over the steps; it is the reference the tests compare the
+search with, and no command runs it.  _RULES is the one
 statement of these rules here: the tests hold per-row predicates, written
 from the definitions, as the reference for the walk.  Sstar is the Farey
 table itself, read with no search, as is SstarTilde, its shift closure.
@@ -85,10 +87,8 @@ def _check_brute_guard(m: int, name: str = "degree") -> None:
         raise ValueError(f"m_max must lie in [2, {cap}] for exhaustive checks, got {m}; "
                          f"set {ENV_MAX_BRUTE_M} to raise the cap")
     if m > cap:
-        raise ValueError(
-            f"brute-force enumeration over S_{m} refused (cap {cap}); "
-            f"set {ENV_MAX_BRUTE_M} to raise it"
-        )
+        raise ValueError(f"method 'brute' refused at degree {m} (cap {cap}); "
+                         f"set {ENV_MAX_BRUTE_M} to raise it")
     check_degree(m, MAX_DEGREE, name)
 
 
@@ -186,15 +186,16 @@ class _Block(_Steps):
 # theta(i+1) in 1..m that can pass, as rows of a (k, N) array; values outside
 # 1..m stand for none.  A search may also fix ref at the start:
 # rule.start(m, first, last) returns the start pairs to search, each with its
-# ref, and rule.prune(m, rows, i, seen, last, ref), after the step that fills
-# column i of rows, marks the prefixes that can still be completed.
+# ref, and rule.prune(steps, ref, seen) judges the candidates of a step that
+# rule.step judges, given seen, the visited masks of their prefixes: it
+# accepts those whose prefix, extended by them, can still be completed.
 
 class _Rule(NamedTuple):
     step: Callable[[_Steps, tuple | None], np.ndarray]
     solve: Callable[[_Steps, tuple | None], np.ndarray] | None
     carry: Callable[[_Steps, tuple | None], tuple] | None = None
     start: Callable[[int, np.ndarray, np.ndarray], tuple] | None = None
-    prune: Callable[[int, np.ndarray, int, np.ndarray, np.ndarray, tuple], np.ndarray] | None = None
+    prune: Callable[[_Steps, tuple, np.ndarray], np.ndarray] | None = None
 
 
 def _every_value(s: _Steps, ref: tuple | None) -> np.ndarray:
@@ -295,10 +296,10 @@ def _x_pair_solve(s: _Steps, ref: tuple) -> np.ndarray:
     return (s.cur - 1 + r) % s.m + 1
 
 
-def _x_pair_prune(m: int, rows: np.ndarray, i: int, seen: np.ndarray, last: np.ndarray,
-                  ref: tuple) -> np.ndarray:
-    """The prefixes theta(1..i+1) of a search by residue pair that can still
-    enter every value, given that their prefixes theta(1..i) could.
+def _x_pair_prune(s: _Steps, ref: tuple, seen: np.ndarray) -> np.ndarray:
+    """The candidates theta(i+1) of a search by residue pair whose prefix,
+    extended by them, can still enter every value, given that the prefix
+    theta(1..i) could.
 
     A value still to be entered, unvisited or theta(m), is entered from one of
     its two in-neighbours, itself less k or k + 1 mod m.  A prefix is dead when
@@ -308,14 +309,18 @@ def _x_pair_prune(m: int, rows: np.ndarray, i: int, seen: np.ndarray, last: np.n
     out-neighbour v of u that the step did not enter can have died: v =
     theta(i+1) + 1 after a step by k, whose other in-neighbour is u + 1, and
     v = theta(i+1) - 1 after a step by k + 1, whose other in-neighbour is u - 1.
-    seen: the (n, m + 1) visited masks, theta(m) included.
+    A child's visited mask differs from its prefix's only at the candidate,
+    which is never v and, where it is u +- 1, is the current end, which the
+    test does not count: so the prefixes' visited masks seen, (n, m + 1) with
+    theta(m) included, which do not hold it, answer as the children's would.
     """
-    u, nxt = rows[i - 1:i + 1].astype(np.int16) - 1  # values 0..m-1
-    d = 1 - 2 * ((nxt - u - ref[0][0]) % m)  # +1 after a step by k, -1 after k + 1
-    v, w = (nxt + d) % m + 1, (u + d) % m + 1
-    at = np.arange(0, len(u) * (m + 1), m + 1)
+    # the residue less k is 0 or 1 where the step passes; elsewhere d is
+    # some integer within 2m of 0, and the answer there is not read
+    d = np.int16(1) - np.int16(2) * (s.residue - ref[0])  # +1 after a step by k, -1 after k + 1
+    v, w = (s.nxt - 1 + d) % s.m + 1, (s.cur - 1 + d) % s.m + 1
+    at = np.arange(0, seen.size, seen.shape[1], dtype=np.int64)
     flat = seen.ravel()
-    return ~((~flat[at + v] | (v == last)) & flat[at + w] & (w != nxt + 1))
+    return ~((~flat[at + v] | (v == s.last)) & flat[at + w])
 
 
 def _sosrec_step(s: _Steps, ref: None) -> np.ndarray:
@@ -346,8 +351,8 @@ _RULES = {
 }
 WALK_LABELS = tuple(_RULES)
 # X by residue pair: every residue is k or k + 1, with k fixed at the start, so
-# a step has at most two candidates; the prefixes that can no longer enter
-# every value are dropped.  The X rule above is its reference
+# a step has at most two candidates; the candidates that leave a value no step
+# can enter are dropped before they are copied.  The X rule above is its reference
 _X_BY_PAIR = _Rule(_x_pair_step, _x_pair_solve, start=_x_pair_start, prune=_x_pair_prune)
 
 
@@ -379,10 +384,6 @@ def _brute(label: str, m: int) -> np.ndarray:
     return _walk((label,), m)[label]
 
 
-# the bytes of the rows and visited masks that one frontier of a search may hold
-_FRONTIER_BYTES = 1 << 24
-
-
 def _take(ref: tuple | None, *index) -> tuple | None:
     """The carried values at index, each as a (1, n) array.
 
@@ -401,8 +402,9 @@ def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
     theta(1..i) is extended only by the values that rule.solve gives for
     theta(i+1) (theta(m) itself at the last step), and each is kept only when
     the visited mask of its prefix does not hold it, rule.step accepts it and
-    rule.prune, if any, keeps it.  A step with several candidates first
-    splits its frontier into parts whose children fit _FRONTIER_BYTES, but
+    rule.prune, if any, accepts it: every test judges the (k, n) candidates
+    before any child is copied.  A step with several candidates first
+    splits its frontier into parts whose children fit lifting.BLOCK_BYTES, but
     never below one prefix a part: at the first step of Y one prefix has m
     candidates, whose children take m row_bytes, about m(3m + 1) bytes.  A
     step therefore holds about max(16 MiB, m(3m + 1)) bytes of children,
@@ -421,14 +423,16 @@ def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
     if rule.start:
         first, last, refs = rule.start(m, first, last)
     row_bytes = m * dtype.itemsize + m + 1
-    block = max(1, _FRONTIER_BYTES // row_bytes)
+    block = max(1, lifting.BLOCK_BYTES // row_bytes)
     found = []
     for start in range(0, len(first), block):
         f, l = first[start:start + block], last[start:start + block]
         ref = None if refs is None else tuple(r[:, start:start + block] for r in refs)
         # a frontier holds one prefix per column of rows and per row of seen,
         # its visited mask (C-contiguous, so ravel is a view); theta(m) counts
-        # as visited from the start, and alive marks the prefixes still open
+        # as visited from the start, and alive marks the prefixes still open:
+        # a step with one candidate that most prefixes pass closes the others
+        # in place rather than copying the rest
         rows = np.zeros((m, len(f)), dtype=dtype)
         rows[0], rows[-1] = f, l
         seen = np.zeros((len(f), m + 1), dtype=bool)
@@ -440,7 +444,7 @@ def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
                 n = len(cur)
                 s = _Steps(m, cur[None], None, first_i[None], last_i[None])
                 cand = last_i[None] if i == m - 1 else rule.solve(s, ref)
-                part = max(1, _FRONTIER_BYTES // (len(cand) * row_bytes))
+                part = max(1, lifting.BLOCK_BYTES // (len(cand) * row_bytes))
                 if n > part and len(cand) > 1:
                     stack += [(i, rows[:, a:a + part], seen[a:a + part], first_i[a:a + part],
                                last_i[a:a + part], cur[a:a + part],
@@ -455,6 +459,8 @@ def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
                 if rule.carry:
                     ref = rule.carry(s, ref)
                 ok &= rule.step(s, ref)[0]
+                if rule.prune and i < m - 1:
+                    ok &= rule.prune(s, ref, seen)[0]
                 if len(cand) > 1 or 2 * np.count_nonzero(ok) < n:
                     # the children replace their prefixes, which may have several
                     j, parent = np.divmod(np.flatnonzero(ok), n)
@@ -466,8 +472,6 @@ def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
                     alive, nxt, ref = ok[0], np.where(ok[0], cand[0], 0), _take(ref, 0, slice(None))
                 rows[i] = nxt
                 seen.ravel()[np.arange(len(nxt)) * (m + 1) + nxt] = True
-                if rule.prune and i < m - 1:
-                    alive = alive & rule.prune(m, rows, i, seen, last_i, ref)
                 cur = nxt
                 i += 1
             else:
@@ -558,7 +562,9 @@ def verify_theorems(m_max: int) -> list[dict]:
             # Yprime is Y filtered by its rule, as _search solves it
             yprime = PermClass("Yprime", m, _passing("Yprime", y.as_array()))
             record(m, "Y = Yprime", y == yprime, f"|Y|={len(y)}")
-        record(m, "Y is shift-closed", shift_closure(y) == y)
+        # closed under the shift by 1 is closed under every shift
+        ya = y.as_array()
+        record(m, "Y is shift-closed", bool(_rows_in(ya % ya.dtype.type(m) + 1, ya).all()))
         record(m, "X = shift-closure of V", x == shift_closure(v), f"|X|={len(x)}")
         record(m, "Sstar (Farey table) = V", sstar == v)
         record(m, "|V| = totient sum", len(v) == totient_sum(m), f"{len(v)} vs {totient_sum(m)}")
@@ -576,7 +582,6 @@ def verify_theorems(m_max: int) -> list[dict]:
                bool(in0.sum() == len(vl0) == phi[m] and in1.sum() == len(vl1) == phi[m]
                     and not (in0 & in1).any()))
 
-        ya = y.as_array()
         image = PermClass("psi-image", m - 1, ya[ya[:, 0] == 1, 1:] - 1)
         record(m, "psi(S^1 intersect Y) = W of degree m-1", image == prev_w,
                f"|image|={len(image)}")

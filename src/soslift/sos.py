@@ -12,7 +12,9 @@ mediants of the order-m Farey terms, into one (N, m) array: the Farey route
 to the class V, which uses no congruence and no lifting.  verify_invariants
 checks the tau formulas on integer arrays alone: _rank_taus against a
 binary search of the sorted keys (_searched_ranks) at the mediants, and
-against the closed form of tau_explicit at random rationals.
+against the closed form of tau_explicit at random rationals, and tau just
+below, at and just above each a/m against the affine rows (theta_ab as
+arrays); tau_from_alpha at those fractions gives the same rows.
 """
 from __future__ import annotations
 
@@ -26,8 +28,6 @@ import numpy as np
 
 from .farey import FareyInterval, farey_terms, totient_sum
 from .perm_core import Permutation, _dtype_for, _row_items, check_degree, supermod_m
-
-SIDES = ("below", "at", "above")
 
 
 def _check_angle(m: int, alpha: Fraction) -> None:
@@ -232,28 +232,6 @@ def suranyi_table(m: int) -> SuranyiTable:
     if len(rows) != totient_sum(m):
         raise AssertionError(f"expected {totient_sum(m)} intervals, built {len(rows)}")
     return SuranyiTable(m, num, den, rows)
-
-
-def tau_near_fraction(m: int, a: int, side: str) -> Permutation:
-    """tau just below, exactly at, or just above alpha = a/m.
-
-    Uses the exact offset eps = 1/(2 m^2), strictly inside the window
-    (0, 1/m^2) on which tau is constant on each side.  Below gives
-    theta_ab(m, a, 0); at and above give theta_ab(m, a, 1).
-    """
-    if side not in SIDES:
-        raise ValueError(f"side must be one of {SIDES}, got {side!r}")
-    check_degree(m)
-    if not 1 <= a <= m:
-        raise ValueError(f"a must lie in [1, {m}], got {a}")
-    if gcd(a, m) != 1:
-        raise ValueError(f"a = {a} is not coprime to m = {m}")
-    alpha = Fraction(a, m)
-    if side == "below":
-        alpha -= Fraction(1, 2 * m * m)
-    elif side == "above":
-        alpha += Fraction(1, 2 * m * m)
-    return tau_from_alpha(m, alpha)
 
 
 def _interior_pq(m: int, rng: random.Random) -> tuple[int, int]:

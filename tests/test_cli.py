@@ -825,3 +825,13 @@ def test_missing_subcommand_is_usage_error() -> None:
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def test_verify_past_the_cap_is_byte_identical(monkeypatch: pytest.MonkeyPatch,
+                                               capsys: pytest.CaptureFixture) -> None:
+    # at 16 the X prune drops candidates and Y's one-shift closure test reads
+    # classes of thousands of rows
+    monkeypatch.setenv(perm_sets.ENV_MAX_BRUTE_M, "16")
+    assert main(["verify", "--m-max", "16"]) == 0
+    assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
+        "0d6cfbe14d3d3e3b7a913569a3f965f16adce49a66bd01c9d11957798139197e")

@@ -6,7 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from soslift import perm_sets
+from soslift import lifting, perm_sets
 from soslift.farey import totients, totient_sum
 from soslift.cli import main
 from soslift.lifting import lift_level
@@ -132,7 +132,7 @@ def test_search_splits_its_frontier_and_finds_the_same_rows(monkeypatch: pytest.
                                                            m: int) -> None:
     # one start pair per block, and a step with several candidates splits
     # its frontier into parts of one prefix each
-    monkeypatch.setattr(perm_sets, "_FRONTIER_BYTES", 1)
+    monkeypatch.setattr(lifting, "BLOCK_BYTES", 1)
     _solved_and_walked(tuple(label for label in perm_sets.WALK_LABELS
                              if (label, m) != ("Yprime", 2)), m)
 
@@ -159,29 +159,34 @@ def test_x_pair_step_accepts_the_residues_k_and_k_plus_1(m: int) -> None:
 @pytest.mark.parametrize("m", range(2, 11))
 def test_x_pair_prune_drops_exactly_the_dead_prefixes(monkeypatch: pytest.MonkeyPatch,
                                                       m: int) -> None:
-    """The prune reads the last step alone; it drops the prefixes that leave a
-    value to enter, unvisited or theta(m), whose two in-neighbours are both
-    visited and neither is the current end, and no other."""
-    prune, seen_prefixes, lengths = perm_sets._x_pair_prune, [], set()
+    """The prune judges the candidates of a step from the step and the visited
+    masks of their prefixes; of those that pass the visited and step tests, it
+    drops the candidates that leave a value to enter, unvisited or theta(m),
+    whose two in-neighbours are both visited and neither is the candidate, and
+    no other."""
+    prune, judged, lengths = perm_sets._x_pair_prune, [], set()
 
-    def checked(m, rows, i, seen, last, ref):
-        keep = prune(m, rows, i, seen, last, ref)
-        for prefix, end, k, kept in zip(rows[:i + 1].T.tolist(), last.tolist(),
-                                        ref[0][0].tolist(), keep.tolist()):
-            visited = set(prefix) | {end}
-            blocked = visited - {prefix[-1]}
-            pending = set(range(1, m + 1)) - visited | {end}
-            dead = any({(v - k - 1) % m + 1, (v - k - 2) % m + 1} <= blocked for v in pending)
-            assert kept is not dead, (prefix, end, k)
-            seen_prefixes.append(kept)
-            lengths.add(len(prefix))
+    def checked(s, ref, seen):
+        keep = prune(s, ref, seen)
+        passes = perm_sets._x_pair_step(s, ref)[0].tolist()
+        ks, ends = ref[0][0].tolist(), s.last[0, 0].tolist()
+        for cands, passed, kept in zip(s.nxt[0].tolist(), passes, keep[0].tolist()):
+            for mask, cand, k, end, ok, kept_one in zip(seen.tolist(), cands, ks, ends, passed, kept):
+                blocked = {v for v in range(1, m + 1) if mask[v]}  # theta(m) included
+                if cand in blocked or not ok:
+                    continue  # dropped by the visited or the step test
+                pending = set(range(1, m + 1)) - blocked - {cand} | {end}
+                dead = any({(v - k - 1) % m + 1, (v - k - 2) % m + 1} <= blocked for v in pending)
+                assert kept_one is not dead, (sorted(blocked), cand, end, k)
+                judged.append(kept_one)
+                lengths.add(len(blocked))  # the length of the prefix the candidate extends, plus 1
         return keep
 
     monkeypatch.setattr(perm_sets, "_X_BY_PAIR", perm_sets._X_BY_PAIR._replace(prune=checked))
     assert PermClass("X", m, _search("X", m)) == PermClass("X", m, perm_sets._brute("X", m))
     assert lengths == set(range(2, m))  # every step but the last, which enters theta(m)
     if m >= 5:
-        assert not all(seen_prefixes)  # some prefix was dropped
+        assert not all(judged)  # some candidate was dropped
 
 
 def test_search_edge_degrees() -> None:
@@ -225,7 +230,7 @@ def test_sstar_classes_are_read_from_the_farey_table(monkeypatch: pytest.MonkeyP
         assert enumerate_class("SstarTilde", m) == shift_closure(sstar)
     # the table takes no walk, but the brute-force cap stays in front of both labels
     for label in ("Sstar", "SstarTilde"):
-        with pytest.raises(ValueError, match="brute-force enumeration over S_11 refused"):
+        with pytest.raises(ValueError, match=r"method 'brute' refused at degree 11 \(cap 10\)"):
             enumerate_class(label, 11)
 
 
@@ -316,7 +321,7 @@ def test_enumerate_rejects_bad_arguments() -> None:
 
 def test_brute_force_guard_env_override(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.setenv(ENV_MAX_BRUTE_M, "3")
-    with pytest.raises(ValueError, match=r"refused \(cap 3\)"):
+    with pytest.raises(ValueError, match=r"refused at degree 4 \(cap 3\)"):
         enumerate_class("V", 4)
     assert len(enumerate_class("V", 3)) == 4
     assert len(enumerate_class("V", 12, method="farey")) == totient_sum(12)
@@ -328,7 +333,7 @@ def test_brute_force_guard_env_override(monkeypatch: pytest.MonkeyPatch) -> None
 def test_default_guard_value(monkeypatch: pytest.MonkeyPatch) -> None:
     monkeypatch.delenv(ENV_MAX_BRUTE_M, raising=False)
     assert DEFAULT_MAX_BRUTE_M == 10
-    with pytest.raises(ValueError, match="brute-force enumeration over S_11 refused"):
+    with pytest.raises(ValueError, match=r"method 'brute' refused at degree 11 \(cap 10\)"):
         enumerate_class("V", DEFAULT_MAX_BRUTE_M + 1)
 
 
@@ -392,6 +397,23 @@ def test_verify_theorems_reports_a_wrong_class_as_failed(monkeypatch: pytest.Mon
     assert passed[4, "V = W"] is False
     assert passed[4, "W subset of Y"] is (accept == "none")
     assert not report_passed(records)
+
+
+def test_verify_theorems_reports_a_y_missing_a_shift_as_failed(monkeypatch: pytest.MonkeyPatch) -> None:
+    # one row of a shift orbit dropped from Y at m = 2 and 4: the row before it
+    # in the orbit then shifts out of Y, and the one-shift test must see it
+    enumerate_all = perm_sets.enumerate_class
+
+    def holed(label, m, *args):
+        cls = enumerate_all(label, m, *args)
+        if label == "Y" and m in (2, 4):
+            return PermClass(label, m, cls.as_array()[1:])
+        return cls
+
+    monkeypatch.setattr(perm_sets, "enumerate_class", holed)
+    records = verify_theorems(5)
+    passed = {r["m"]: r["passed"] for r in records if r["check"] == "Y is shift-closed"}
+    assert passed == {2: False, 3: True, 4: False, 5: True}
 
 
 def test_verify_theorems_validates_range(monkeypatch: pytest.MonkeyPatch) -> None:

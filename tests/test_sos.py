@@ -18,7 +18,6 @@ from soslift.sos import (
     suranyi_table,
     tau_explicit,
     tau_from_alpha,
-    tau_near_fraction,
     theta_ab,
     verify_invariants,
 )
@@ -154,23 +153,16 @@ def test_theta_ab_shifts_with_offset() -> None:
                 assert theta_ab(m, a, b) == Permutation(expected)
 
 
-def test_tau_near_fraction_gives_affine_layers() -> None:
+def test_tau_from_alpha_near_a_over_m_gives_affine_layers() -> None:
+    # the rows that verify_invariants reads at (2am -+ 1)/(2m^2) and at a/m
     for m in range(2, 11):
         for a in range(1, m):
             if gcd(a, m) != 1:
                 continue
-            assert tau_near_fraction(m, a, "below") == theta_ab(m, a, 0)
-            assert tau_near_fraction(m, a, "at") == theta_ab(m, a, 1)
-            assert tau_near_fraction(m, a, "above") == theta_ab(m, a, 1)
-
-
-def test_tau_near_fraction_validates_arguments() -> None:
-    with pytest.raises(ValueError, match="side must be one of"):
-        tau_near_fraction(5, 2, "near")
-    with pytest.raises(ValueError, match="not coprime"):
-        tau_near_fraction(6, 2, "below")
-    with pytest.raises(ValueError, match="a must lie in"):
-        tau_near_fraction(5, 0, "below")
+            eps = Fraction(1, 2 * m * m)
+            assert tau_from_alpha(m, Fraction(a, m) - eps) == theta_ab(m, a, 0)
+            assert tau_from_alpha(m, Fraction(a, m)) == theta_ab(m, a, 1)
+            assert tau_from_alpha(m, Fraction(a, m) + eps) == theta_ab(m, a, 1)
 
 
 def test_satisfies_sos_recurrence_on_known_cases() -> None:
