@@ -27,7 +27,8 @@ import numpy as np
 from . import farey, lifting
 from .lifting import (MAX_LIFT_DEGREE, Level, check_lift_degree, lift_fibers, lift_level, project,
                       sorted_blocks)
-from .perm_core import Permutation, _json_values, _rows_in, check_degree, format_rows
+from .perm_core import (Permutation, _json_values, _rows_in, check_degree, format_rows,
+                        scratch_rows)
 from .perm_sets import (
     LABELS,
     METHODS,
@@ -36,20 +37,24 @@ from .perm_sets import (
     verify_theorems,
 )
 from .sos import tau_from_alpha, verify_invariants
-from .trees import build_farey_tree, build_gen_tree, check_isomorphism, export_tree
+from .trees import build_farey_tree, build_gen_tree, check_isomorphism, export_tree, write_json
 
 DEFAULT_SEED = 1729
 
 
 def _print_rows(blocks, m: int, fmt: str) -> None:
-    """One write to the text stream sys.stdout per 1024 rows of each block.
+    """One write to the text stream sys.stdout per scratch_rows(m) rows of each block.
 
-    format_rows holds a piece's text several times over, so the pieces
-    bound what printing holds beyond the rows themselves.
+    format_rows holds a piece's text about 4 times over, 8 bytes or fewer
+    per value each time, so printing holds at most about 4 * SCRATCH_BYTES
+    beyond the rows.  Each block is released before the next is asked for,
+    so only one block of rows is alive at a time.
     """
+    piece = scratch_rows(m)
     for rows in blocks:
-        for start in range(0, len(rows), 1024):
-            sys.stdout.write(format_rows(rows[start:start + 1024], m, fmt))
+        for start in range(0, len(rows), piece):
+            sys.stdout.write(format_rows(rows[start:start + piece], m, fmt))
+        del rows
 
 
 def _print_report(records: list[dict], fmt: str) -> int:
@@ -152,7 +157,11 @@ def _cmd_tree(args) -> int:
         trees.append(build_gen_tree(args.depth))
     if args.kind in ("farey", "both"):
         trees.append(build_farey_tree(args.depth))
-    print(export_tree(*trees, format=args.format, with_y_levels=args.with_y_levels))
+    if args.format == "json":
+        write_json(sys.stdout.write, *trees, with_y_levels=args.with_y_levels)
+        sys.stdout.write("\n")
+    else:
+        print(export_tree(*trees, format=args.format, with_y_levels=args.with_y_levels))
     return 0
 
 

@@ -13,6 +13,9 @@ from typing import Iterable, Iterator
 import numpy as np
 
 MAX_DEGREE = 10_000
+# the most bytes that one per-block temporary of a row check, a tau ranking
+# or a piece of printed text may hold (scratch_rows)
+SCRATCH_BYTES = 1 << 18
 
 
 def check_degree(m: int, ceiling: int | None = MAX_DEGREE, name: str = "degree") -> None:
@@ -332,22 +335,32 @@ def _rows_in(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
     return keys[at] == items
 
 
+def scratch_rows(m: int) -> int:
+    """Rows of degree m per block of a blocked pass: at most SCRATCH_BYTES
+    of 8 bytes per value, and at least one row."""
+    return max(1, SCRATCH_BYTES // (8 * m))
+
+
 def _misses_a_value(rows: np.ndarray) -> np.ndarray:
     """Mask of the rows of an (N, m) array of values in 1..m that are not permutations.
 
-    Each block of 1024 rows is scattered by flat index into one reused
-    (1024, m + 1) mask, so no index array of the whole input is formed.
+    Each block of scratch_rows(m) rows is offset into one reused int64 index
+    buffer and scattered by flat index into one reused (block, m + 1) mask,
+    so the check holds at most SCRATCH_BYTES of indices and an eighth of
+    that of mask beyond the (N,) result, whatever N.
     """
     n, m = rows.shape
-    block = max(1, min(n, 1024))
+    block = max(1, min(n, scratch_rows(m)))
     seen = np.empty((block, m + 1), dtype=bool)
+    index = np.empty((block, m), dtype=np.int64)
     offsets = np.arange(0, block * (m + 1), m + 1)[:, None]
     misses = np.empty(n, dtype=bool)
     for start in range(0, n, block):
         part = rows[start:start + block]
         k = len(part)
         seen[:k] = False
-        seen.ravel()[part + offsets[:k]] = True
+        np.add(part, offsets[:k], out=index[:k])
+        seen.ravel()[index[:k]] = True
         np.logical_not(seen[:k, 1:].all(axis=1), out=misses[start:start + k])
     return misses
 

@@ -27,7 +27,8 @@ from math import gcd
 import numpy as np
 
 from .farey import FareyInterval, farey_terms, totient_sum
-from .perm_core import Permutation, _dtype_for, _row_items, check_degree, supermod_m
+from .perm_core import (Permutation, _dtype_for, _row_items, check_degree, scratch_rows,
+                        supermod_m)
 
 
 def _check_angle(m: int, alpha: Fraction) -> None:
@@ -124,6 +125,7 @@ def affine_rows(m: int, b: int) -> np.ndarray:
     return (np.multiply.outer(i[np.gcd(i, m) == 1], i) + (b - 1)) % m + 1
 
 
+# verify_invariants draws and checks its random samples this many at a time
 TAU_BLOCK_ROWS = 4096
 
 
@@ -141,10 +143,12 @@ def _rank_taus(m: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
 
     p, q: (n,) integer arrays of reduced fractions with q > m, so the keys
     (i*p) mod q, i in [m], are distinct and tau(i) is the 1-based rank of
-    key i: one argsort per block of TAU_BLOCK_ROWS rows, inverted by a
+    key i: one argsort per block of scratch_rows(m) rows, inverted by a
     scatter.  The products i*p are int32 and the keys uint16, which a
     stable argsort ranks by radix; p, q that do not fit are refused
-    (_check_tau_keys) before any work.
+    (_check_tau_keys) before any work.  Beyond the (n, m) result a block
+    holds its int64 argsort, at most SCRATCH_BYTES, and its products and
+    keys, half and a quarter of that.
     """
     if len(p):
         _check_tau_keys(m, int(p.max()), int(q.max()))
@@ -152,9 +156,10 @@ def _rank_taus(m: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     i = np.arange(1, m + 1, dtype=np.int32)
     rows = np.empty((len(p), m), dtype=_dtype_for(m))
     ranks = np.arange(1, m + 1, dtype=rows.dtype)
-    keys = np.empty((min(len(p), TAU_BLOCK_ROWS), m), dtype=np.uint16)
-    for start in range(0, len(p), TAU_BLOCK_ROWS):
-        stop = start + TAU_BLOCK_ROWS
+    block_rows = scratch_rows(m)
+    keys = np.empty((min(len(p), block_rows), m), dtype=np.uint16)
+    for start in range(0, len(p), block_rows):
+        stop = start + block_rows
         block = rows[start:stop]
         block_keys = keys[:len(block)]
         np.remainder(np.multiply.outer(p[start:stop], i), q[start:stop, None],

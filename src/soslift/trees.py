@@ -4,7 +4,8 @@ Level m of the generation tree holds the degree-m class V in construction
 order: children of one parent sit next to each other, (0)-child left of
 (1)-child, which is the same left-to-right order the interval tree induces.
 Both trees are a Tree of labels, tags and child offsets built from integer
-arrays, and export_tree writes either or both.  The isomorphism check
+arrays, and export_tree writes either or both; write_json writes their JSON
+document in pieces, never held whole.  The isomorphism check
 replaces every interval with its paired permutation from the order-m table
 and asserts literal node-by-node equality, including edge structure and
 horizontal order.  It streams the lifted levels and compares integer
@@ -12,6 +13,7 @@ arrays, so it builds neither tree.
 """
 from __future__ import annotations
 
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -230,9 +232,15 @@ class _Fragments:
                    f',\n{q}"children": [\n{r}', f",\n{r}", f"\n{q}]\n{p}}}")
 
 
-def _json_pieces(tree: Tree, ys: list[list[str] | None], depth: int, out: list[str]) -> None:
+# write_json joins and writes the pending text once it holds more pieces than this
+JSON_PIECES = 8192
+
+
+def _json_pieces(tree: Tree, ys: list[list[str] | None], depth: int, out: list[str],
+                 flush: Callable[[], None]) -> None:
     """Append the text of the tree's nested root, written at JSON nesting depth
-    depth, to out.
+    depth, to out, calling flush() before a node whenever out holds more than
+    JSON_PIECES pieces.
 
     Every node of one level, and every y-node below it, sits at one nesting
     depth, so each level's fixed text is built once.  Labels hold only
@@ -253,6 +261,8 @@ def _json_pieces(tree: Tree, ys: list[list[str] | None], depth: int, out: list[s
         if isinstance(item, str):
             out.append(item)
             continue
+        if len(out) > JSON_PIECES:
+            flush()
         k, i, is_y = item
         if is_y:
             f, label, tag = yfrags[k], ys[k][i], "null"
@@ -273,25 +283,51 @@ def _json_pieces(tree: Tree, ys: list[list[str] | None], depth: int, out: list[s
         stack.append(kids[0])
 
 
+def _y_levels(trees: tuple[Tree, ...], with_y_levels: bool) -> list[list[list[str] | None]]:
+    """Per tree, the labels of its lifted rows per level when with_y_levels, else Nones."""
+    if with_y_levels and not any(tree.rows for tree in trees):
+        raise ValueError("with_y_levels only applies to the generation tree")
+    return [_y_labels(tree) if with_y_levels and tree.rows else [None] * tree.M for tree in trees]
+
+
+def write_json(write: Callable[[str], object], *trees: Tree, with_y_levels: bool = False) -> None:
+    """Write export_tree's JSON document of the trees through write, in pieces.
+
+    Each call to write takes the text of about JSON_PIECES pieces, a few
+    hundred KB, so the document is never held whole.
+    """
+    ys = _y_levels(trees, with_y_levels)
+    out: list[str] = []
+
+    def flush() -> None:
+        write("".join(out))
+        out.clear()
+
+    if len(trees) == 1:
+        _json_pieces(trees[0], ys[0], 0, out, flush)
+    else:
+        by_kind = {tree.kind: (tree, y) for tree, y in zip(trees, ys)}
+        for n, (kind, (tree, y)) in enumerate(by_kind.items()):
+            out.append(f',\n  "{kind}": ' if n else f'{{\n  "{kind}": ')
+            _json_pieces(tree, y, 1, out, flush)
+        out.append("\n}" if by_kind else "{}")
+    flush()
+
+
 def export_tree(*trees: Tree, format: str = "dot", with_y_levels: bool = False) -> str:
     """The trees as DOT graphs, one after another, or as one JSON document.
 
     One tree's JSON document is its nested root; several trees are nested
     under their kinds.  with_y_levels puts the lifted row (1, pi+1) between
-    each generation-tree node pi and its children.
+    each generation-tree node pi and its children.  The whole document is
+    returned as one str, so it is held whole, along with the trees and, for
+    JSON, the write_json pieces it is joined from.
     """
     if format not in ("dot", "json"):
         raise ValueError(f"format must be 'dot' or 'json', got {format!r}")
-    if with_y_levels and not any(tree.rows for tree in trees):
-        raise ValueError("with_y_levels only applies to the generation tree")
-    ys = [_y_labels(tree) if with_y_levels and tree.rows else [None] * tree.M for tree in trees]
-    if format == "dot":
-        return "\n".join(_dot(tree, y) for tree, y in zip(trees, ys))
-    out: list[str] = []
-    if len(trees) == 1:
-        _json_pieces(trees[0], ys[0], 0, out)
-        return "".join(out)
-    for kind, (tree, y) in {tree.kind: (tree, y) for tree, y in zip(trees, ys)}.items():
-        out.append(f',\n  "{kind}": ' if out else f'{{\n  "{kind}": ')
-        _json_pieces(tree, y, 1, out)
-    return ("".join(out) + "\n}") if out else "{}"
+    if format == "json":
+        pieces: list[str] = []
+        write_json(pieces.append, *trees, with_y_levels=with_y_levels)
+        return "".join(pieces)
+    ys = _y_levels(trees, with_y_levels)
+    return "\n".join(_dot(tree, y) for tree, y in zip(trees, ys))

@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import argparse
+import contextlib
 import hashlib
+import io
 import json
 import os
 import subprocess
@@ -611,6 +613,76 @@ def test_tree_stdout_is_byte_identical(capsys: pytest.CaptureFixture, depth: int
     argv = ["tree", "--depth", str(depth), "--kind", kind, "--format", fmt]
     assert main(argv + ["--with-y-levels"] * y_levels) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == digest
+
+
+class _CountingSink(io.TextIOBase):
+    """A write-only text stream that hashes what it is given and counts the writes."""
+
+    def __init__(self):
+        self.hash, self.writes = hashlib.sha256(), 0
+
+    def writable(self) -> bool:
+        return True
+
+    def write(self, s: str) -> int:
+        self.hash.update(s.encode())
+        self.writes += 1
+        return len(s)
+
+
+def _run_on_sink(argv: list[str]) -> tuple[_CountingSink, int]:
+    """main(argv) with stdout on a hashing sink: the sink and the traced peak in bytes."""
+    sink = _CountingSink()
+    tracemalloc.start()
+    try:
+        with contextlib.redirect_stdout(sink):
+            assert main(argv) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    return sink, peak
+
+
+_TREE_BUILDERS = {"gen": (trees.build_gen_tree,), "farey": (trees.build_farey_tree,),
+                  "both": (trees.build_gen_tree, trees.build_farey_tree)}
+
+
+@pytest.mark.parametrize("kind, y_levels", [
+    ("gen", False), ("gen", True), ("farey", False), ("both", False), ("both", True)])
+def test_tree_json_is_export_tree_written_in_pieces(capsys: pytest.CaptureFixture, kind: str,
+                                                    y_levels: bool) -> None:
+    depth = 36  # about 20000 pieces a tree, so the piece list is flushed at least twice
+    built = [build(depth) for build in _TREE_BUILDERS[kind]]
+    argv = ["tree", "--depth", str(depth), "--kind", kind] + ["--with-y-levels"] * y_levels
+    sink, _ = _run_on_sink(argv + ["--format", "json"])
+    whole = trees.export_tree(*built, format="json", with_y_levels=y_levels) + "\n"
+    assert sink.hash.hexdigest() == hashlib.sha256(whole.encode()).hexdigest()
+    assert sink.writes >= 4  # two flushes or more, the last piece and the newline
+    # DOT is still printed whole, as export_tree returns it
+    assert main(argv + ["--format", "dot"]) == 0
+    assert capsys.readouterr().out == trees.export_tree(*built, format="dot",
+                                                        with_y_levels=y_levels) + "\n"
+
+
+# traced peaks of the printing commands with stdout on a hashing sink (numpy
+# 2.4): lift --to-m 200 peaked at 6.9 MiB when its rows were checked and
+# printed 1024 at a time, and peaks at 5.5 MiB with blocks of
+# perm_core.scratch_rows(m); tree --depth 40 --kind both --format json
+# peaked at 23.9 MiB when the document was joined whole, and peaks at
+# 4.3 MiB written in pieces
+PRINTING_PEAKS = [
+    pytest.param(["lift", "--to-m", "200"], 6.25 * 2**20,
+                 "648d6e5d4ee62f2f135b0554963811c35a98b28d72cffce9621e0e826ca5fd2d", id="lift-200"),
+    pytest.param(["tree", "--depth", "40", "--kind", "both", "--format", "json"], 8 * 2**20,
+                 "07738788002d5affe9956e1404000992b62da1de0b79fa3915c1ff92a8021849", id="tree-40"),
+]
+
+
+@pytest.mark.parametrize("argv, bound, digest", PRINTING_PEAKS)
+def test_printing_holds_bounded_scratch(argv: list[str], bound: float, digest: str) -> None:
+    sink, peak = _run_on_sink(argv)
+    assert sink.hash.hexdigest() == digest
+    assert peak < bound, f"traced peak {peak / 2**20:.2f} MiB"
 
 
 def test_verify_text_passes(capsys: pytest.CaptureFixture) -> None:

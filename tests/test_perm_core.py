@@ -276,9 +276,10 @@ def _misses_by_scatter(rows: np.ndarray) -> np.ndarray:
 def test_misses_a_value_equals_the_whole_scatter(m: int) -> None:
     rng = np.random.default_rng(m)
     good = np.array([rng.permutation(m) + 1 for _ in range(64)], dtype=_dtype_for(m))
-    for n in (0, 1, 1023, 1024, 1025, 2049, 3000):
+    edge = perm_core.scratch_rows(m)  # the first block edge, from SCRATCH_BYTES
+    for n in (0, 1, edge - 1, edge, edge + 1, 2 * edge + 1, 3 * edge - 5):
         rows = good[np.arange(n) % len(good)].copy()
-        planted = [k for k in (0, 1023, 1024) if k < n] if m > 1 else []
+        planted = [k for k in (0, edge - 1, edge) if k < n] if m > 1 else []
         rows[planted, -1] = rows[planted, 0]  # row 0 and both sides of the first block edge
         got = perm_core._misses_a_value(rows)
         assert got.dtype == bool and got.shape == (n,)

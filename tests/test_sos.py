@@ -8,7 +8,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from soslift import sos
+from soslift import perm_core, sos
 from soslift.farey import farey_intervals, farey_terms, mediant, totient_sum
 from soslift.perm_core import MAX_DEGREE, Permutation, _dtype_for, gamma, inverse, psi
 from soslift.sos import (
@@ -389,6 +389,19 @@ def test_rank_taus_matches_tau_from_alpha_across_dtypes() -> None:
         rows = sos._rank_taus(m, p, q)
         assert rows.dtype == _dtype_for(m)
         assert rows.tolist() == [list(tau_from_alpha(m, Fraction(*f)).values) for f in pq]
+
+
+@pytest.mark.parametrize("m", [7, 40, 300])
+def test_rank_taus_in_blocks_of_three_rows_equals_one_block(monkeypatch: pytest.MonkeyPatch,
+                                                             m: int) -> None:
+    num, den = farey_terms(m)
+    p, q = num[:-1] + num[1:], den[:-1] + den[1:]
+    for n in (len(p), len(p) - 1, len(p) - 2):  # a last block of 3, 2 and 1 rows, in some order
+        monkeypatch.setattr(perm_core, "SCRATCH_BYTES", 1 << 40)
+        whole = sos._rank_taus(m, p[:n], q[:n])
+        monkeypatch.setattr(perm_core, "SCRATCH_BYTES", 3 * 8 * m)
+        assert perm_core.scratch_rows(m) == 3
+        assert np.array_equal(sos._rank_taus(m, p[:n], q[:n]), whole), (m, n)
 
 
 def test_rank_taus_refuses_keys_that_overflow() -> None:
