@@ -665,8 +665,8 @@ def test_tree_json_is_export_tree_written_in_pieces(capsys: pytest.CaptureFixtur
 
 
 # traced peaks of the printing commands with stdout on a hashing sink (numpy
-# 2.4): lift --to-m 200 peaked at 6.9 MiB when its rows were checked and
-# printed 1024 at a time, and peaks at 5.5 MiB with blocks of
+# 2.4): lift --to-m 200 peaked at 6.7 MiB when its rows were checked and
+# printed 1024 at a time, and peaks at 5.3 MiB with blocks of
 # perm_core.scratch_rows(m); tree --depth 40 --kind both --format json
 # peaked at 23.9 MiB when the document was joined whole, and peaks at
 # 4.3 MiB written in pieces
