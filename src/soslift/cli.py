@@ -37,7 +37,7 @@ from .perm_sets import (
     verify_theorems,
 )
 from .sos import tau_from_alpha, verify_invariants
-from .trees import build_farey_tree, build_gen_tree, check_isomorphism, export_tree, write_json
+from .trees import build_farey_tree, build_gen_tree, check_isomorphism, write_tree
 
 DEFAULT_SEED = 1729
 
@@ -157,11 +157,8 @@ def _cmd_tree(args) -> int:
         trees.append(build_gen_tree(args.depth))
     if args.kind in ("farey", "both"):
         trees.append(build_farey_tree(args.depth))
-    if args.format == "json":
-        write_json(sys.stdout.write, *trees, with_y_levels=args.with_y_levels)
-        sys.stdout.write("\n")
-    else:
-        print(export_tree(*trees, format=args.format, with_y_levels=args.with_y_levels))
+    write_tree(sys.stdout.write, *trees, format=args.format, with_y_levels=args.with_y_levels)
+    sys.stdout.write("\n")
     return 0
 
 

@@ -125,10 +125,6 @@ def affine_rows(m: int, b: int) -> np.ndarray:
     return (np.multiply.outer(i[np.gcd(i, m) == 1], i) + (b - 1)) % m + 1
 
 
-# verify_invariants draws and checks its random samples this many at a time
-TAU_BLOCK_ROWS = 4096
-
-
 def _check_tau_keys(m: int, p_max: int, q_max: int) -> None:
     """Refuse angles p/q with p <= p_max and q <= q_max whose tau keys _rank_taus
     cannot hold: the products i*p, i in [m], in int32 and the keys (i*p) mod q
@@ -283,7 +279,7 @@ def verify_invariants(m_max: int, samples: int = 200, seed: int = 1729) -> list[
     argsort (_rank_taus) at the mediants, psi(gamma(tau_m)) as
     ((tau - tau(1)) mod m)[2..m] against the degree-(m-1) search, and the
     searched tau at (2am -+ 1)/(2m^2) and at a/m against the affine rows.
-    The random rationals are checked TAU_BLOCK_ROWS at a time: _rank_taus
+    The random rationals are checked scratch_rows(m) at a time: _rank_taus
     against the closed form (_closed_form_taus).
     """
     if samples < 0:
@@ -303,9 +299,10 @@ def verify_invariants(m_max: int, samples: int = 200, seed: int = 1729) -> list[
         record(m, "tau = inverse(sos) at mediants", ok, f"{len(p)} mediants")
 
         ok_exp = ok_fl = True
-        for start in range(0, samples, TAU_BLOCK_ROWS):
+        block_rows = scratch_rows(m)
+        for start in range(0, samples, block_rows):
             # the same rationals, in the same order, as random_interior_rational
-            n = min(TAU_BLOCK_ROWS, samples - start)
+            n = min(block_rows, samples - start)
             p, q = np.array([_interior_pq(m, rng) for _ in range(n)], dtype=np.int64).T
             sample_tau = _rank_taus(m, p, q).astype(np.int64)  # the identities below wrap in uint8
             ok_exp = ok_exp and np.array_equal(_closed_form_taus(m, p, q), sample_tau)

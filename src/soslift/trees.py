@@ -4,8 +4,9 @@ Level m of the generation tree holds the degree-m class V in construction
 order: children of one parent sit next to each other, (0)-child left of
 (1)-child, which is the same left-to-right order the interval tree induces.
 Both trees are a Tree of labels, tags and child offsets built from integer
-arrays, and export_tree writes either or both; write_json writes their JSON
-document in pieces, never held whole.  The isomorphism check
+arrays, and write_tree writes either or both, as DOT or JSON, in pieces
+through one write function, so the document is never held whole;
+export_tree joins those pieces into one str.  The isomorphism check
 replaces every interval with its paired permutation from the order-m table
 and asserts literal node-by-node equality, including edge structure and
 horizontal order.  It streams the lifted levels and compares integer
@@ -188,27 +189,32 @@ def _tagged(label: str, tag: int) -> str:
 
 def _y_labels(tree: Tree) -> list[list[str] | None]:
     """Per level, the labels of the lifted rows (1, pi+1); none below the leaves."""
-    lifted = [np.pad(rows.astype(np.int64) + 1, ((0, 0), (1, 0)), constant_values=1)
-              for rows in tree.rows[:-1]]
+    lifted = (np.pad(rows.astype(np.int64) + 1, ((0, 0), (1, 0)), constant_values=1)
+              for rows in tree.rows[:-1])  # one level's int64 rows at a time
     return [format_rows(theta, m + 1, "oneline").splitlines()
             for m, theta in enumerate(lifted, start=1)] + [None]
 
 
-def _dot(tree: Tree, ys: list[list[str] | None]) -> str:
-    lines = ["digraph tree {", "  node [shape=box];"]
+def _dot(tree: Tree, ys: list[list[str] | None], lead: str, out: list[str],
+         flush: Callable[[], None]) -> None:
+    """Append the tree's DOT graph to out, one line a piece, each line after
+    the first preceded by a newline and the first by lead, calling flush()
+    after each level of nodes and each level of edges."""
+    out += (lead + "digraph tree {", "\n  node [shape=box];")
     for m, (labels, tags) in enumerate(zip(tree.levels, tree.tags), start=1):
-        lines += [f'  n{m}_{i} [label="{_tagged(label, tag)}"];'
-                  for i, (label, tag) in enumerate(zip(labels, tags.tolist()))]
+        out += [f'\n  n{m}_{i} [label="{_tagged(label, tag)}"];'
+                for i, (label, tag) in enumerate(zip(labels, tags.tolist()))]
+        flush()
     for m, (offsets, y) in enumerate(zip(tree.offsets[:-1], ys), start=1):
         offsets = offsets.tolist()
         for i, (a, b) in enumerate(zip(offsets, offsets[1:])):
             src = f"n{m}_{i}"
             if y is not None:
-                lines += [f'  y{m}_{i} [label="{y[i]}"];', f"  {src} -> y{m}_{i};"]
+                out += (f'\n  y{m}_{i} [label="{y[i]}"];', f"\n  {src} -> y{m}_{i};")
                 src = f"y{m}_{i}"
-            lines += [f"  {src} -> n{m + 1}_{j};" for j in range(a, b)]
-    lines.append("}")
-    return "\n".join(lines)
+            out += [f"\n  {src} -> n{m + 1}_{j};" for j in range(a, b)]
+        flush()
+    out.append("\n}")
 
 
 _JSON_TAGS = {TAG_SINGLE: "null", TAG_LEFT: '"(0)"', TAG_RIGHT: '"(1)"'}
@@ -232,15 +238,16 @@ class _Fragments:
                    f',\n{q}"children": [\n{r}', f",\n{r}", f"\n{q}]\n{p}}}")
 
 
-# write_json joins and writes the pending text once it holds more pieces than this
-JSON_PIECES = 8192
+# write_tree writes the pending JSON text once it holds more pieces than this,
+# and the DOT text once per level
+PIECES = 8192
 
 
 def _json_pieces(tree: Tree, ys: list[list[str] | None], depth: int, out: list[str],
                  flush: Callable[[], None]) -> None:
     """Append the text of the tree's nested root, written at JSON nesting depth
     depth, to out, calling flush() before a node whenever out holds more than
-    JSON_PIECES pieces.
+    PIECES pieces.
 
     Every node of one level, and every y-node below it, sits at one nesting
     depth, so each level's fixed text is built once.  Labels hold only
@@ -261,7 +268,7 @@ def _json_pieces(tree: Tree, ys: list[list[str] | None], depth: int, out: list[s
         if isinstance(item, str):
             out.append(item)
             continue
-        if len(out) > JSON_PIECES:
+        if len(out) > PIECES:
             flush()
         k, i, is_y = item
         if is_y:
@@ -290,12 +297,19 @@ def _y_levels(trees: tuple[Tree, ...], with_y_levels: bool) -> list[list[list[st
     return [_y_labels(tree) if with_y_levels and tree.rows else [None] * tree.M for tree in trees]
 
 
-def write_json(write: Callable[[str], object], *trees: Tree, with_y_levels: bool = False) -> None:
-    """Write export_tree's JSON document of the trees through write, in pieces.
+def write_tree(write: Callable[[str], object], *trees: Tree, format: str = "dot",
+               with_y_levels: bool = False) -> None:
+    """Write the trees through write, in pieces: as DOT graphs, one after
+    another, or as one JSON document.
 
-    Each call to write takes the text of about JSON_PIECES pieces, a few
-    hundred KB, so the document is never held whole.
+    One tree's JSON document is its nested root; several trees are nested
+    under their kinds.  with_y_levels puts the lifted row (1, pi+1) between
+    each generation-tree node pi and its children.  Each call to write takes
+    one level of DOT lines, or the text of about PIECES JSON pieces, so the
+    document is never held whole; an unknown format writes nothing.
     """
+    if format not in ("dot", "json"):
+        raise ValueError(f"format must be 'dot' or 'json', got {format!r}")
     ys = _y_levels(trees, with_y_levels)
     out: list[str] = []
 
@@ -303,7 +317,10 @@ def write_json(write: Callable[[str], object], *trees: Tree, with_y_levels: bool
         write("".join(out))
         out.clear()
 
-    if len(trees) == 1:
+    if format == "dot":
+        for n, (tree, y) in enumerate(zip(trees, ys)):
+            _dot(tree, y, "\n" if n else "", out, flush)
+    elif len(trees) == 1:
         _json_pieces(trees[0], ys[0], 0, out, flush)
     else:
         by_kind = {tree.kind: (tree, y) for tree, y in zip(trees, ys)}
@@ -315,19 +332,8 @@ def write_json(write: Callable[[str], object], *trees: Tree, with_y_levels: bool
 
 
 def export_tree(*trees: Tree, format: str = "dot", with_y_levels: bool = False) -> str:
-    """The trees as DOT graphs, one after another, or as one JSON document.
-
-    One tree's JSON document is its nested root; several trees are nested
-    under their kinds.  with_y_levels puts the lifted row (1, pi+1) between
-    each generation-tree node pi and its children.  The whole document is
-    returned as one str, so it is held whole, along with the trees and, for
-    JSON, the write_json pieces it is joined from.
-    """
-    if format not in ("dot", "json"):
-        raise ValueError(f"format must be 'dot' or 'json', got {format!r}")
-    if format == "json":
-        pieces: list[str] = []
-        write_json(pieces.append, *trees, with_y_levels=with_y_levels)
-        return "".join(pieces)
-    ys = _y_levels(trees, with_y_levels)
-    return "\n".join(_dot(tree, y) for tree, y in zip(trees, ys))
+    """write_tree's document of the trees, its writes joined into one str,
+    which is held whole along with the trees and the pieces."""
+    pieces: list[str] = []
+    write_tree(pieces.append, *trees, format=format, with_y_levels=with_y_levels)
+    return "".join(pieces)

@@ -649,19 +649,17 @@ _TREE_BUILDERS = {"gen": (trees.build_gen_tree,), "farey": (trees.build_farey_tr
 
 @pytest.mark.parametrize("kind, y_levels", [
     ("gen", False), ("gen", True), ("farey", False), ("both", False), ("both", True)])
-def test_tree_json_is_export_tree_written_in_pieces(capsys: pytest.CaptureFixture, kind: str,
-                                                    y_levels: bool) -> None:
-    depth = 36  # about 20000 pieces a tree, so the piece list is flushed at least twice
+def test_tree_json_is_export_tree_written_in_pieces(kind: str, y_levels: bool) -> None:
+    # about 20000 JSON pieces and 72 DOT levels a tree, so either format is
+    # flushed at least twice
+    depth = 36
     built = [build(depth) for build in _TREE_BUILDERS[kind]]
     argv = ["tree", "--depth", str(depth), "--kind", kind] + ["--with-y-levels"] * y_levels
-    sink, _ = _run_on_sink(argv + ["--format", "json"])
-    whole = trees.export_tree(*built, format="json", with_y_levels=y_levels) + "\n"
-    assert sink.hash.hexdigest() == hashlib.sha256(whole.encode()).hexdigest()
-    assert sink.writes >= 4  # two flushes or more, the last piece and the newline
-    # DOT is still printed whole, as export_tree returns it
-    assert main(argv + ["--format", "dot"]) == 0
-    assert capsys.readouterr().out == trees.export_tree(*built, format="dot",
-                                                        with_y_levels=y_levels) + "\n"
+    for fmt in ("json", "dot"):
+        sink, _ = _run_on_sink(argv + ["--format", fmt])
+        whole = trees.export_tree(*built, format=fmt, with_y_levels=y_levels) + "\n"
+        assert sink.hash.hexdigest() == hashlib.sha256(whole.encode()).hexdigest(), fmt
+        assert sink.writes >= 4, fmt  # two flushes or more, the last piece and the newline
 
 
 # traced peaks of the printing commands with stdout on a hashing sink (numpy
@@ -669,12 +667,17 @@ def test_tree_json_is_export_tree_written_in_pieces(capsys: pytest.CaptureFixtur
 # printed 1024 at a time, and peaks at 5.3 MiB with blocks of
 # perm_core.scratch_rows(m); tree --depth 40 --kind both --format json
 # peaked at 23.9 MiB when the document was joined whole, and peaks at
-# 4.3 MiB written in pieces
+# 4.3 MiB written in pieces; tree --depth 60 --kind gen --with-y-levels
+# (DOT) peaked at 28.6 MiB when its lines were joined whole and the lifted
+# rows of every level were padded at once, and peaks at 10.4 MiB written and
+# padded a level at a time (17.5 MiB with the rows padded at once)
 PRINTING_PEAKS = [
     pytest.param(["lift", "--to-m", "200"], 6.25 * 2**20,
                  "648d6e5d4ee62f2f135b0554963811c35a98b28d72cffce9621e0e826ca5fd2d", id="lift-200"),
     pytest.param(["tree", "--depth", "40", "--kind", "both", "--format", "json"], 8 * 2**20,
                  "07738788002d5affe9956e1404000992b62da1de0b79fa3915c1ff92a8021849", id="tree-40"),
+    pytest.param(["tree", "--depth", "60", "--kind", "gen", "--with-y-levels"], 14 * 2**20,
+                 "ebebe328264e1e3246b83be20fa563f27aec78e67126f620e79be713bf80f3aa", id="tree-60-dot"),
 ]
 
 
@@ -754,9 +757,14 @@ def test_verify_negative_samples_is_usage_error(capsys: pytest.CaptureFixture) -
     assert captured.err.startswith("error:") and "samples" in captured.err
 
 
-def test_closed_stdout_exits_1_without_traceback() -> None:
+def _child_env() -> dict[str, str]:
+    """The environment, with PYTHONPATH leading to this soslift for a child process."""
     src = str(Path(cli.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+
+
+def test_closed_stdout_exits_1_without_traceback() -> None:
+    env = _child_env()
     # V_60 prints about 190 kB as one-line text and 280 kB as JSON, and the
     # depth-40 trees 11 MB, more than a pipe holds, so the writer is still
     # running when the reader goes away
@@ -771,6 +779,24 @@ def test_closed_stdout_exits_1_without_traceback() -> None:
         _, err = proc.communicate(timeout=60)
         assert proc.returncode == 1
         assert b"Traceback" not in err
+
+
+LIFT_5_SHA256 = "d51d261ac4465a354b8aee115399a424c2aacb75cc7edf2bdc549c342c7b0b62"
+
+
+@pytest.mark.parametrize("pins, status", [
+    (["--sha256", LIFT_5_SHA256], 0),
+    (["--sha256", LIFT_5_SHA256, "--lines", "10", "--peak-mb", "1000"], 0),
+    (["--sha256", "0" * 64], 1),
+    (["--sha256", LIFT_5_SHA256, "--lines", "11"], 1),
+    (["--sha256", LIFT_5_SHA256, "--peak-mb", "1"], 1),
+])
+def test_pinned_run_checks_the_child(pins: list[str], status: int) -> None:
+    script = Path(__file__).resolve().with_name("pinned_run.py")
+    proc = subprocess.run([sys.executable, str(script), *pins, "--", "lift", "--to-m", "5"],
+                          capture_output=True, env=_child_env(), timeout=60)
+    assert proc.returncode == status, proc.stderr
+    assert proc.stderr.startswith(b"error: ") == bool(status)
 
 
 def test_verify_is_deterministic(capsys: pytest.CaptureFixture) -> None:

@@ -322,11 +322,12 @@ def test_verify_invariants_draws_what_random_interior_rational_draws(
 
 def test_verify_invariants_blocks_agree_with_one_sample_at_a_time(
         monkeypatch: pytest.MonkeyPatch) -> None:
-    whole = verify_invariants(6, samples=20, seed=3)
-    monkeypatch.setattr(sos, "TAU_BLOCK_ROWS", 7)
+    whole = verify_invariants(6, samples=30, seed=3)
+    # scratch_rows(m) is then 21, 14, 10, 8 and 7 rows at m = 2..6
+    monkeypatch.setattr(perm_core, "SCRATCH_BYTES", 336)
     calls = _record_closed_forms(monkeypatch)
-    assert verify_invariants(6, samples=20, seed=3) == whole
-    assert [len(ps) for _, ps, _, _ in calls] == [7, 7, 6] * 5
+    assert verify_invariants(6, samples=30, seed=3) == whole
+    assert [len(ps) for _, ps, _, _ in calls] == [21, 9, 14, 14, 2, 10, 10, 10, 8, 8, 8, 6, 7, 7, 7, 7, 2]
     for m, ps, qs, rows in calls:
         taus = sos._rank_taus(m, np.array(ps), np.array(qs))
         for p, q, row, tau in zip(ps, qs, rows.tolist(), taus.tolist()):
@@ -336,15 +337,15 @@ def test_verify_invariants_blocks_agree_with_one_sample_at_a_time(
 
 def test_verify_invariants_fails_on_one_wrong_closed_form_entry(
         monkeypatch: pytest.MonkeyPatch) -> None:
-    monkeypatch.setattr(sos, "TAU_BLOCK_ROWS", 4)
+    monkeypatch.setattr(perm_core, "SCRATCH_BYTES", 336)  # 10 rows a block at degree 4
     degrees = []
 
     def perturb(m, rows):
         degrees.append(m)
-        if m == 4 and degrees.count(4) == 2:  # the middle of the blocks 4, 4, 2 at degree 4
+        if m == 4 and degrees.count(4) == 2:  # the middle of the blocks 10, 10, 5 at degree 4
             rows[-1, -1] += 1
     _record_closed_forms(monkeypatch, perturb)
-    failed = {(r["m"], r["check"]) for r in verify_invariants(5, samples=10, seed=1) if not r["passed"]}
+    failed = {(r["m"], r["check"]) for r in verify_invariants(5, samples=25, seed=1) if not r["passed"]}
     assert failed == {(4, "tau_explicit = tau_from_alpha on random rationals")}
 
 

@@ -17,6 +17,7 @@ from soslift.trees import (
     build_gen_tree,
     check_isomorphism,
     export_tree,
+    write_tree,
 )
 
 # golden depth-6 generation tree, levels left to right; tag 0 marks the
@@ -346,6 +347,13 @@ def test_export_json_round_trips() -> None:
     assert isinstance(far_doc, dict)
     with pytest.raises(ValueError, match="format must be"):
         export_tree(build_gen_tree(2), format="yaml")
+
+
+def test_write_tree_refuses_an_unknown_format_before_writing() -> None:
+    writes: list[str] = []
+    with pytest.raises(ValueError, match="format must be"):
+        write_tree(writes.append, build_gen_tree(2), format="yaml")
+    assert writes == []
 
 
 def test_export_json_gen_matches_golden_leaves() -> None:
