@@ -23,12 +23,12 @@ its step rule (_RULES) gives the values of theta(i+1) that can pass.  The
 search (_search) fixes theta(1) and theta(m) and extends injective prefixes
 by those values only, re-checked with the step formula and a visited mask;
 one value per step for V, W and SosRec, and at most four for Y (which
-carries delta(1)).  Yprime is Y filtered by its own rule.  X is solved from
-theta(1) = 1 once per residue pair {k, k+1} (_X_BY_PAIR), at most two values
-per step, and then shift-closed; its prune drops the candidates that leave a
-value no step can enter, judged with the visited and step tests before any
-child is copied, so nothing is pruned after the copy.  The X rule of _RULES,
-which carries the least and greatest residue, is its reference.  The walk of
+carries delta(1)).  Yprime is Y filtered by its own rule.  X needs no
+search: with theta(1) = 1, each of its rows is forced by two parameters
+(k, s), its residues k and k + 1 and the number of steps by k, and each pair
+is checked by following its one forced walk (_x_pairs, _x_rows); the rows
+are then shift-closed.  The X rule of _RULES, which carries the least and
+greatest residue, is its reference.  The walk of
 S_m in lexicographic order as uint8 blocks (_walk, _brute) reads the same
 rules with .all over the steps; it is the reference the tests compare the
 search with, and no command runs it.  _RULES is the one
@@ -184,18 +184,12 @@ class _Block(_Steps):
 # the given steps taken in (from None: from these steps alone), and
 # rule.solve(steps, ref) gives, for steps whose nxt is unknown, every value of
 # theta(i+1) in 1..m that can pass, as rows of a (k, N) array; values outside
-# 1..m stand for none.  A search may also fix ref at the start:
-# rule.start(m, first, last) returns the start pairs to search, each with its
-# ref, and rule.prune(steps, ref, seen) judges the candidates of a step that
-# rule.step judges, given seen, the visited masks of their prefixes: it
-# accepts those whose prefix, extended by them, can still be completed.
+# 1..m stand for none.  A search carries nothing before its first step.
 
 class _Rule(NamedTuple):
     step: Callable[[_Steps, tuple | None], np.ndarray]
     solve: Callable[[_Steps, tuple | None], np.ndarray] | None
     carry: Callable[[_Steps, tuple | None], tuple] | None = None
-    start: Callable[[int, np.ndarray, np.ndarray], tuple] | None = None
-    prune: Callable[[_Steps, tuple, np.ndarray], np.ndarray] | None = None
 
 
 def _every_value(s: _Steps, ref: tuple | None) -> np.ndarray:
@@ -268,59 +262,62 @@ def _x_solve(s: _Steps, ref: tuple | None) -> np.ndarray:
     return np.where(r <= lo + 1, (s.cur - 1 + r) % s.m + 1, 0)
 
 
-def _x_pair_start(m: int, first: np.ndarray, last: np.ndarray) -> tuple:
-    """Each start pair once per residue pair {k, k+1}, k in 1..m-1, as ref =
-    (k,), but for the starts whose rows never step by k.
+# X with theta(1) = 1, from two parameters (k, s).  Less 1, such a row is a
+# Hamiltonian path from 0 to t = theta(m) - 1 in the digraph v -> v + k,
+# v + k + 1 on Z_m.  The vertex v + k has two in-arcs, from v by k and from
+# v - 1 by k + 1, so when v steps by k, so does v - 1 unless it is t: the
+# vertices that step by k are t + 1, ..., t + s for some s in 1..m-1 (a row of
+# the one residue r is the pair (r, m - 1)), and the step sum gives t =
+# sk + (m-1-s)(k+1) = -(k + 1 + s) mod m.  This is Rankin's forcing argument
+# (R. A. Rankin, "A campanological problem in group theory", 1948).  Each pair
+# thus forces one walk from 0, and every vertex has one in-arc at most from
+# the vertices other than t: a walk that repeats a vertex before it meets t
+# first returns to 0, and then cycles without t.  So the walk is the row, with
+# no visited mask, exactly when it first meets t at its last step.  The walk
+# is kept as w = (v - t - 1) mod m, the vertex counted from t + 1: w steps by
+# k when w < s, t is w = m - 1 and 0 is w = (k + s) mod m.  Every w lies in
+# [0, 2m), which int16 holds to MAX_DEGREE.
 
-    A row that steps by k j times and by k+1 the other m-1-j ends at
-    theta(m) = theta(1) - (k + 1) - j mod m, so it has j = 0 exactly when
-    (theta(1) - theta(m)) mod m = k + 1: those rows, of the one residue k+1,
-    are found from the pair k+1.  No row is found twice.
+def _x_next(w: np.ndarray, k: np.ndarray, s: np.ndarray, m: int) -> np.ndarray:
+    """The forced step from every w of the pairs (k, s)."""
+    w = w + k + (w >= s)
+    w -= np.int16(m) * (w >= m)
+    return w
+
+
+def _x_pairs(m: int) -> np.ndarray:
+    """The pairs (k, s) whose forced walk is a row, as a (2, N) int16 array
+    ordered by k, then s.
+
+    Candidates are checked in blocks of whole k, each candidate holding three
+    int16 values, their filtered copies and a mask, so a block holds about
+    lifting.BLOCK_BYTES; a walk is dropped when it meets t too early.
     """
-    k = np.repeat(np.arange(1, m, dtype=first.dtype), len(first))
-    first, last = np.tile(first, m - 1), np.tile(last, m - 1)
-    keep = (first - last) % m != k + 1
-    return first[keep], last[keep], (k[keep][None],)
+    found = []
+    block = max(1, lifting.BLOCK_BYTES // (16 * m))
+    for k0 in range(1, m, block):
+        ks = np.arange(k0, min(k0 + block, m), dtype=np.int16)
+        k, s = np.repeat(ks, m - 1), np.tile(np.arange(1, m, dtype=np.int16), len(ks))
+        w = (k + s) % np.int16(m)
+        for i in range(1, m):
+            w = _x_next(w, k, s, m)
+            keep = (w == m - 1) if i == m - 1 else (w != m - 1)
+            k, s, w = k[keep], s[keep], w[keep]
+        found.append(np.stack([k, s]))
+    return np.concatenate(found, axis=1)
 
 
-def _x_pair_step(s: _Steps, ref: tuple) -> np.ndarray:
-    # the residue less k is 0 or 1; a residue of 0 gives -k, below both
-    r = s.residue - ref[0]
-    return (r == 0) | (r == 1)
-
-
-def _x_pair_solve(s: _Steps, ref: tuple) -> np.ndarray:
-    # theta(i) + k and theta(i) + k + 1 mod m; at k = m - 1 the second is
-    # theta(i) itself, which is visited
-    r = ref[0] + np.arange(2, dtype=s.cur.dtype)[:, None]
-    return (s.cur - 1 + r) % s.m + 1
-
-
-def _x_pair_prune(s: _Steps, ref: tuple, seen: np.ndarray) -> np.ndarray:
-    """The candidates theta(i+1) of a search by residue pair whose prefix,
-    extended by them, can still enter every value, given that the prefix
-    theta(1..i) could.
-
-    A value still to be entered, unvisited or theta(m), is entered from one of
-    its two in-neighbours, itself less k or k + 1 mod m.  A prefix is dead when
-    some such value has both in-neighbours visited and neither is the current
-    end.  The step from u = theta(i) to theta(i+1) makes u the one visited
-    value that is not the current end and was not so before, so only the
-    out-neighbour v of u that the step did not enter can have died: v =
-    theta(i+1) + 1 after a step by k, whose other in-neighbour is u + 1, and
-    v = theta(i+1) - 1 after a step by k + 1, whose other in-neighbour is u - 1.
-    A child's visited mask differs from its prefix's only at the candidate,
-    which is never v and, where it is u +- 1, is the current end, which the
-    test does not count: so the prefixes' visited masks seen, (n, m + 1) with
-    theta(m) included, which do not hold it, answer as the children's would.
-    """
-    # the residue less k is 0 or 1 where the step passes; elsewhere d is
-    # some integer within 2m of 0, and the answer there is not read
-    d = np.int16(1) - np.int16(2) * (s.residue - ref[0])  # +1 after a step by k, -1 after k + 1
-    v, w = (s.nxt - 1 + d) % s.m + 1, (s.cur - 1 + d) % s.m + 1
-    at = np.arange(0, seen.size, seen.shape[1], dtype=np.int64)
-    flat = seen.ravel()
-    return ~((~flat[at + v] | (v == s.last)) & flat[at + w])
+def _x_rows(m: int) -> np.ndarray:
+    """The rows of X with theta(1) = 1, one per pair of _x_pairs(m) in its
+    order, as an (N, m) array of dtype _dtype_for(m)."""
+    if m == 1:
+        return np.ones((1, 1), dtype=_dtype_for(m))  # no steps to fail
+    k, s = _x_pairs(m)
+    w = np.empty((m, len(k)), dtype=np.int16)
+    w[0] = (k + s) % np.int16(m)
+    for i in range(1, m):
+        w[i] = _x_next(w[i - 1], k, s, m)
+    return ((w - k - s) % np.int16(m) + 1).T.astype(_dtype_for(m))
 
 
 def _sosrec_step(s: _Steps, ref: None) -> np.ndarray:
@@ -350,10 +347,6 @@ _RULES = {
     "SosRec": _Rule(_sosrec_step, _sosrec_solve),
 }
 WALK_LABELS = tuple(_RULES)
-# X by residue pair: every residue is k or k + 1, with k fixed at the start, so
-# a step has at most two candidates; the candidates that leave a value no step
-# can enter are dropped before they are copied.  The X rule above is its reference
-_X_BY_PAIR = _Rule(_x_pair_step, _x_pair_solve, start=_x_pair_start, prune=_x_pair_prune)
 
 
 def _accepts(label: str, s: _Steps) -> np.ndarray:
@@ -397,18 +390,18 @@ def _take(ref: tuple | None, *index) -> tuple | None:
 def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
     """The rows of S_m that start with a value in firsts and pass every step of rule.
 
-    theta(1) and theta(m) are fixed, over every pair of distinct values (or
-    the starts that rule.start makes of them), in blocks of starts.  A prefix
-    theta(1..i) is extended only by the values that rule.solve gives for
-    theta(i+1) (theta(m) itself at the last step), and each is kept only when
-    the visited mask of its prefix does not hold it, rule.step accepts it and
-    rule.prune, if any, accepts it: every test judges the (k, n) candidates
-    before any child is copied.  A step with several candidates first
-    splits its frontier into parts whose children fit lifting.BLOCK_BYTES, but
-    never below one prefix a part: at the first step of Y one prefix has m
-    candidates, whose children take m row_bytes, about m(3m + 1) bytes.  A
-    step therefore holds about max(16 MiB, m(3m + 1)) bytes of children,
-    about 0.3 GB at MAX_DEGREE (computed from the shapes, not measured).
+    theta(1) and theta(m) are fixed, over every pair of distinct values, in
+    blocks of starts, with nothing carried.  A prefix theta(1..i) is extended
+    only by the values that rule.solve gives for theta(i+1) (theta(m) itself
+    at the last step), and each is kept only when the visited mask of its
+    prefix does not hold it and rule.step accepts it: both tests judge the
+    (k, n) candidates before any child is copied.  A step with several
+    candidates first splits its frontier into parts whose children fit
+    lifting.BLOCK_BYTES, but never below one prefix a part: at the first step
+    of Y one prefix has m candidates, whose children take m row_bytes, about
+    m(3m + 1) bytes.  A step therefore holds about max(16 MiB, m(3m + 1))
+    bytes of children, about 0.3 GB at MAX_DEGREE (computed from the shapes,
+    not measured).
     Returns an (N, m) array of dtype _dtype_for(m), rows in no particular order.
     """
     dtype = _dtype_for(m)
@@ -419,15 +412,11 @@ def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
     first = np.repeat(np.asarray(firsts, dtype=np.int16), m - 1)
     last = np.tile(np.arange(1, m, dtype=np.int16), len(firsts))
     last += last >= first  # every value but first, in order
-    refs = None
-    if rule.start:
-        first, last, refs = rule.start(m, first, last)
     row_bytes = m * dtype.itemsize + m + 1
     block = max(1, lifting.BLOCK_BYTES // row_bytes)
     found = []
     for start in range(0, len(first), block):
         f, l = first[start:start + block], last[start:start + block]
-        ref = None if refs is None else tuple(r[:, start:start + block] for r in refs)
         # a frontier holds one prefix per column of rows and per row of seen,
         # its visited mask (C-contiguous, so ravel is a view); theta(m) counts
         # as visited from the start, and alive marks the prefixes still open:
@@ -437,7 +426,7 @@ def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
         rows[0], rows[-1] = f, l
         seen = np.zeros((len(f), m + 1), dtype=bool)
         seen[np.arange(len(f))[:, None], np.stack([f, l], axis=1)] = True
-        stack = [(1, rows, seen, f, l, f, ref, np.ones(len(f), dtype=bool))]
+        stack = [(1, rows, seen, f, l, f, None, np.ones(len(f), dtype=bool))]
         while stack:
             i, rows, seen, first_i, last_i, cur, ref, alive = stack.pop()
             while i < m and len(cur):
@@ -459,8 +448,6 @@ def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
                 if rule.carry:
                     ref = rule.carry(s, ref)
                 ok &= rule.step(s, ref)[0]
-                if rule.prune and i < m - 1:
-                    ok &= rule.prune(s, ref, seen)[0]
                 if len(cand) > 1 or 2 * np.count_nonzero(ok) < n:
                     # the children replace their prefixes, which may have several
                     j, parent = np.divmod(np.flatnonzero(ok), n)
@@ -484,15 +471,15 @@ def _search(label: str, m: int) -> np.ndarray:
 
     Y is solved from every start pair, as verify_theorems checks that it is
     shift-closed, and Yprime is Y filtered by its own rule (_passing).  X is
-    solved from theta(1) = 1 by residue pair (_X_BY_PAIR) and then
-    shift-closed: a shift leaves every difference mod m as it is.  Returns an (N, m) array of dtype
-    _dtype_for(m), rows in no particular order.
+    decoded from theta(1) = 1 by its pairs (k, s) (_x_rows) and then
+    shift-closed: a shift leaves every difference mod m as it is.  Returns an
+    (N, m) array of dtype _dtype_for(m), rows in no particular order.
     """
     every = np.arange(1, m + 1)
     if label == "Yprime":
         return _passing(label, _solve(_RULES["Y"], m, every))
     if label == "X":
-        return shift_closure(PermClass(label, m, _solve(_X_BY_PAIR, m, every[:1]))).as_array()
+        return shift_closure(PermClass(label, m, _x_rows(m))).as_array()
     return _solve(_RULES[label], m, every)
 
 

@@ -2,10 +2,15 @@
 
 Each predicate reads one Permutation and states its class's rule directly
 from the definition.  The library states the same rules once, column-wise,
-as the step rules of perm_sets._RULES; the tests compare the two.
+as the step rules of perm_sets._RULES; the tests compare the two.  The pairs
+(k, s) of X are also read from the lifted V (x_pairs_of_v), with no row of X,
+as the reference for perm_sets._x_pairs.
 """
 from __future__ import annotations
 
+import numpy as np
+
+from soslift.lifting import lift_level
 from soslift.perm_core import Permutation, ascents, cds, delta
 
 
@@ -41,6 +46,33 @@ def in_X(theta: Permutation) -> bool:
     """Quasi-progression of diameter 1: cds inside {k, k+1} for some k in [m-1]."""
     residues = cds(theta)
     return max(residues) - min(residues) <= 1 and 0 not in residues
+
+
+def x_pair(theta: Permutation) -> tuple[int, int] | None:
+    """The pair (k, s) of a row whose residues all lie in one {k, k+1}: k is
+    the least residue and s the number of steps by k (m - 1 when every residue
+    is k).  None for every other row."""
+    vals = theta.values
+    residues = [(b - a) % theta.m for a, b in zip(vals, vals[1:])]
+    k = min(residues)
+    return (k, residues.count(k)) if max(residues) <= k + 1 else None
+
+
+def x_pairs_of_v(m: int) -> np.ndarray:
+    """The pairs (k, s) of the rows of X with theta(1) = 1, read from the
+    first and last columns of the lifted V_m, as a (2, N) array ordered by k,
+    then s.
+
+    X is the shift closure of V, and a member theta of V with (theta(1),
+    theta(m)) = (f, l) has the residues f - [l <= theta(i)]: f - 1 at the
+    m - l steps from l + 1..m, f at the others.  So the shift of theta with
+    theta(1) = 1 has the pair (f - 1, m - l), or (f, m - 1) when l = m and
+    every residue is f.  Members that are shifts of each other give one pair.
+    """
+    level = lift_level(m, force=True)
+    f, l = level.first.astype(np.int64), level.last.astype(np.int64)
+    pairs = np.stack([np.where(l == m, f, f - 1), np.where(l == m, m - 1, m - l)])
+    return np.unique(pairs, axis=1)
 
 
 def satisfies_sos_recurrence(sigma: Permutation) -> bool:

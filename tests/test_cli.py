@@ -927,8 +927,8 @@ def test_missing_subcommand_is_usage_error() -> None:
 
 def test_verify_past_the_cap_is_byte_identical(monkeypatch: pytest.MonkeyPatch,
                                                capsys: pytest.CaptureFixture) -> None:
-    # at 16 the X prune drops candidates and Y's one-shift closure test reads
-    # classes of thousands of rows
+    # at 16 X is decoded from its 72 pairs (k, s) and shift-closed, and Y's
+    # one-shift closure test reads classes of thousands of rows
     monkeypatch.setenv(perm_sets.ENV_MAX_BRUTE_M, "16")
     assert main(["verify", "--m-max", "16"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (

@@ -26,7 +26,7 @@ from soslift.perm_sets import (
 )
 from soslift.sos import suranyi_table, theta_ab
 
-from oracles import in_W, in_X, in_Y, in_Yprime, satisfies_sos_recurrence
+from oracles import in_W, in_X, in_Y, in_Yprime, satisfies_sos_recurrence, x_pair, x_pairs_of_v
 
 
 def _p(text: str) -> Permutation:
@@ -139,54 +139,33 @@ def test_search_splits_its_frontier_and_finds_the_same_rows(monkeypatch: pytest.
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_x_by_residue_pair_finds_the_rows_of_the_x_rule(m: int) -> None:
-    paired = perm_sets._solve(perm_sets._X_BY_PAIR, m, np.array([1]))
+    # the rows decoded from the pairs (k, s) against the generic X search
+    decoded = perm_sets._x_rows(m)
     generic = perm_sets._solve(perm_sets._RULES["X"], m, np.array([1]))
-    assert len(PermClass("X", m, paired)) == len(paired)  # no row found twice
-    assert sorted(paired.tolist()) == sorted(generic.tolist())
+    assert decoded.dtype == _dtype_for(m)
+    assert len(PermClass("X", m, decoded)) == len(decoded)  # no row found twice
+    assert sorted(decoded.tolist()) == sorted(generic.tolist())
 
 
-@pytest.mark.parametrize("m", range(2, 7))
+@pytest.mark.parametrize("m", range(2, 8))
 def test_x_pair_step_accepts_the_residues_k_and_k_plus_1(m: int) -> None:
-    rows = perm_sets._lex_perms(m) + 1
-    block = perm_sets._Block(rows, m)
-    for k in range(1, m):
-        ref = (np.full((1, len(rows)), k, dtype=np.int16),)
-        accepted = perm_sets._x_pair_step(block, ref).all(axis=0)
-        expected = [all((b - a) % m in (k, k + 1) for a, b in zip(row, row[1:])) for row in rows.tolist()]
-        assert accepted.tolist() == expected, k
+    # the rows of S_m with theta(1) = 1 whose residues lie in one {k, k+1},
+    # each decoded from its own pair, and no other row
+    expected = {}
+    for tail in itertools.permutations(range(2, m + 1)):
+        pair = x_pair(Permutation((1, *tail)))
+        if pair is not None:
+            expected[(1, *tail)] = pair
+    rows, pairs = perm_sets._x_rows(m).tolist(), perm_sets._x_pairs(m).T.tolist()
+    assert dict(zip(map(tuple, rows), map(tuple, pairs))) == expected
 
 
-@pytest.mark.parametrize("m", range(2, 11))
-def test_x_pair_prune_drops_exactly_the_dead_prefixes(monkeypatch: pytest.MonkeyPatch,
-                                                      m: int) -> None:
-    """The prune judges the candidates of a step from the step and the visited
-    masks of their prefixes; of those that pass the visited and step tests, it
-    drops the candidates that leave a value to enter, unvisited or theta(m),
-    whose two in-neighbours are both visited and neither is the candidate, and
-    no other."""
-    prune, judged, lengths = perm_sets._x_pair_prune, [], set()
-
-    def checked(s, ref, seen):
-        keep = prune(s, ref, seen)
-        passes = perm_sets._x_pair_step(s, ref)[0].tolist()
-        ks, ends = ref[0][0].tolist(), s.last[0, 0].tolist()
-        for cands, passed, kept in zip(s.nxt[0].tolist(), passes, keep[0].tolist()):
-            for mask, cand, k, end, ok, kept_one in zip(seen.tolist(), cands, ks, ends, passed, kept):
-                blocked = {v for v in range(1, m + 1) if mask[v]}  # theta(m) included
-                if cand in blocked or not ok:
-                    continue  # dropped by the visited or the step test
-                pending = set(range(1, m + 1)) - blocked - {cand} | {end}
-                dead = any({(v - k - 1) % m + 1, (v - k - 2) % m + 1} <= blocked for v in pending)
-                assert kept_one is not dead, (sorted(blocked), cand, end, k)
-                judged.append(kept_one)
-                lengths.add(len(blocked))  # the length of the prefix the candidate extends, plus 1
-        return keep
-
-    monkeypatch.setattr(perm_sets, "_X_BY_PAIR", perm_sets._X_BY_PAIR._replace(prune=checked))
-    assert PermClass("X", m, _search("X", m)) == PermClass("X", m, perm_sets._brute("X", m))
-    assert lengths == set(range(2, m))  # every step but the last, which enters theta(m)
-    if m >= 5:
-        assert not all(judged)  # some candidate was dropped
+@pytest.mark.parametrize("m", [*range(2, 61), 200])
+def test_x_pairs_are_the_pairs_of_the_lifted_v(m: int) -> None:
+    # X = shift-closure of V, compared as pair sets with no row of X
+    pairs = perm_sets._x_pairs(m)
+    assert pairs.shape[1] == totient_sum(m - 1)
+    assert np.array_equal(pairs, x_pairs_of_v(m))
 
 
 def test_search_edge_degrees() -> None:
