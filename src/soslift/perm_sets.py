@@ -19,21 +19,19 @@ Classes by label:
 Method 'brute' decides V, W, Y, Yprime, X and SosRec exactly, in exact
 integer arithmetic, without walking S_m: each class is a conjunction of
 tests, one per step i, on theta(i), theta(i+1), theta(1) and theta(m), and
-its step rule (_RULES) gives the values of theta(i+1) that can pass.  The
-search (_search) fixes theta(1) and theta(m) and extends injective prefixes
-by those values only, re-checked with the step formula and a visited mask;
-one value per step for V, W and SosRec, and at most four for Y (which
-carries delta(1)).  Yprime is Y filtered by its own rule.  X needs no
-search: with theta(1) = 1, each of its rows is forced by two parameters
-(k, s), its residues k and k + 1 and the number of steps by k, and each pair
-is checked by following its one forced walk (_x_pairs, _x_rows); the rows
-are then shift-closed.  The X rule of _RULES, which carries the least and
-greatest residue, is its reference.  The walk of
-S_m in lexicographic order as uint8 blocks (_walk, _brute) reads the same
-rules with .all over the steps; it is the reference the tests compare the
-search with, and no command runs it.  _RULES is the one
-statement of these rules here: the tests hold per-row predicates, written
-from the definitions, as the reference for the walk.  Sstar is the Farey
+its step rule (_RULES) forces the one value of theta(i+1) that can pass.
+The search (_search) starts from every theta(1) and theta(m), and every
+theta(2) for Y, whose first step sets the delta(1) it carries, and follows
+each start's one forced walk, re-checked with the step formula and a
+visited mask.  Yprime is Y filtered by its own rule.  X needs no search:
+with theta(1) = 1, each of its rows is forced by two parameters (k, s), its
+residues k and k + 1 and the number of steps by k, and each pair is checked
+by following its one forced walk (_x_pairs, _x_rows); the rows are then
+shift-closed.  The walk of S_m in lexicographic order as uint8 blocks
+(_walk, _brute) reads the same rules with .all over the steps; it is the
+reference the tests compare the search with, and no command runs it.
+_RULES is the one statement of these rules here: the tests hold per-row
+predicates, written from the definitions, as the reference for the walk.  Sstar is the Farey
 table itself, read with no search, as is SstarTilde, its shift closure.
 VL0 and VL1 are built as arrays from their affine rows (sos.affine_rows), to
 MAX_DEGREE.
@@ -45,6 +43,7 @@ verify_theorems and the sosrec command call it once per class and degree.
 """
 from __future__ import annotations
 
+import math
 import os
 from functools import cached_property
 from itertools import permutations as _sym_group
@@ -178,24 +177,17 @@ class _Block(_Steps):
 
 
 # The step rule of each class.  A row is in the class when every step passes
-# rule.step(steps, ref), where ref holds what the class carries over all its
-# steps: delta(1) for Y, -A_theta for Yprime, the least and greatest residue
-# for X, nothing for V, W and SosRec.  rule.carry(steps, ref) returns ref with
-# the given steps taken in (from None: from these steps alone), and
-# rule.solve(steps, ref) gives, for steps whose nxt is unknown, every value of
-# theta(i+1) in 1..m that can pass, as rows of a (k, N) array; values outside
-# 1..m stand for none.  A search carries nothing before its first step.
+# rule.step(steps, ref), where ref = rule.carry(steps) holds what the class
+# carries over all its steps: delta(1) for Y, -A_theta for Yprime, the least
+# and greatest residue for X; V, W and SosRec have no carry.  rule.solve(steps,
+# ref), for steps whose nxt is unknown, gives the one value of theta(i+1) but
+# theta(1) that can pass, as a (1, N) array; a value outside 1..m, or one that
+# fails the step, stands for none.  Yprime and X have no solve (_search).
 
 class _Rule(NamedTuple):
     step: Callable[[_Steps, tuple | None], np.ndarray]
     solve: Callable[[_Steps, tuple | None], np.ndarray] | None
-    carry: Callable[[_Steps, tuple | None], tuple] | None = None
-
-
-def _every_value(s: _Steps, ref: tuple | None) -> np.ndarray:
-    """1..m, for a step whose rule leaves theta(i+1) free."""
-    return np.broadcast_to(np.arange(1, int(s.m) + 1, dtype=s.cur.dtype)[:, None],
-                           (int(s.m), s.cur.shape[-1]))
+    carry: Callable[[_Steps], tuple] | None = None
 
 
 def _v_step(s: _Steps, ref: None) -> np.ndarray:
@@ -219,20 +211,24 @@ def _y_step(s: _Steps, ref: tuple) -> np.ndarray:
     return s.delta == ref[0]
 
 
-def _y_carry(s: _Steps, ref: tuple | None) -> tuple:
-    return (s.delta[:1],) if ref is None else ref
+def _y_carry(s: _Steps) -> tuple:
+    return (s.delta[:1],)
 
 
-def _y_solve(s: _Steps, ref: tuple | None) -> np.ndarray:
-    if ref is None:  # the first step sets delta(1)
-        return _every_value(s, ref)
-    # nxt = delta(1) + cur - wrap + [first <= nxt] + (m-1)[cur <= nxt]: one
-    # value per case of the two brackets
-    cases = np.array([0, 1, s.m - 1, s.m], dtype=s.cur.dtype)[:, None]
-    return ref[0] + s.cur - s.wrap + cases
+def _y_solve(s: _Steps, ref: tuple) -> np.ndarray:
+    # nxt = base + [first <= nxt] + (m-1)[cur <= nxt], base = delta(1) + cur - wrap.
+    # Below cur, nxt = base + [first <= nxt]: base when base < first, base + 1
+    # when base >= first, and first itself in between.  Above cur, the same
+    # from base + m - 1.  The value below lies in 1..m only when the one above
+    # exceeds m, so at most one value but first passes
+    base = ref[0] + s.cur - s.wrap
+    below = base + (base >= s.first)
+    above = base + (s.m - 1)
+    above += above >= s.first
+    return np.where((1 <= below) & (below < s.cur), below, above)
 
 
-def _yprime_carry(s: _Steps, ref: tuple | None) -> tuple:
+def _yprime_carry(s: _Steps) -> tuple:
     if s.m < 3:
         raise ValueError(f"Yprime needs degree >= 3, got {s.m}")
     return (-s.asc.sum(axis=0, keepdims=True, dtype=s.cur.dtype),)
@@ -246,20 +242,10 @@ def _x_step(s: _Steps, ref: tuple) -> np.ndarray:
     return (r != 0) & (hi - 1 <= r) & (r <= lo + 1)
 
 
-def _x_carry(s: _Steps, ref: tuple | None) -> tuple:
+def _x_carry(s: _Steps) -> tuple:
     # initial= covers degree 1, which has no steps
-    lo = s.residue.min(axis=0, keepdims=True, initial=s.m)
-    hi = s.residue.max(axis=0, keepdims=True, initial=0)
-    return (lo, hi) if ref is None else (np.minimum(lo, ref[0]), np.maximum(hi, ref[1]))
-
-
-def _x_solve(s: _Steps, ref: tuple | None) -> np.ndarray:
-    if ref is None:  # the first residue is free
-        return _every_value(s, ref)
-    lo, hi = ref
-    # the residues in [hi - 1, lo + 1]: three when lo == hi, two when hi == lo + 1
-    r = hi - 1 + np.arange(3, dtype=s.cur.dtype)[:, None]
-    return np.where(r <= lo + 1, (s.cur - 1 + r) % s.m + 1, 0)
+    return (s.residue.min(axis=0, keepdims=True, initial=s.m),
+            s.residue.max(axis=0, keepdims=True, initial=0))
 
 
 # X with theta(1) = 1, from two parameters (k, s).  Less 1, such a row is a
@@ -343,7 +329,7 @@ _RULES = {
     "Y": _Rule(_y_step, _y_solve, _y_carry),
     # solved as Y, then filtered by its own rule (_search)
     "Yprime": _Rule(_y_step, None, _yprime_carry),
-    "X": _Rule(_x_step, _x_solve, _x_carry),
+    "X": _Rule(_x_step, None, _x_carry),
     "SosRec": _Rule(_sosrec_step, _sosrec_solve),
 }
 WALK_LABELS = tuple(_RULES)
@@ -352,7 +338,7 @@ WALK_LABELS = tuple(_RULES)
 def _accepts(label: str, s: _Steps) -> np.ndarray:
     """The (N,) mask of the rows whose every step passes the labeled rule."""
     rule = _RULES[label]
-    ref = rule.carry(s, None) if rule.carry else None
+    ref = rule.carry(s) if rule.carry else None
     return rule.step(s, ref).all(axis=0)
 
 
@@ -377,110 +363,94 @@ def _brute(label: str, m: int) -> np.ndarray:
     return _walk((label,), m)[label]
 
 
-def _take(ref: tuple | None, *index) -> tuple | None:
-    """The carried values at index, each as a (1, n) array.
+def _starts(m: int, width: int, index: np.ndarray) -> np.ndarray:
+    """The tuples of width distinct values in 1..m at the flat indices index,
+    in lexicographic order of the tuples, as a (width, N) int16 array: index
+    is read in the mixed radix m, m - 1, ..., and each digit picks a value
+    among those its tuple has not yet taken."""
+    out = np.empty((width, len(index)), dtype=np.int16)
+    for j in range(width):
+        digit, index = np.divmod(index, math.perm(m - j - 1, width - j - 1))
+        out[j] = digit + 1
+        for taken in np.sort(out[:j], axis=0):
+            out[j] += out[j] >= taken
+    return out
 
-    index addresses a frontier's (k, n) candidates, or its n prefixes.  A
-    value is held per candidate, a (1, k, n) array, or once per prefix, a
-    (1, n) array, which the trailing parts of index address alone.
-    """
-    return None if ref is None else tuple(r[0][index[len(index) - r[0].ndim:]][None] for r in ref)
 
+def _solve(rule: _Rule, m: int) -> np.ndarray:
+    """The rows of S_m that pass every step of rule, by one forced walk per start.
 
-def _solve(rule: _Rule, m: int, firsts: np.ndarray) -> np.ndarray:
-    """The rows of S_m that start with a value in firsts and pass every step of rule.
-
-    theta(1) and theta(m) are fixed, over every pair of distinct values, in
-    blocks of starts, with nothing carried.  A prefix theta(1..i) is extended
-    only by the values that rule.solve gives for theta(i+1) (theta(m) itself
-    at the last step), and each is kept only when the visited mask of its
-    prefix does not hold it and rule.step accepts it: both tests judge the
-    (k, n) candidates before any child is copied.  A step with several
-    candidates first splits its frontier into parts whose children fit
-    lifting.BLOCK_BYTES, but never below one prefix a part: at the first step
-    of Y one prefix has m candidates, whose children take m row_bytes, about
-    m(3m + 1) bytes.  A step therefore holds about max(16 MiB, m(3m + 1))
-    bytes of children, about 0.3 GB at MAX_DEGREE (computed from the shapes,
-    not measured).
+    A start fixes theta(1) and theta(m), and theta(2) as well when the rule
+    has a carry, as its first step sets what the rule carries.  The starts
+    are every tuple of distinct values, decoded from a flat index in blocks
+    whose rows and visited masks fit lifting.BLOCK_BYTES.  Each start is a
+    column: at each step it takes the one value that rule.solve gives for
+    theta(i+1), or its own where the start fixes it, and is closed unless the
+    value lies in 1..m, is not yet visited and passes rule.step.  The open
+    columns are compacted once fewer than half remain.
     Returns an (N, m) array of dtype _dtype_for(m), rows in no particular order.
     """
     dtype = _dtype_for(m)
     if m == 1:
         return np.ones((1, 1), dtype=dtype)  # no steps to fail
-    # the step columns: every value a rule computes lies within 3m + 2 of 0,
-    # which int16 holds up to MAX_DEGREE (_check_brute_guard)
-    first = np.repeat(np.asarray(firsts, dtype=np.int16), m - 1)
-    last = np.tile(np.arange(1, m, dtype=np.int16), len(firsts))
-    last += last >= first  # every value but first, in order
-    row_bytes = m * dtype.itemsize + m + 1
-    block = max(1, lifting.BLOCK_BYTES // row_bytes)
+    # the indices of theta that a start fixes (theta(2) is theta(m) at m = 2);
+    # every value a rule computes lies within 3m + 2 of 0, which int16 holds
+    # up to MAX_DEGREE (_check_brute_guard)
+    fixed = sorted({0, m - 1} | ({1} if rule.carry else set()))
+    total = math.perm(m, len(fixed))
+    block = max(1, lifting.BLOCK_BYTES // (m * dtype.itemsize + m + 1))
     found = []
-    for start in range(0, len(first), block):
-        f, l = first[start:start + block], last[start:start + block]
-        # a frontier holds one prefix per column of rows and per row of seen,
-        # its visited mask (C-contiguous, so ravel is a view); theta(m) counts
-        # as visited from the start, and alive marks the prefixes still open:
-        # a step with one candidate that most prefixes pass closes the others
-        # in place rather than copying the rest
-        rows = np.zeros((m, len(f)), dtype=dtype)
-        rows[0], rows[-1] = f, l
-        seen = np.zeros((len(f), m + 1), dtype=bool)
-        seen[np.arange(len(f))[:, None], np.stack([f, l], axis=1)] = True
-        stack = [(1, rows, seen, f, l, f, None, np.ones(len(f), dtype=bool))]
-        while stack:
-            i, rows, seen, first_i, last_i, cur, ref, alive = stack.pop()
-            while i < m and len(cur):
-                n = len(cur)
-                s = _Steps(m, cur[None], None, first_i[None], last_i[None])
-                cand = last_i[None] if i == m - 1 else rule.solve(s, ref)
-                part = max(1, lifting.BLOCK_BYTES // (len(cand) * row_bytes))
-                if n > part and len(cand) > 1:
-                    stack += [(i, rows[:, a:a + part], seen[a:a + part], first_i[a:a + part],
-                               last_i[a:a + part], cur[a:a + part],
-                               _take(ref, slice(a, a + part)), alive[a:a + part])
-                              for a in range(0, n, part)]
-                    break
-                ok = alive & (cand >= 1) & (cand <= m)
-                if i < m - 1:
-                    ok &= ~seen.ravel()[np.arange(n) * (m + 1) + np.where(ok, cand, 0)]
-                # one step, whose columns are the (k, n) candidates
-                s = _Steps(m, s.cur[None], cand[None], s.first[None], s.last[None])
-                if rule.carry:
-                    ref = rule.carry(s, ref)
-                ok &= rule.step(s, ref)[0]
-                if len(cand) > 1 or 2 * np.count_nonzero(ok) < n:
-                    # the children replace their prefixes, which may have several
-                    j, parent = np.divmod(np.flatnonzero(ok), n)
-                    rows, seen = rows[:, parent], seen[parent]
-                    first_i, last_i, nxt = first_i[parent], last_i[parent], cand[j, parent]
-                    ref, alive = _take(ref, j, parent), np.ones(len(parent), dtype=bool)
-                else:
-                    # one child at most, and most prefixes have it: mark the others closed
-                    alive, nxt, ref = ok[0], np.where(ok[0], cand[0], 0), _take(ref, 0, slice(None))
-                rows[i] = nxt
-                seen.ravel()[np.arange(len(nxt)) * (m + 1) + nxt] = True
-                cur = nxt
-                i += 1
+    for a in range(0, total, block):
+        start = _starts(m, len(fixed), np.arange(a, min(a + block, total)))
+        n = start.shape[1]
+        # a column's prefix is held in rows, and its visited mask in a row of
+        # seen (C-contiguous, so ravel is a view); alive marks the open columns
+        rows = np.zeros((m, n), dtype=dtype)
+        rows[fixed] = start
+        seen = np.zeros((n, m + 1), dtype=bool)
+        seen[np.arange(n)[:, None], start.T] = True
+        first, last, cur, ref, alive = start[:1], start[-1:], start[:1], None, np.ones(n, bool)
+        for i in range(1, m):
+            nxt = (rows[i:i + 1].astype(np.int16) if i in fixed
+                   else rule.solve(_Steps(m, cur, None, first, last), ref))
+            s = _Steps(m, cur, nxt, first, last)
+            if rule.carry and i == 1:
+                ref = rule.carry(s)
+            ok = alive & rule.step(s, ref)[0]
+            if i not in fixed:
+                ok &= (nxt[0] >= 1) & (nxt[0] <= m)
+                ok &= ~seen.ravel()[np.arange(n) * (m + 1) + np.where(ok, nxt[0], 0)]
+            if 2 * np.count_nonzero(ok) < n:
+                # in place, so that a block allocates its rows and masks once
+                keep = np.flatnonzero(ok)
+                n = len(keep)
+                rows[:, :n], seen[:n] = rows[:, keep], seen[keep]
+                rows, seen, alive = rows[:, :n], seen[:n], np.ones(n, dtype=bool)
+                first, last, nxt = first[:, keep], last[:, keep], nxt[:, keep]
+                ref = None if ref is None else tuple(r[:, keep] for r in ref)
             else:
-                found.append(rows[:, alive].T)
+                alive, nxt = ok, np.where(ok, nxt, 0)
+            rows[i] = nxt[0]
+            seen.ravel()[np.arange(n) * (m + 1) + nxt[0]] = True
+            cur = nxt
+        found.append(rows[:, alive].T)
     return np.concatenate(found)
 
 
 def _search(label: str, m: int) -> np.ndarray:
     """The rows of the labeled class of degree m, solved from its step rule.
 
-    Y is solved from every start pair, as verify_theorems checks that it is
+    Y is solved from every start, as verify_theorems checks that it is
     shift-closed, and Yprime is Y filtered by its own rule (_passing).  X is
     decoded from theta(1) = 1 by its pairs (k, s) (_x_rows) and then
     shift-closed: a shift leaves every difference mod m as it is.  Returns an
     (N, m) array of dtype _dtype_for(m), rows in no particular order.
     """
-    every = np.arange(1, m + 1)
     if label == "Yprime":
-        return _passing(label, _solve(_RULES["Y"], m, every))
+        return _passing(label, _solve(_RULES["Y"], m))
     if label == "X":
         return shift_closure(PermClass(label, m, _x_rows(m))).as_array()
-    return _solve(_RULES[label], m, every)
+    return _solve(_RULES[label], m)
 
 
 def _passing(label: str, rows: np.ndarray) -> np.ndarray:

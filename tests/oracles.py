@@ -4,7 +4,9 @@ Each predicate reads one Permutation and states its class's rule directly
 from the definition.  The library states the same rules once, column-wise,
 as the step rules of perm_sets._RULES; the tests compare the two.  The pairs
 (k, s) of X are also read from the lifted V (x_pairs_of_v), with no row of X,
-as the reference for perm_sets._x_pairs.
+as the reference for perm_sets._x_pairs, and the rows of X with theta(1) = 1
+are found by a prefix search (x_rows_by_prefix), the reference for
+perm_sets._x_rows.
 """
 from __future__ import annotations
 
@@ -73,6 +75,26 @@ def x_pairs_of_v(m: int) -> np.ndarray:
     f, l = level.first.astype(np.int64), level.last.astype(np.int64)
     pairs = np.stack([np.where(l == m, f, f - 1), np.where(l == m, m - 1, m - l)])
     return np.unique(pairs, axis=1)
+
+
+def x_rows_by_prefix(m: int) -> np.ndarray:
+    """The rows of X with theta(1) = 1, by a breadth-first search over
+    prefixes from theta(1) = 1, written from X's definition: a prefix is
+    extended by each value it has not taken that keeps every residue of the
+    prefix inside one {k, k+1}.  Returns an (N, m) int16 array."""
+    rows = np.ones((1, 1), dtype=np.int16)
+    for _ in range(1, m):
+        residues = np.diff(rows, axis=1) % m
+        lo, hi = residues.min(axis=1, initial=m), residues.max(axis=1, initial=0)
+        taken = np.zeros((len(rows), m + 1), dtype=bool)
+        np.put_along_axis(taken, rows.astype(np.intp), True, axis=1)
+        children = []
+        for v in range(1, m + 1):
+            r = (v - rows[:, -1]) % m
+            ok = ~taken[:, v] & (np.maximum(hi, r) - np.minimum(lo, r) <= 1)
+            children.append(np.column_stack([rows[ok], np.full(np.count_nonzero(ok), v, rows.dtype)]))
+        rows = np.concatenate(children)
+    return rows
 
 
 def satisfies_sos_recurrence(sigma: Permutation) -> bool:

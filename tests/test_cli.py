@@ -854,12 +854,14 @@ def test_brute_force_commands_walk_no_s_m(monkeypatch: pytest.MonkeyPatch,
 @pytest.mark.parametrize("m", [3, 5, 6])
 def test_sosrec_report_matches_the_object_comparison(monkeypatch: pytest.MonkeyPatch,
                                                       capsys: pytest.CaptureFixture, m: int) -> None:
-    """A wrong step rule (every step's test flipped for rows that start with 2, and
-    every value tried) misses some inverses of V and admits other rows; the
-    report agrees with a comparison of Permutation objects."""
-    sosrec = perm_sets._RULES["SosRec"].step
+    """A wrong step rule (every step's test flipped for rows that start with 2,
+    and the class found by the walk of S_m) misses some inverses of V and admits
+    other rows; the report agrees with a comparison of Permutation objects."""
+    sosrec, search = perm_sets._RULES["SosRec"].step, perm_sets._search
     monkeypatch.setitem(perm_sets._RULES, "SosRec", perm_sets._Rule(
-        lambda s, ref: sosrec(s, ref) ^ (s.first == 2), perm_sets._every_value))
+        lambda s, ref: sosrec(s, ref) ^ (s.first == 2), None))
+    monkeypatch.setattr(perm_sets, "_search", lambda label, m: perm_sets._brute(label, m)
+                        if label == "SosRec" else search(label, m))
     found = list(perm_sets.enumerate_class("SosRec", m))
     # the walk reads the same table
     assert [p.values for p in found] == list(map(tuple, perm_sets._brute("SosRec", m).tolist()))

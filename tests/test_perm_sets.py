@@ -26,7 +26,16 @@ from soslift.perm_sets import (
 )
 from soslift.sos import suranyi_table, theta_ab
 
-from oracles import in_W, in_X, in_Y, in_Yprime, satisfies_sos_recurrence, x_pair, x_pairs_of_v
+from oracles import (
+    in_W,
+    in_X,
+    in_Y,
+    in_Yprime,
+    satisfies_sos_recurrence,
+    x_pair,
+    x_pairs_of_v,
+    x_rows_by_prefix,
+)
 
 
 def _p(text: str) -> Permutation:
@@ -130,8 +139,7 @@ def test_search_finds_what_the_walk_finds(m: int) -> None:
 @pytest.mark.parametrize("m", [2, 5, 7])
 def test_search_splits_its_frontier_and_finds_the_same_rows(monkeypatch: pytest.MonkeyPatch,
                                                            m: int) -> None:
-    # one start pair per block, and a step with several candidates splits
-    # its frontier into parts of one prefix each
+    # one start per block, so every walk runs as a block of one column
     monkeypatch.setattr(lifting, "BLOCK_BYTES", 1)
     _solved_and_walked(tuple(label for label in perm_sets.WALK_LABELS
                              if (label, m) != ("Yprime", 2)), m)
@@ -139,12 +147,33 @@ def test_search_splits_its_frontier_and_finds_the_same_rows(monkeypatch: pytest.
 
 @pytest.mark.parametrize("m", range(1, 17))
 def test_x_by_residue_pair_finds_the_rows_of_the_x_rule(m: int) -> None:
-    # the rows decoded from the pairs (k, s) against the generic X search
+    # the rows decoded from the pairs (k, s) against a prefix search from X's definition
     decoded = perm_sets._x_rows(m)
-    generic = perm_sets._solve(perm_sets._RULES["X"], m, np.array([1]))
     assert decoded.dtype == _dtype_for(m)
     assert len(PermClass("X", m, decoded)) == len(decoded)  # no row found twice
-    assert sorted(decoded.tolist()) == sorted(generic.tolist())
+    assert sorted(decoded.tolist()) == sorted(x_rows_by_prefix(m).tolist())
+
+
+@pytest.mark.parametrize("m", range(3, 13))
+def test_y_solve_gives_the_one_value_that_passes(m: int) -> None:
+    # over every theta(1), theta(i), theta(m) and delta(1), at most one of the
+    # values of Y's four bracket cases but theta(1) passes the step in 1..m,
+    # and _y_solve gives it
+    starts = np.array(list(itertools.permutations(range(1, m + 1), 3)), dtype=np.int16)
+    first, cur, last = starts.T[:, None]
+    for delta1 in range(-3 * m, 3 * m):
+        ref = (np.full(cur.shape, delta1, dtype=np.int16),)
+        base = delta1 + cur - (last <= cur)
+        passing = []
+        for case in (0, 1, m - 1, m):
+            nxt = base + case
+            passes = perm_sets._y_step(perm_sets._Steps(m, cur, nxt, first, last), ref)
+            passing.append(np.where(passes & (1 <= nxt) & (nxt <= m) & (nxt != first), nxt, 0)[0])
+        passing = np.stack(passing)
+        assert ((passing > 0).sum(axis=0) <= 1).all(), delta1
+        one = passing.max(axis=0)
+        solved = perm_sets._y_solve(perm_sets._Steps(m, cur, None, first, last), ref)[0]
+        assert np.array_equal(solved[one > 0], one[one > 0]), delta1
 
 
 @pytest.mark.parametrize("m", range(2, 8))
@@ -349,10 +378,10 @@ def test_verify_theorems_solves_y_once_per_degree(monkeypatch: pytest.MonkeyPatc
     # Yprime is read from the Y rows that verify_theorems already holds
     solve, degrees = perm_sets._solve, []
 
-    def counting_solve(rule, m, firsts):
+    def counting_solve(rule, m):
         if rule is perm_sets._RULES["Y"]:
             degrees.append(m)
-        return solve(rule, m, firsts)
+        return solve(rule, m)
 
     monkeypatch.setattr(perm_sets, "_solve", counting_solve)
     assert report_passed(verify_theorems(6))
@@ -362,8 +391,12 @@ def test_verify_theorems_solves_y_once_per_degree(monkeypatch: pytest.MonkeyPatc
 @pytest.mark.parametrize("accept", ["all", "none"])
 def test_verify_theorems_reports_a_wrong_class_as_failed(monkeypatch: pytest.MonkeyPatch,
                                                          accept: str) -> None:
+    # the wrong W is the walk of S_m under a step that accepts all or none
     monkeypatch.setitem(perm_sets._RULES, "W", perm_sets._Rule(
-        lambda s, ref: np.full(s.d.shape, accept == "all"), perm_sets._every_value))
+        lambda s, ref: np.full(s.d.shape, accept == "all"), None))
+    search = perm_sets._search
+    monkeypatch.setattr(perm_sets, "_search",
+                        lambda label, m: _brute(label, m) if label == "W" else search(label, m))
     records = verify_theorems(5)
     passed = {(r["m"], r["check"]): r["passed"] for r in records}
     for m in range(2, 6):
