@@ -11,33 +11,26 @@ sorted and checked just before it is written.  A row that is not a
 permutation therefore ends the command with exit 2 and one error line after
 the blocks before its own are printed; stdout then holds those whole blocks
 and nothing of the failing one.
+
+Each command imports the modules it runs when it runs: only lifting and
+perm_core load with this module, so ``lift`` and ``project`` start without
+farey, sos, perm_sets or trees.
 """
 from __future__ import annotations
 
 import argparse
 import functools
-import json
 import os
 import sys
-from array import array
 from itertools import islice
 
 import numpy as np
 
-from . import farey, lifting
+from . import lifting
 from .lifting import (MAX_LIFT_DEGREE, Level, check_lift_degree, lift_fibers, lift_level, project,
                       sorted_blocks)
-from .perm_core import (Permutation, _json_values, _rows_in, check_degree, format_rows,
-                        scratch_rows)
-from .perm_sets import (
-    LABELS,
-    METHODS,
-    enumerate_class,
-    report_passed,
-    verify_theorems,
-)
-from .sos import tau_from_alpha, verify_invariants
-from .trees import build_farey_tree, build_gen_tree, check_isomorphism, write_tree
+from .perm_core import (LABELS, METHODS, Permutation, _json_values, _rows_in, check_degree,
+                        format_rows, report_passed, scratch_rows)
 
 DEFAULT_SEED = 1729
 
@@ -59,6 +52,7 @@ def _print_rows(blocks, m: int, fmt: str) -> None:
 
 def _print_report(records: list[dict], fmt: str) -> int:
     if fmt == "json":
+        import json
         print(json.dumps({"passed": report_passed(records), "checks": records}, indent=2))
     else:
         for r in records:
@@ -69,6 +63,7 @@ def _print_report(records: list[dict], fmt: str) -> int:
 
 
 def _cmd_enumerate(args) -> int:
+    from .perm_sets import enumerate_class
     cls = enumerate_class(args.set, args.m, args.method, args.force)
     _print_rows([cls.as_array()], cls.m, args.format)
     return 0
@@ -81,6 +76,9 @@ def _read_parents(path: str, m: int) -> Level:
     values.  Level.from_rows checks each block, a refusal naming the row's
     index in the file, and only the block's two columns are kept.
     """
+    import json
+    from array import array
+
     block_rows = max(1, lifting.BLOCK_BYTES // (8 * m))
     firsts, lasts, read = [], [], 0
     with open(path, encoding="utf-8") as fh:
@@ -131,12 +129,15 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_tau(args) -> int:
-    alpha = farey.parse_fraction(args.alpha)
+    from .farey import parse_fraction
+    from .sos import tau_from_alpha
+    alpha = parse_fraction(args.alpha)
     print(tau_from_alpha(args.m, alpha).one_line())
     return 0
 
 
 def _cmd_farey(args) -> int:
+    from . import farey
     check_degree(args.m, MAX_LIFT_DEGREE, "order")
     num, den = farey.farey_terms(args.m)
     if args.format == "json":
@@ -150,6 +151,7 @@ def _cmd_farey(args) -> int:
 
 
 def _cmd_tree(args) -> int:
+    from .trees import build_farey_tree, build_gen_tree, write_tree
     if args.with_y_levels and args.kind == "farey":
         raise ValueError("--with-y-levels applies to the generation tree, not to --kind farey")
     trees = []
@@ -163,16 +165,22 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    from .perm_sets import verify_theorems
+    from .sos import verify_invariants
     records = verify_theorems(args.m_max)
     records += verify_invariants(args.m_max, samples=args.samples, seed=args.seed)
     return _print_report(records, args.format)
 
 
 def _cmd_verify_tree(args) -> int:
+    from .trees import check_isomorphism
     return _print_report(check_isomorphism(args.depth), args.format)
 
 
 def _cmd_sosrec(args) -> int:
+    import json
+
+    from .perm_sets import enumerate_class
     found, v = (enumerate_class(label, args.m).as_array() for label in ("SosRec", "V"))
     v_inverses = np.empty_like(v)  # inverse(theta)(theta(i)) = i; distinct as the rows of V
     v_inverses[np.arange(len(v))[:, None], v - 1] = np.arange(1, args.m + 1)

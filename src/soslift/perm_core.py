@@ -16,6 +16,10 @@ MAX_DEGREE = 10_000
 # the most bytes that one per-block temporary of a row check, a tau ranking
 # or a piece of printed text may hold (scratch_rows)
 SCRATCH_BYTES = 1 << 18
+# the class labels and methods that perm_sets.enumerate_class takes; kept
+# here so that the command-line parser is built without loading perm_sets
+LABELS = ("V", "W", "Y", "Yprime", "X", "Sstar", "SstarTilde", "VL0", "VL1", "Vminus", "SosRec")
+METHODS = ("brute", "lift", "farey")
 
 
 def check_degree(m: int, ceiling: int | None = MAX_DEGREE, name: str = "degree") -> None:
@@ -144,6 +148,11 @@ class Permutation:
 
     def __str__(self) -> str:
         return self.one_line()
+
+
+def report_passed(records: list[dict]) -> bool:
+    """Whether every record of a report {"m", "check", "passed", "detail"} passed."""
+    return all(r["passed"] for r in records)
 
 
 def _json_values(obj: dict) -> list[int]:

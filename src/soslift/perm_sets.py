@@ -53,20 +53,21 @@ import numpy as np
 
 from . import lifting
 from .farey import totient_sum, totients
-from .perm_core import (
+from .perm_core import (  # LABELS, METHODS, in_V and report_passed are re-exported here
+    LABELS,
     MAX_DEGREE,
+    METHODS,
     PermClass,
     _dtype_for,
     _row_items,
     _rows_in,
     check_degree,
-    in_V,  # re-exported as perm_sets.in_V
+    in_V,
+    report_passed,
     shift_closure,
 )
 from .sos import affine_rows, suranyi_table
 
-LABELS = ("V", "W", "Y", "Yprime", "X", "Sstar", "SstarTilde", "VL0", "VL1", "Vminus", "SosRec")
-METHODS = ("brute", "lift", "farey")
 DEFAULT_MAX_BRUTE_M = 10
 ENV_MAX_BRUTE_M = "SOSLIFT_MAX_BRUTE_M"
 
@@ -556,7 +557,3 @@ def verify_theorems(m_max: int) -> list[dict]:
                    f"{(size * (size - 1) // 2).sum()} pairs, phi(m)={phi[m]}")
         prev_w = w
     return records
-
-
-def report_passed(records: list[dict]) -> bool:
-    return all(r["passed"] for r in records)

@@ -235,11 +235,24 @@ def suranyi_table(m: int) -> SuranyiTable:
     return SuranyiTable(m, num, den, rows)
 
 
+def _randbelow(bits: Callable[[int], int], n: int) -> int:
+    """A draw in [0, n) from getrandbits, as random.Random.randint takes it:
+    n.bit_length() bits, drawn again until they are below n."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
 def _interior_pq(m: int, rng: random.Random) -> tuple[int, int]:
-    """Coprime (p, q) with 0 < p < q and q in (m, 4m], drawn from rng."""
+    """Coprime (p, q) with 0 < p < q and q in (m, 4m], drawn from rng: the
+    draws of rng.randint(m + 1, 4m) and rng.randint(1, q - 1), without
+    randint's argument checks."""
+    bits = rng.getrandbits
     while True:
-        q = rng.randint(m + 1, 4 * m)
-        p = rng.randint(1, q - 1)
+        q = m + 1 + _randbelow(bits, 3 * m)
+        p = 1 + _randbelow(bits, q - 1)
         if gcd(p, q) == 1:
             return p, q
 

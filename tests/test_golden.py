@@ -10,7 +10,9 @@ from __future__ import annotations
 
 import contextlib
 import hashlib
+import importlib
 import importlib.util
+import subprocess
 import io
 import json
 import sys
@@ -18,9 +20,11 @@ from pathlib import Path
 
 import pytest
 
+import soslift
 from soslift.cli import main
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+SRC = str(Path(soslift.__file__).resolve().parents[1])
 SEED = 0
 
 
@@ -74,6 +78,10 @@ def _soslift_bindings() -> dict:
 
 def test_every_op_matches_golden_under_the_tracer() -> None:
     tracer = _perfbench_module("tracing").Tracer()
+    # install imports each module it wraps; with every module loaded first,
+    # before and after hold the same modules whichever tests ran earlier
+    for module in ("cli", "farey", "lifting", "perm_core", "perm_sets", "sos", "trees"):
+        importlib.import_module(f"soslift.{module}")
     before = _soslift_bindings()
     tracer.install()
     try:
@@ -95,6 +103,44 @@ def test_every_op_matches_golden_under_the_tracer() -> None:
     after = _soslift_bindings()
     assert after.keys() == before.keys()
     assert [key for key, value in before.items() if after[key] is not value] == []
+
+
+LAYERS = _perfbench_module("tracing").LAYERS
+
+
+@pytest.mark.parametrize("module", sorted({layer[0] for layer in LAYERS}))
+def test_the_tracer_reaches_each_layer_module_from_a_fresh_package(module: str) -> None:
+    """The tracer reads each module it wraps as getattr(soslift, module); in
+    an interpreter that has imported only the package, that imports the
+    module, which then holds every function the tracer wraps in it."""
+    names = [layer[1] for layer in LAYERS if layer[0] == module]
+    code = (f"import sys\nsys.path.insert(0, {SRC!r})\nimport soslift\n"
+            f"assert 'soslift.{module}' not in sys.modules\n"
+            f"loaded = getattr(soslift, {module!r})\n"
+            f"assert loaded is sys.modules['soslift.{module}']\n"
+            f"assert all(callable(getattr(loaded, name)) for name in {names!r})\n")
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
+
+
+def test_the_tracer_leaves_no_wrapper_in_the_modules_it_imports() -> None:
+    """Installed where only cli is loaded, as in a fresh CLI process, the
+    tracer imports the other modules itself while it wraps; once it is
+    uninstalled no soslift module holds one of its wrappers."""
+    code = f"""
+import sys
+sys.path[:0] = [{SRC!r}, {str(PERFBENCH)!r}]
+from soslift import cli
+from tracing import Tracer
+tracer = Tracer()
+tracer.install()
+tracer.uninstall()
+wrapper_file = tracer._traced.__code__.co_filename
+left = [(name, attr) for name, module in list(sys.modules.items()) if name.split(".")[0] == "soslift"
+        for attr, value in vars(module).items()
+        if getattr(getattr(value, "__code__", None), "co_filename", None) == wrapper_file]
+assert left == [], left
+"""
+    subprocess.run([sys.executable, "-c", code], check=True, timeout=60)
 
 
 def test_the_workers_checked_pass_finds_no_problem(monkeypatch: pytest.MonkeyPatch) -> None:

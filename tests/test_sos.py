@@ -123,6 +123,22 @@ def test_tau_explicit_rejects_farey_terms() -> None:
         tau_explicit(4, Fraction(1, 4))
 
 
+def test_interior_draws_are_those_of_randint() -> None:
+    """The interior rationals are drawn from getrandbits as randint draws
+    q in (m, 4m] and then p in [1, q - 1]: the same rationals, and the same
+    generator state after them, as randint gives."""
+    for m in range(2, 301):
+        drawn, reference = random.Random(m), random.Random(m)
+        for _ in range(20):
+            while True:
+                q = reference.randint(m + 1, 4 * m)
+                p = reference.randint(1, q - 1)
+                if gcd(p, q) == 1:
+                    break
+            assert random_interior_rational(m, drawn) == Fraction(p, q)
+        assert drawn.getstate() == reference.getstate(), m
+
+
 def test_first_and_last_term_identities() -> None:
     rng = random.Random(8)
     for m in range(2, 13):
