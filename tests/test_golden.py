@@ -12,9 +12,9 @@ import contextlib
 import hashlib
 import importlib
 import importlib.util
-import subprocess
 import io
 import json
+import subprocess
 import sys
 from pathlib import Path
 
