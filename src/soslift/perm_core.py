@@ -155,6 +155,11 @@ def report_passed(records: list[dict]) -> bool:
     return all(r["passed"] for r in records)
 
 
+def add_record(records: list[dict], m: int, check: str, passed: object, detail: str = "") -> None:
+    """Append one record {"m", "check", "passed", "detail"} of a report, passed as a bool."""
+    records.append({"m": m, "check": check, "passed": bool(passed), "detail": detail})
+
+
 def _json_values(obj: dict) -> list[int]:
     """The values of a JSON permutation object: a list of integers (no bools)
     whose length is obj["m"] when that is given.  They are not yet checked to
@@ -454,7 +459,17 @@ class PermClass:
         return f"PermClass({self.label!r}, m={self.m}, size={len(self)})"
 
 
+def _shifts(rows: np.ndarray) -> np.ndarray:
+    """Every shift of an (N, m) array of values in 1..m, as (mN, m) rows of dtype
+    _dtype_for(m): shift k of v is wrap[k + v], one gather per shift into one array."""
+    n, m = rows.shape
+    wrap = np.tile(np.arange(1, m + 1, dtype=_dtype_for(m)), 2)
+    out = np.empty((m, n, m), dtype=wrap.dtype)
+    for k in range(m):
+        np.take(wrap[k:], rows, out=out[k])
+    return out.reshape(m * n, m)
+
+
 def shift_closure(perms: PermClass) -> PermClass:
     """The class saturated under all shifts, with the same label.  Idempotent."""
-    m, rows = perms.m, perms.as_array().astype(np.int32)
-    return PermClass(perms.label, m, np.concatenate([(rows + k) % m + 1 for k in range(m)]))
+    return PermClass(perms.label, perms.m, _shifts(perms.as_array()))

@@ -21,20 +21,19 @@ integer arithmetic, without walking S_m: each class is a conjunction of
 tests, one per step i, on theta(i), theta(i+1), theta(1) and theta(m), and
 its step rule (_RULES) forces the one value of theta(i+1) that can pass.
 The search (_search) starts from every theta(1) and theta(m), and every
-theta(2) for Y, whose first step sets the delta(1) it carries, and follows
-each start's one forced walk, re-checked with the step formula and a
-visited mask.  Yprime is Y filtered by its own rule.  X needs no search:
-with theta(1) = 1, each of its rows is forced by two parameters (k, s), its
-residues k and k + 1 and the number of steps by k, and each pair is checked
-by following its one forced walk (_x_pairs, _x_rows); the rows are then
-shift-closed.  The walk of S_m in lexicographic order as uint8 blocks
-(_walk, _brute) reads the same rules with .all over the steps; it is the
-reference the tests compare the search with, and no command runs it.
-_RULES is the one statement of these rules here: the tests hold per-row
-predicates, written from the definitions, as the reference for the walk.  Sstar is the Farey
-table itself, read with no search, as is SstarTilde, its shift closure.
-VL0 and VL1 are built as arrays from their affine rows (sos.affine_rows), to
-MAX_DEGREE.
+theta(2) for Y, whose first step sets the delta(1) it carries, and keeps
+each start's one forced walk if it is a permutation.  Yprime is Y filtered
+by its own rule.  X needs no search: with theta(1) = 1, each of its rows is
+forced by two parameters (k, s), its residues k and k + 1 and the number of
+steps by k, and each pair is checked by following its one forced walk
+(_x_pairs, _x_rows); the rows are then shift-closed.  The walk of S_m in
+lexicographic order as uint8 blocks (_walk, _brute) reads the same rules
+with .all over the steps; it is the reference the tests compare the search
+with, and no command runs it.  _RULES is the one statement of these rules
+here: the tests hold per-row predicates, written from the definitions, as
+the reference for the walk.  Sstar is the Farey table itself, read with no
+search, as is SstarTilde, its shift closure.  VL0 and VL1 are built as
+arrays from their affine rows (sos.affine_rows), to MAX_DEGREE.
 Method 'brute' is capped at m = 10 for the other labels, in enumerate_class
 and verify_theorems alike (_check_brute_guard), unless SOSLIFT_MAX_BRUTE_M,
 a positive integer, raises it; no value of it admits m above MAX_DEGREE.
@@ -45,7 +44,7 @@ from __future__ import annotations
 
 import math
 import os
-from functools import cached_property
+from functools import cached_property, partial
 from itertools import permutations as _sym_group
 from typing import Callable, NamedTuple
 
@@ -53,19 +52,10 @@ import numpy as np
 
 from . import lifting
 from .farey import totient_sum, totients
-from .perm_core import (  # LABELS, METHODS, in_V and report_passed are re-exported here
-    LABELS,
-    MAX_DEGREE,
-    METHODS,
-    PermClass,
-    _dtype_for,
-    _row_items,
-    _rows_in,
-    check_degree,
-    in_V,
-    report_passed,
-    shift_closure,
-)
+# LABELS, METHODS, in_V and report_passed are re-exported here
+from .perm_core import (LABELS, MAX_DEGREE, METHODS, PermClass, _dtype_for, _misses_a_value,
+                        _row_items, _rows_in, _shifts, add_record, check_degree, in_V,
+                        report_passed, shift_closure)
 from .sos import affine_rows, suranyi_table
 
 DEFAULT_MAX_BRUTE_M = 10
@@ -384,11 +374,13 @@ def _solve(rule: _Rule, m: int) -> np.ndarray:
     A start fixes theta(1) and theta(m), and theta(2) as well when the rule
     has a carry, as its first step sets what the rule carries.  The starts
     are every tuple of distinct values, decoded from a flat index in blocks
-    whose rows and visited masks fit lifting.BLOCK_BYTES.  Each start is a
-    column: at each step it takes the one value that rule.solve gives for
-    theta(i+1), or its own where the start fixes it, and is closed unless the
-    value lies in 1..m, is not yet visited and passes rule.step.  The open
-    columns are compacted once fewer than half remain.
+    of about lifting.BLOCK_BYTES, each start counted as its row and m + 1
+    bytes of scratch.  Each start is a column: at each step it takes the one
+    value that rule.solve gives for theta(i+1), or its own where the start
+    fixes it, and is closed, holding 0, unless the value lies in 1..m and
+    passes rule.step.  The open columns are compacted once fewer than half
+    remain.  rule.solve gives the only value but theta(1) that can pass, so
+    each block keeps the rows that miss no value (_misses_a_value).
     Returns an (N, m) array of dtype _dtype_for(m), rows in no particular order.
     """
     dtype = _dtype_for(m)
@@ -404,12 +396,9 @@ def _solve(rule: _Rule, m: int) -> np.ndarray:
     for a in range(0, total, block):
         start = _starts(m, len(fixed), np.arange(a, min(a + block, total)))
         n = start.shape[1]
-        # a column's prefix is held in rows, and its visited mask in a row of
-        # seen (C-contiguous, so ravel is a view); alive marks the open columns
+        # a column's prefix is held in rows; alive marks the open columns
         rows = np.zeros((m, n), dtype=dtype)
         rows[fixed] = start
-        seen = np.zeros((n, m + 1), dtype=bool)
-        seen[np.arange(n)[:, None], start.T] = True
         first, last, cur, ref, alive = start[:1], start[-1:], start[:1], None, np.ones(n, bool)
         for i in range(1, m):
             nxt = (rows[i:i + 1].astype(np.int16) if i in fixed
@@ -417,24 +406,20 @@ def _solve(rule: _Rule, m: int) -> np.ndarray:
             s = _Steps(m, cur, nxt, first, last)
             if rule.carry and i == 1:
                 ref = rule.carry(s)
-            ok = alive & rule.step(s, ref)[0]
-            if i not in fixed:
-                ok &= (nxt[0] >= 1) & (nxt[0] <= m)
-                ok &= ~seen.ravel()[np.arange(n) * (m + 1) + np.where(ok, nxt[0], 0)]
+            ok = alive & rule.step(s, ref)[0] & (nxt[0] >= 1) & (nxt[0] <= m)
             if 2 * np.count_nonzero(ok) < n:
-                # in place, so that a block allocates its rows and masks once
+                # in place, so that a block allocates its rows once
                 keep = np.flatnonzero(ok)
                 n = len(keep)
-                rows[:, :n], seen[:n] = rows[:, keep], seen[keep]
-                rows, seen, alive = rows[:, :n], seen[:n], np.ones(n, dtype=bool)
+                rows[:, :n] = rows[:, keep]
+                rows, alive = rows[:, :n], np.ones(n, dtype=bool)
                 first, last, nxt = first[:, keep], last[:, keep], nxt[:, keep]
                 ref = None if ref is None else tuple(r[:, keep] for r in ref)
             else:
                 alive, nxt = ok, np.where(ok, nxt, 0)
             rows[i] = nxt[0]
-            seen.ravel()[np.arange(n) * (m + 1) + nxt[0]] = True
             cur = nxt
-        found.append(rows[:, alive].T)
+        found.append(rows.T[~_misses_a_value(rows.T)])
     return np.concatenate(found)
 
 
@@ -450,7 +435,7 @@ def _search(label: str, m: int) -> np.ndarray:
     if label == "Yprime":
         return _passing(label, _solve(_RULES["Y"], m))
     if label == "X":
-        return shift_closure(PermClass(label, m, _x_rows(m))).as_array()
+        return _shifts(_x_rows(m))
     return _solve(_RULES[label], m)
 
 
@@ -491,8 +476,8 @@ def enumerate_class(label: str, m: int, method: str = "brute", force: bool = Fal
     if label == "Vminus":
         v, vl1 = _search("V", m), enumerate_class("VL1", m).as_array()
         return PermClass(label, m, v[~_rows_in(v, vl1)])
-    sstar = PermClass(label, m, suranyi_table(m).as_array())
-    return sstar if label == "Sstar" else shift_closure(sstar)
+    rows = suranyi_table(m).as_array()
+    return PermClass(label, m, rows if label == "Sstar" else _shifts(rows))
 
 
 def verify_theorems(m_max: int) -> list[dict]:
@@ -504,10 +489,7 @@ def verify_theorems(m_max: int) -> list[dict]:
     _check_brute_guard(m_max, "m_max")
     phi = totients(m_max)
     records = []
-
-    def record(m: int, check: str, passed: bool, detail: str = "") -> None:
-        records.append({"m": m, "check": check, "passed": passed, "detail": detail})
-
+    record = partial(add_record, records)
     prev_w = PermClass("W", 1, np.ones((1, 1), dtype=np.uint8))
     for m in range(2, m_max + 1):
         v, w, y, x, sstar = (enumerate_class(label, m) for label in ("V", "W", "Y", "X", "Sstar"))
@@ -515,14 +497,14 @@ def verify_theorems(m_max: int) -> list[dict]:
         rows = v.as_array().astype(np.int16)
 
         record(m, "V = W", v == w, f"|V|={len(v)}, |W|={len(w)}")
-        record(m, "W subset of Y", bool(_rows_in(w.as_array(), y.as_array()).all()))
+        record(m, "W subset of Y", _rows_in(w.as_array(), y.as_array()).all())
         if m >= 3:
             # Yprime is Y filtered by its rule, as _search solves it
             yprime = PermClass("Yprime", m, _passing("Yprime", y.as_array()))
             record(m, "Y = Yprime", y == yprime, f"|Y|={len(y)}")
         # closed under the shift by 1 is closed under every shift
         ya = y.as_array()
-        record(m, "Y is shift-closed", bool(_rows_in(ya % ya.dtype.type(m) + 1, ya).all()))
+        record(m, "Y is shift-closed", _rows_in(ya % ya.dtype.type(m) + 1, ya).all())
         record(m, "X = shift-closure of V", x == shift_closure(v), f"|X|={len(x)}")
         record(m, "Sstar (Farey table) = V", sstar == v)
         record(m, "|V| = totient sum", len(v) == totient_sum(m), f"{len(v)} vs {totient_sum(m)}")
@@ -537,8 +519,8 @@ def verify_theorems(m_max: int) -> list[dict]:
         # rows are distinct in every class, so a layer lies in V when V has all its rows
         in0, in1 = _rows_in(rows, vl0), _rows_in(rows, vl1)
         record(m, "affine layers VL0, VL1 disjoint subsets of V, each of size phi(m)",
-               bool(in0.sum() == len(vl0) == phi[m] and in1.sum() == len(vl1) == phi[m]
-                    and not (in0 & in1).any()))
+               in0.sum() == len(vl0) == phi[m] and in1.sum() == len(vl1) == phi[m]
+               and not (in0 & in1).any())
 
         image = PermClass("psi-image", m - 1, ya[ya[:, 0] == 1, 1:] - 1)
         record(m, "psi(S^1 intersect Y) = W of degree m-1", image == prev_w,
@@ -553,7 +535,7 @@ def verify_theorems(m_max: int) -> list[dict]:
             ok = (in0 | in1)[paired].all() and all(
                 np.bincount(group[paired & only]).max(initial=0) <= 1
                 for only in (in0 & ~in1, in1 & ~in0))
-            record(m, "equivalent pairs inside V pair up the affine layers", bool(ok),
+            record(m, "equivalent pairs inside V pair up the affine layers", ok,
                    f"{(size * (size - 1) // 2).sum()} pairs, phi(m)={phi[m]}")
         prev_w = w
     return records

@@ -22,13 +22,14 @@ import random
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from fractions import Fraction
+from functools import partial
 from math import gcd
 
 import numpy as np
 
 from .farey import FareyInterval, farey_terms, totient_sum
-from .perm_core import (Permutation, _dtype_for, _row_items, check_degree, scratch_rows,
-                        supermod_m)
+from .perm_core import (Permutation, _dtype_for, _row_items, add_record, check_degree,
+                        scratch_rows, supermod_m)
 
 
 def _check_angle(m: int, alpha: Fraction) -> None:
@@ -299,10 +300,7 @@ def verify_invariants(m_max: int, samples: int = 200, seed: int = 1729) -> list[
         raise ValueError(f"samples must be non-negative, got {samples}")
     rng = random.Random(seed)
     records = []
-
-    def record(m: int, check: str, passed: bool, detail: str = "") -> None:
-        records.append({"m": m, "check": check, "passed": passed, "detail": detail})
-
+    record = partial(add_record, records)
     for m in range(2, m_max + 1):
         num, den = farey_terms(m)
         p, q = num[:-1] + num[1:], den[:-1] + den[1:]

@@ -26,7 +26,7 @@ import numpy as np
 from . import sos
 from .farey import farey_labels, farey_terms
 from .lifting import MAX_LIFT_DEGREE, TAG_LEFT, TAG_RIGHT, TAG_SINGLE, iter_levels
-from .perm_core import check_degree, format_rows
+from .perm_core import add_record, check_degree, format_rows
 from .sos import SuranyiTable
 
 
@@ -166,24 +166,21 @@ def check_isomorphism(M: int) -> list[dict]:
     check_degree(M, MAX_LIFT_DEGREE, "depth")
     records: list[dict] = []
     divisions: list[dict] = []
-
-    def record(out: list[dict], m: int, check: str, passed: bool, detail: str = "") -> None:
-        out.append({"m": m, "check": check, "passed": bool(passed), "detail": detail})
-
     prev_level = prev_table = None
     for m, (lifted, parent_index, tags) in enumerate(iter_levels(M, force=True), start=1):
         level = lifted.rows()
         table = sos.suranyi_table(m)
         if prev_table is not None:
             same_width = len(prev_level) == len(prev_table.as_array())
-            record(records, m - 1, "edge lists agree node-by-node",
-                   same_width and _same_edges(m, parent_index, prev_table, table))
-            record(divisions, m, "interval division at branching/non-branching parents",
-                   *_division(m, prev_level, parent_index, tags, prev_table, table))
-        record(records, m, "substituted level equals generation level, in order",
-               np.array_equal(level, table.as_array()), f"width {len(level)}")
+            add_record(records, m - 1, "edge lists agree node-by-node",
+                       same_width and _same_edges(m, parent_index, prev_table, table))
+            add_record(divisions, m, "interval division at branching/non-branching parents",
+                       *_division(m, prev_level, parent_index, tags, prev_table, table))
+        add_record(records, m, "substituted level equals generation level, in order",
+                   np.array_equal(level, table.as_array()), f"width {len(level)}")
         prev_level, prev_table = level, table
-    record(records, M, "edge lists agree node-by-node", len(prev_level) == len(prev_table.as_array()))
+    add_record(records, M, "edge lists agree node-by-node",
+               len(prev_level) == len(prev_table.as_array()))
     return records + divisions
 
 

@@ -27,6 +27,7 @@ from soslift.perm_core import (
     shift_equivalent,
     supermod_m,
 )
+from soslift.sos import affine_rows
 
 
 def _cls(label: str, *texts: str) -> PermClass:
@@ -364,6 +365,16 @@ def test_shift_closure_is_idempotent_and_preserves_label() -> None:
     assert shift_closure(closed) == closed
     for p in closed:
         assert any(shift_equivalent(p, q) for q in base)
+
+
+@pytest.mark.parametrize("m", [256, 300])
+def test_shift_closure_past_degree_255_is_uint16(m: int) -> None:
+    rows = affine_rows(m, 0)
+    closed = shift_closure(PermClass("VL0", m, rows))
+    wide = rows.astype(np.int64)
+    every = PermClass("VL0", m, np.concatenate([(wide + k) % m + 1 for k in range(m)]))
+    assert closed.as_array().dtype == np.uint16
+    assert closed == every and len(closed) == m * len(rows)
 
 
 def test_docstring_examples() -> None:

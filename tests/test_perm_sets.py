@@ -6,7 +6,7 @@ from math import gcd
 import numpy as np
 import pytest
 
-from soslift import lifting, perm_sets
+from soslift import lifting, perm_core, perm_sets
 from soslift.farey import totients, totient_sum
 from soslift.cli import main
 from soslift.lifting import lift_level
@@ -136,10 +136,11 @@ def test_search_finds_what_the_walk_finds(m: int) -> None:
                              if (label, m) not in (("Yprime", 1), ("Yprime", 2))), m)
 
 
-@pytest.mark.parametrize("m", [2, 5, 7])
-def test_search_splits_its_frontier_and_finds_the_same_rows(monkeypatch: pytest.MonkeyPatch,
-                                                           m: int) -> None:
-    # one start per block, so every walk runs as a block of one column
+@pytest.mark.parametrize("m", range(2, 9))
+def test_search_runs_each_start_as_its_own_block(monkeypatch: pytest.MonkeyPatch,
+                                                 m: int) -> None:
+    # one start per block, so every walk runs as a block of one column, which
+    # also closes at the last, fixed step
     monkeypatch.setattr(lifting, "BLOCK_BYTES", 1)
     _solved_and_walked(tuple(label for label in perm_sets.WALK_LABELS
                              if (label, m) != ("Yprime", 2)), m)
@@ -240,6 +241,18 @@ def test_sstar_classes_are_read_from_the_farey_table(monkeypatch: pytest.MonkeyP
     for label in ("Sstar", "SstarTilde"):
         with pytest.raises(ValueError, match=r"method 'brute' refused at degree 11 \(cap 10\)"):
             enumerate_class(label, 11)
+
+
+@pytest.mark.parametrize("m", range(2, 9))
+@pytest.mark.parametrize("label", ["X", "SstarTilde"])
+def test_shift_closed_classes_are_sorted_once(monkeypatch: pytest.MonkeyPatch,
+                                              label: str, m: int) -> None:
+    sorted_rows, calls = perm_core._sorted_rows, []
+    monkeypatch.setattr(perm_core, "_sorted_rows",
+                        lambda *args: calls.append(args[0]) or sorted_rows(*args))
+    found = enumerate_class(label, m)
+    assert calls == [label]
+    assert found == shift_closure(enumerate_class("V", m))
 
 
 def test_enumerate_v4_frozen() -> None:
@@ -444,3 +457,12 @@ def test_report_passed() -> None:
     assert report_passed([{"passed": True}, {"passed": True}])
     assert not report_passed([{"passed": True}, {"passed": False}])
     assert report_passed([])
+
+
+def test_add_record_stores_the_record_with_a_bool() -> None:
+    records: list[dict] = []
+    perm_core.add_record(records, 3, "one", np.bool_(True))
+    perm_core.add_record(records, 4, "two", 0, "detail")
+    assert records == [{"m": 3, "check": "one", "passed": True, "detail": ""},
+                       {"m": 4, "check": "two", "passed": False, "detail": "detail"}]
+    assert all(type(r["passed"]) is bool for r in records)
