@@ -6,11 +6,12 @@ verification check fails or the reader closes stdout before the output ends
 permutation or fraction tokens).  Output is deterministic: sets print one
 permutation per line, trees and reports print a single JSON document.
 
-``lift`` prints V_M block by block: each block of whole theta(1) groups is
-sorted and checked just before it is written.  A row that is not a
-permutation therefore ends the command with exit 2 and one error line after
-the blocks before its own are printed; stdout then holds those whole blocks
-and nothing of the failing one.
+``lift`` and ``enumerate --method lift`` print V_M block by block: each
+block of whole theta(1) groups is decoded, sorted and checked in one buffer
+just before it is written.  A row that is not a permutation therefore ends
+the command with exit 2 and one error line after the blocks before its own
+are printed; stdout then holds those whole blocks and nothing of the
+failing one.
 
 Each command imports the modules it runs when it runs: only lifting and
 perm_core load with this module, so ``lift`` and ``project`` start without
@@ -63,8 +64,12 @@ def _print_report(records: list[dict], fmt: str) -> int:
 
 
 def _cmd_enumerate(args) -> int:
-    from .perm_sets import enumerate_class
-    cls = enumerate_class(args.set, args.m, args.method, args.force)
+    from . import perm_sets
+    if args.method == "lift":  # streamed as lift streams it, one block at a time
+        perm_sets.check_route(args.set, args.m, args.method, args.force)
+        _print_rows(sorted_blocks(lifting.lift_level(args.m, args.force)), args.m, args.format)
+        return 0
+    cls = perm_sets.enumerate_class(args.set, args.m, args.method, args.force)
     _print_rows([cls.as_array()], cls.m, args.format)
     return 0
 

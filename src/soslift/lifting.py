@@ -33,8 +33,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .perm_core import (PermClass, Permutation, _dtype_for, _misses_a_value, _sorted_rows,
-                        check_degree, gamma, in_V, psi)
+from .perm_core import (SCRATCH_BYTES, PermClass, Permutation, _dtype_for, _misses_a_value,
+                        _sort_rows, check_degree, gamma, in_V, psi)
 
 FORCE_THRESHOLD = 500
 MAX_LIFT_DEGREE = 2000
@@ -80,28 +80,34 @@ class Level:
         return len(self.first)
 
     def rows(self, start: int = 0, stop: int | None = None) -> np.ndarray:
-        """Members start..stop-1 as an (n, m) array of dtype _dtype_for(m).
+        """Members start..stop-1 as a C-contiguous (n, m) array of dtype _dtype_for(m).
 
         Decoded one column at a time through the congruence, on uint16
         columns of t = theta(i) - 1: t + theta(1) - [theta(m) <= theta(i)]
         lies in [0, 2m - 1], and its minimum with itself less m (which wraps
         past 2^16 - m unless it is at least m) reduces it into [0, m - 1].
+        The columns fill a column-major slab, copied into the rows while in
+        cache: at most SCRATCH_BYTES and, for uint8 rows, at most 6 columns,
+        so that the decode holds under 16 bytes a row beside uint8 rows.
         """
-        m = self.m
-        first = self.first[start:stop].astype(np.uint16)
-        last_less_one = self.last[start:stop].astype(np.uint16) - np.uint16(1)
-        columns = np.empty((m, len(first)), dtype=_dtype_for(m))
-        t, wrapped = first - np.uint16(1), np.empty(len(first), dtype=np.uint16)
-        carry = np.empty(len(first), dtype=bool)
-        columns[0] = first
-        for column in columns[1:]:
-            np.greater_equal(t, last_less_one, out=carry)
-            t += first
-            t -= carry
-            np.subtract(t, m, out=wrapped)
-            np.minimum(t, wrapped, out=t)
-            np.add(t, 1, out=column, casting="unsafe")
-        return columns.T
+        m, dtype = self.m, _dtype_for(self.m)
+        first, last = self.first[start:stop].astype(np.uint16, copy=False), self.last[start:stop]
+        n = len(first)
+        width = min(m, SCRATCH_BYTES // max(n * dtype.itemsize, 1), 6 if dtype.itemsize == 1 else m)
+        out, slab = np.empty((n, m), dtype=dtype), np.empty((max(1, width), n), dtype=dtype)
+        t, wrapped = first - np.uint16(1), np.empty(n, dtype=np.uint16)
+        carry = np.empty(n, dtype=bool)
+        for done in range(0, m, len(slab)):
+            part = slab[:m - done]
+            for column in part:
+                np.add(t, 1, out=column, casting="unsafe")
+                np.less_equal(last, column, out=carry)
+                t += first
+                t -= carry
+                np.subtract(t, m, out=wrapped)
+                np.minimum(t, wrapped, out=t)
+            out[:, done:done + len(part)] = part.T
+        return out
 
     @classmethod
     def from_rows(cls, array: np.ndarray, start: int = 0) -> "Level":
@@ -216,11 +222,10 @@ def sorted_blocks(level: Level) -> Iterator[np.ndarray]:
     Lexicographic order puts theta(1) first, and equal rows have equal
     theta(1), so the (first, last) pairs are put in theta(1) order by a
     stable argsort (a counting sort) and cut into blocks of whole theta(1)
-    groups, each block's decoded rows at most BLOCK_BYTES unless one group
-    is larger.  Each block is decoded, byte-sorted, deduplicated and checked
-    as a PermClass does (a ValueError for a row that is not a permutation),
-    so the blocks in turn are the rows of the class, and no more than one
-    block of rows is held at a time.
+    groups, of at most BLOCK_BYTES of rows unless one group is larger.  Each
+    block is decoded into the buffer that _sort_rows sorts, deduplicates and
+    checks (a ValueError for a row that is not a permutation), so the blocks
+    in turn are the rows of the class, and one block of rows is held at a time.
     """
     m = level.m
     order = np.argsort(level.first, kind="stable")
@@ -229,23 +234,17 @@ def sorted_blocks(level: Level) -> Iterator[np.ndarray]:
     start = stop = 0
     for end in np.cumsum(np.bincount(grouped.first)).tolist():  # where each group ends
         if end - start > block_rows and stop > start:
-            yield _sorted_rows("V", m, grouped.rows(start, stop))
+            yield _sort_rows("V", m, grouped.rows(start, stop))
             start = stop
         stop = end
     if stop > start:
-        yield _sorted_rows("V", m, grouped.rows(start, stop))
+        yield _sort_rows("V", m, grouped.rows(start, stop))
 
 
 def generate_up_to(M: int, force: bool = False) -> list[PermClass]:
-    """Run the lifting recursion from degree 1, returning every level.
-
-    Each level is a PermClass, so its rows are put in lexicographic order
-    and checked when it is built.  Storage for all levels grows like M^4/13
-    bytes; lift_level keeps one, and iter_levels yields each level in
-    generation order unsorted, as two columns.
-    """
-    return [PermClass("V", level.m, level.rows())
-            for level, _, _ in iter_levels(M, force)]
+    """Every level of the recursion from degree 1, each a PermClass (sorted and
+    checked when built): about M^4/13 bytes in all, where lift_level keeps one."""
+    return [PermClass("V", level.m, level.rows()) for level, _, _ in iter_levels(M, force)]
 
 
 def project(theta: Permutation) -> Permutation:

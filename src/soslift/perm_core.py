@@ -7,7 +7,7 @@ object.
 """
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, total_ordering
 from typing import Iterable, Iterator
 
 import numpy as np
@@ -56,6 +56,7 @@ def supermod_m(j: int, m: int) -> int:
     return (j - 1) % m + 1
 
 
+@total_ordering
 class Permutation:
     """Immutable permutation of [m] in one-line notation.
 
@@ -138,11 +139,6 @@ class Permutation:
             return NotImplemented
         return self._values < other._values
 
-    def __le__(self, other: "Permutation") -> bool:
-        if not isinstance(other, Permutation):
-            return NotImplemented
-        return self._values <= other._values
-
     def __repr__(self) -> str:
         return f"Permutation({self.one_line()!r})"
 
@@ -186,16 +182,12 @@ def shift_equivalent(theta: Permutation, other: Permutation) -> bool:
     """True iff the two permutations differ by a shift."""
     if theta.m != other.m:
         raise ValueError(f"degree mismatch: {theta.m} vs {other.m}")
-    m = theta.m
-    k = other(1) - theta(1)
-    return all(supermod_m(v + k, m) == w for v, w in zip(theta, other))
+    return shift(theta, other(1) - theta(1)) == other
 
 
 def gamma(theta: Permutation) -> Permutation:
     """The unique shift of theta whose first value is 1."""
-    m = theta.m
-    k = theta(1)
-    return Permutation(supermod_m(v - k + 1, m) for v in theta)
+    return shift(theta, 1 - theta(1))
 
 
 def psi(theta: Permutation) -> Permutation:
@@ -238,8 +230,7 @@ def delta(theta: Permutation) -> tuple[int, ...]:
 
 def ascents(theta: Permutation) -> int:
     """Number of positions i with theta(i) <= theta(i+1)."""
-    vals = theta.values
-    return sum(1 for i in range(len(vals) - 1) if vals[i] <= vals[i + 1])
+    return sum(a <= b for a, b in zip(theta.values, theta.values[1:]))
 
 
 def cds(theta: Permutation) -> frozenset[int]:
@@ -257,13 +248,8 @@ def cds(theta: Permutation) -> frozenset[int]:
 
 def in_V(theta: Permutation) -> bool:
     """Congruential recurrence membership (the class V)."""
-    m = theta.m
-    vals = theta.values
-    first, last = vals[0], vals[-1]
-    return all(
-        (vals[i + 1] - vals[i]) % m == (first - (last <= vals[i])) % m
-        for i in range(m - 1)
-    )
+    m, vals = theta.m, theta.values
+    return all((b - a) % m == (vals[0] - (vals[-1] <= a)) % m for a, b in zip(vals, vals[1:]))
 
 
 def inverse(theta: Permutation) -> Permutation:
@@ -323,13 +309,15 @@ def _dtype_for(m: int) -> np.dtype:
     return np.dtype(np.uint8 if m <= 255 else np.uint16)
 
 
-def _row_items(rows: np.ndarray) -> np.ndarray:
+def _row_items(rows: np.ndarray, copy: bool = False) -> np.ndarray:
     """The rows of an (N, m) array of values in 0..m as (N,) opaque items, one per row.
 
-    The items view a fresh C-contiguous big-endian copy of dtype _dtype_for(m),
-    so item order is lexicographic row order and equal items are equal rows.
+    The items view a C-contiguous big-endian array of dtype _dtype_for(m), so
+    item order is lexicographic row order and equal items are equal rows:
+    rows itself when it is such an array and copy is False, else a fresh copy.
     """
-    big = np.array(rows, dtype=_dtype_for(rows.shape[1]).newbyteorder(">"), order="C")
+    big_endian = _dtype_for(rows.shape[1]).newbyteorder(">")
+    big = (np.array if copy else np.asarray)(rows, dtype=big_endian, order="C")
     return big.view(np.dtype((np.void, big.shape[1] * big.itemsize))).ravel()
 
 
@@ -340,7 +328,7 @@ def _rows_in(rows: np.ndarray, other: np.ndarray) -> np.ndarray:
     looked up by binary search, so the test holds little beyond the two
     item copies (np.isin on opaque items held about ten times its inputs).
     """
-    keys = _row_items(other)
+    keys = _row_items(other, copy=True)
     keys.sort()
     items = _row_items(rows)
     if not len(keys):
@@ -383,29 +371,40 @@ def _sorted_rows(label: str, m: int, array: np.ndarray) -> np.ndarray:
     """The rows of an (N, m) integer array as the members of a class: in
     lexicographic order, deduplicated, of dtype _dtype_for(m), and each
     checked to be a permutation of 1..m (ValueError naming the label if not).
-
-    The rows are sorted as big-endian byte items (_row_items) in one copy
-    of the array, which the result views.
+    The array is borrowed, so _sort_rows sorts one C-contiguous copy of it.
     """
     check_degree(m, name=f"{label} degree")
     if array.ndim != 2 or array.shape[1] != m or not np.issubdtype(array.dtype, np.integer):
         raise ValueError(f"{label} of degree {m} needs an (N, {m}) integer array, "
                          f"got shape {array.shape} of {array.dtype}")
     if len(array) and (array.min() < 1 or array.max() > m):
-        rows, bad = array, ((array < 1) | (array > m)).any(axis=1)
-    else:
-        items = _row_items(array)
-        items.sort()
-        distinct = items[1:] != items[:-1]
-        if not distinct.all():
-            items = items[np.concatenate(([True], distinct))]
-        rows = items.view(_dtype_for(m).newbyteorder(">")).reshape(len(items), m)
-        if rows.dtype != _dtype_for(m):  # swap the same buffer back to native order
-            rows = rows.byteswap(inplace=True).view(_dtype_for(m))
-        bad = _misses_a_value(rows)
+        _refuse(label, array, ((array < 1) | (array > m)).any(axis=1))
+    return _sort_rows(label, m, np.array(array, dtype=_dtype_for(m), order="C"))
+
+
+def _sort_rows(label: str, m: int, rows: np.ndarray) -> np.ndarray:
+    """_sorted_rows of a C-contiguous (N, m) array of dtype _dtype_for(m) and values
+    in 1..m that the caller hands over, in its own buffer, which the result views.
+    The rows are sorted as big-endian byte items (_row_items), so uint16 rows on a
+    little-endian machine are byte-swapped in place before the sort and after it.
+    """
+    big_endian = rows.dtype.newbyteorder(">")
+    swap = big_endian != rows.dtype
+    items = _row_items((rows.byteswap(inplace=True) if swap else rows).view(big_endian))
+    items.sort()
+    distinct = items[1:] != items[:-1]
+    if not distinct.all():
+        items = items[np.concatenate(([True], distinct))]
+    rows = items.view(big_endian).reshape(len(items), m)
+    rows = rows.byteswap(inplace=True).view(_dtype_for(m)) if swap else rows
+    return _refuse(label, rows, _misses_a_value(rows))
+
+
+def _refuse(label: str, rows: np.ndarray, bad: np.ndarray) -> np.ndarray:
+    """The rows of an (N, m) array, or a ValueError naming the first that bad marks."""
     if bad.any():
         row = tuple(rows[int(np.argmax(bad))].tolist())
-        raise ValueError(f"not a permutation of 1..{m} in {label}: {row}")
+        raise ValueError(f"not a permutation of 1..{rows.shape[1]} in {label}: {row}")
     return rows
 
 

@@ -444,26 +444,34 @@ def _passing(label: str, rows: np.ndarray) -> np.ndarray:
     return rows[_accepts(label, _Block(rows, rows.shape[1]))]
 
 
-def enumerate_class(label: str, m: int, method: str = "brute", force: bool = False) -> PermClass:
-    """Enumerate one labeled class of degree m.
+def check_route(label: str, m: int, method: str, force: bool = False) -> None:
+    """Refuse a label, method or degree that enumerate_class refuses, before any work.
 
-    method 'brute' solves the class from its step rule, builds the affine
-    layers, or reads the Farey table for Sstar and SstarTilde (guarded alike;
-    see module doc),
-    'lift' runs the degree-lifting recursion, and 'farey' reads the interval
-    table; the latter two apply to V and Sstar only, and refuse degrees
-    above 500 unless force=True, and above 2000 (lifting.check_lift_degree).
+    Methods 'lift' and 'farey' apply to V and Sstar only, and refuse degrees
+    above 500 unless force=True, and above 2000 (lifting.check_lift_degree);
+    the brute-force routes have their own ceilings.
     """
     if label not in LABELS:
         raise ValueError(f"unknown class label {label!r}; expected one of {LABELS}")
     if method not in METHODS:
         raise ValueError(f"unknown method {method!r}; expected one of {METHODS}")
-    check_degree(m, None)  # each route below has its own ceiling
-
+    check_degree(m, None)
     if method in ("lift", "farey"):
         if label not in ("V", "Sstar"):
             raise ValueError(f"method {method!r} only enumerates V or Sstar, not {label}")
         lifting.check_lift_degree(m, force)
+
+
+def enumerate_class(label: str, m: int, method: str = "brute", force: bool = False) -> PermClass:
+    """Enumerate one labeled class of degree m, refused as check_route refuses it.
+
+    method 'brute' solves the class from its step rule, builds the affine
+    layers, or reads the Farey table for Sstar and SstarTilde (guarded alike;
+    see module doc), 'lift' runs the degree-lifting recursion, and 'farey'
+    reads the interval table.
+    """
+    check_route(label, m, method, force)
+    if method in ("lift", "farey"):
         rows = lifting.lift_level(m, force).rows() if method == "lift" else suranyi_table(m).as_array()
         return PermClass(label, m, rows)
 

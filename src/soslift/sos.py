@@ -227,7 +227,7 @@ def suranyi_table(m: int) -> SuranyiTable:
     if apart.any():
         raise AssertionError(f"non-adjacent Farey intervals at index {int(np.argmax(apart)) + 1}")
     rows = _rank_taus(m, num[:-1] + num[1:], den[:-1] + den[1:])
-    items = _row_items(rows)
+    items = _row_items(rows, copy=True)
     items.sort()
     if (items[1:] == items[:-1]).any():
         raise AssertionError(f"tau collision in the order-{m} table")

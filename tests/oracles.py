@@ -6,14 +6,16 @@ as the step rules of perm_sets._RULES; the tests compare the two.  The pairs
 (k, s) of X are also read from the lifted V (x_pairs_of_v), with no row of X,
 as the reference for perm_sets._x_pairs, and the rows of X with theta(1) = 1
 are found by a prefix search (x_rows_by_prefix), the reference for
-perm_sets._x_rows.
+perm_sets._x_rows.  The rows of a lifted level are also decoded column by
+column into a column-major array (rows_by_columns), the reference for
+lifting.Level.rows.
 """
 from __future__ import annotations
 
 import numpy as np
 
-from soslift.lifting import lift_level
-from soslift.perm_core import Permutation, ascents, cds, delta
+from soslift.lifting import Level, lift_level
+from soslift.perm_core import Permutation, _dtype_for, ascents, cds, delta
 
 
 def in_W(theta: Permutation) -> bool:
@@ -120,3 +122,25 @@ def satisfies_sos_recurrence(sigma: Permutation) -> bool:
         if last <= cur and nxt != cur - last:
             return False
     return True
+
+
+def rows_by_columns(level: Level, start: int = 0, stop: int | None = None) -> np.ndarray:
+    """Members start..stop-1 of a level, each column decoded through the
+    congruence theta(i+1) = theta(i) + theta(1) - [theta(m) <= theta(i)]
+    (mod m) into an (m, n) array of dtype _dtype_for(m), returned as its
+    (n, m) transpose: no slab, and no C-contiguous copy of the rows."""
+    m = level.m
+    first = level.first[start:stop].astype(np.uint16)
+    last_less_one = level.last[start:stop].astype(np.uint16) - np.uint16(1)
+    columns = np.empty((m, len(first)), dtype=_dtype_for(m))
+    t, wrapped = first - np.uint16(1), np.empty(len(first), dtype=np.uint16)
+    carry = np.empty(len(first), dtype=bool)
+    columns[0] = first
+    for column in columns[1:]:
+        np.greater_equal(t, last_less_one, out=carry)
+        t += first
+        t -= carry
+        np.subtract(t, m, out=wrapped)
+        np.minimum(t, wrapped, out=t)
+        np.add(t, 1, out=column, casting="unsafe")
+    return columns.T

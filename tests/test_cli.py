@@ -643,6 +643,17 @@ def _run_on_sink(argv: list[str]) -> tuple[_CountingSink, int]:
     return sink, peak
 
 
+@pytest.mark.parametrize("degree", [200, 300])
+def test_lift_holds_one_sorted_block(degree: int) -> None:
+    # V_200 (uint8) and V_300 (uint16) are one block each, decoded into the
+    # buffer that is sorted; with the decoded block and its sorted copy both
+    # alive, the traced peak was 2.3 times the block at 200
+    sink, peak = _run_on_sink(["lift", "--to-m", str(degree)])
+    block = totient_sum(degree) * degree * perm_core._dtype_for(degree).itemsize
+    assert sink.writes > 0
+    assert peak < 1.5 * block, (peak, block)
+
+
 _TREE_BUILDERS = {"gen": (trees.build_gen_tree,), "farey": (trees.build_farey_tree,),
                   "both": (trees.build_gen_tree, trees.build_farey_tree)}
 

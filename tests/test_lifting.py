@@ -39,6 +39,8 @@ from soslift.perm_core import (
 from soslift.perm_sets import _lex_perms, enumerate_class
 from soslift.sos import theta_ab
 
+from oracles import rows_by_columns
+
 
 def _p(text: str) -> Permutation:
     return Permutation.parse(text)
@@ -334,6 +336,24 @@ def test_rows_decodes_any_block() -> None:
         assert np.array_equal(level.rows(start, stop), full[start:stop])
 
 
+def test_rows_equal_the_column_decoder() -> None:
+    # every degree to 60, the uint8/uint16 boundary, and two uint16 degrees;
+    # SCRATCH_BYTES holds one uint16 column of V_600's 109500 rows, so its
+    # whole-level decode runs one column a slab
+    degrees = {*range(1, 61), 254, 255, 256, 257, 300, 600}
+    for level, _, _ in iter_levels(max(degrees), force=True):
+        m, n = level.m, len(level)
+        if m not in degrees:
+            continue
+        empty = Level(m, level.first[:0], level.last[:0])
+        ranges = [(level, 0, None), (level, 0, n), (level, n // 3, 2 * n // 3 + 1),
+                  (level, n - 1, None), (level, n // 2, n // 2), (level, n, None), (empty, 0, None)]
+        for source, start, stop in ranges:
+            got = source.rows(start, stop)
+            assert got.dtype == _dtype_for(m) and got.flags.c_contiguous, (m, start, stop)
+            assert np.array_equal(got, rows_by_columns(source, start, stop)), (m, start, stop)
+
+
 def test_rows_holds_little_beyond_its_output() -> None:
     for level, _, _ in iter_levels(200):
         pass
@@ -418,6 +438,22 @@ def test_lift_output_equals_the_sorted_class(monkeypatch: pytest.MonkeyPatch,
         assert cli.main(["lift", "--to-m", str(level.m), "--format", fmt]) == 0
         rows = PermClass("V", level.m, level.rows()).as_array()
         assert capsys.readouterr().out == format_rows(rows, level.m, fmt), level.m
+
+
+@pytest.mark.parametrize("fmt", ["oneline", "json"])
+def test_enumerate_lift_prints_the_bytes_of_lift(monkeypatch: pytest.MonkeyPatch,
+                                                 capsys: pytest.CaptureFixture, fmt: str) -> None:
+    for level, _, _ in iter_levels(max(STREAM_DEGREES)):
+        if level.m not in STREAM_DEGREES:
+            continue
+        for module in (cli, lifting):
+            monkeypatch.setattr(module, "lift_level", lambda M, force=False: level)
+        assert cli.main(["lift", "--to-m", str(level.m), "--format", fmt]) == 0
+        lifted = capsys.readouterr().out
+        for label in ("V", "Sstar"):
+            argv = ["enumerate", "--set", label, "--m", str(level.m), "--method", "lift"]
+            assert cli.main(argv + ["--format", fmt]) == 0
+            assert capsys.readouterr().out == lifted, (label, level.m)
 
 
 def test_sorted_blocks_hold_whole_theta_one_groups(monkeypatch: pytest.MonkeyPatch) -> None:
