@@ -86,27 +86,28 @@ class Level:
         columns of t = theta(i) - 1: t + theta(1) - [theta(m) <= theta(i)]
         lies in [0, 2m - 1], and its minimum with itself less m (which wraps
         past 2^16 - m unless it is at least m) reduces it into [0, m - 1].
-        The columns fill a column-major slab, copied into the rows while in
-        cache: at most SCRATCH_BYTES and, for uint8 rows, at most 6 columns,
-        so that the decode holds under 16 bytes a row beside uint8 rows.
+        Each tile of SCRATCH_BYTES // 16 rows is decoded into a column-major
+        slab of 8 columns (at most SCRATCH_BYTES), copied into the rows while
+        in cache, so the decode holds little beside its output.
         """
-        m, dtype = self.m, _dtype_for(self.m)
-        first, last = self.first[start:stop].astype(np.uint16, copy=False), self.last[start:stop]
-        n = len(first)
-        width = min(m, SCRATCH_BYTES // max(n * dtype.itemsize, 1), 6 if dtype.itemsize == 1 else m)
-        out, slab = np.empty((n, m), dtype=dtype), np.empty((max(1, width), n), dtype=dtype)
-        t, wrapped = first - np.uint16(1), np.empty(n, dtype=np.uint16)
-        carry = np.empty(n, dtype=bool)
-        for done in range(0, m, len(slab)):
-            part = slab[:m - done]
-            for column in part:
-                np.add(t, 1, out=column, casting="unsafe")
-                np.less_equal(last, column, out=carry)
-                t += first
-                t -= carry
-                np.subtract(t, m, out=wrapped)
-                np.minimum(t, wrapped, out=t)
-            out[:, done:done + len(part)] = part.T
+        m, dtype, tile = self.m, _dtype_for(self.m), SCRATCH_BYTES // 16
+        firsts, lasts = self.first[start:stop], self.last[start:stop]
+        out = np.empty((len(firsts), m), dtype=dtype)
+        slab = np.empty((min(m, 8), min(len(out), tile)), dtype=dtype)
+        for lo in range(0, len(out), tile):
+            first, last = firsts[lo:lo + tile], lasts[lo:lo + tile]
+            t = np.subtract(first, 1, dtype=np.uint16)
+            wrapped, carry = np.empty_like(t), np.empty(len(t), dtype=bool)
+            for done in range(0, m, len(slab)):
+                part = slab[:m - done, :len(first)]
+                for column in part:
+                    np.add(t, 1, out=column, casting="unsafe")
+                    np.less_equal(last, column, out=carry)
+                    t += first
+                    t -= carry
+                    np.subtract(t, m, out=wrapped)
+                    np.minimum(t, wrapped, out=t)
+                out[lo:lo + len(first), done:done + len(part)] = part.T
         return out
 
     @classmethod

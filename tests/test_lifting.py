@@ -338,8 +338,8 @@ def test_rows_decodes_any_block() -> None:
 
 def test_rows_equal_the_column_decoder() -> None:
     # every degree to 60, the uint8/uint16 boundary, and two uint16 degrees;
-    # SCRATCH_BYTES holds one uint16 column of V_600's 109500 rows, so its
-    # whole-level decode runs one column a slab
+    # each level past 60 spans several tiles of rows and ends in a part tile,
+    # as the slabs of every m not a multiple of 16 end in a part slab
     degrees = {*range(1, 61), 254, 255, 256, 257, 300, 600}
     for level, _, _ in iter_levels(max(degrees), force=True):
         m, n = level.m, len(level)
