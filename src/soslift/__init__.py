@@ -10,16 +10,14 @@ import sys
 _MODULE_OF = {
     **{name: "farey" for name in (
         "FareyInterval", "farey_intervals", "farey_sequence", "farey_terms", "format_fraction",
-        "mediant", "parse_fraction", "totient_sum", "totients")},
+        "parse_fraction", "totient_sum", "totients")},
     **{name: "lifting" for name in (
         "Level", "generate_up_to", "iter_levels", "lift_fibers", "lift_level", "project")},
     **{name: "perm_core" for name in (
-        "PermClass", "Permutation", "ascents", "cds", "delta", "gamma", "inverse", "mod_m", "psi",
-        "psi_inverse", "shift", "shift_closure", "shift_equivalent", "supermod_m")},
+        "PermClass", "Permutation", "gamma", "psi", "shift", "shift_closure", "supermod_m")},
     **{name: "perm_sets" for name in ("enumerate_class", "in_V", "verify_theorems")},
     **{name: "sos" for name in (
-        "SuranyiTable", "sos_from_alpha", "suranyi_table", "tau_explicit", "tau_from_alpha",
-        "theta_ab", "verify_invariants")},
+        "SuranyiTable", "suranyi_table", "tau_from_alpha", "verify_invariants")},
     **{name: "trees" for name in (
         "Tree", "build_farey_tree", "build_gen_tree", "check_isomorphism", "export_tree")},
     **{module: module for module in (

@@ -1,4 +1,4 @@
-"""Order-m Farey sequences, their open intervals, mediants, and totient sums.
+"""Order-m Farey sequences, their open intervals, and totient sums.
 
 All arithmetic is exact: the terms come as int64 numerator and denominator
 arrays (farey_terms), or as ``fractions.Fraction`` values, which are stored
@@ -128,18 +128,6 @@ def farey_intervals(m: int) -> list[FareyInterval]:
     """The open intervals between successive order-m Farey terms, indexed 1..N."""
     terms = farey_sequence(m)
     return [FareyInterval(lo, hi, t) for t, (lo, hi) in enumerate(zip(terms, terms[1:]), start=1)]
-
-
-def mediant(interval: FareyInterval) -> Fraction:
-    """Mediant (p+p')/(q+q') of the interval endpoints.
-
-    For an order-m Farey interval the mediant lies strictly inside and its
-    denominator exceeds m, so the m fractional parts {i*alpha} are distinct.
-    """
-    return Fraction(
-        interval.lo.numerator + interval.hi.numerator,
-        interval.lo.denominator + interval.hi.denominator,
-    )
 
 
 def totients(m: int) -> list[int]:

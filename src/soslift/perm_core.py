@@ -34,17 +34,6 @@ def check_degree(m: int, ceiling: int | None = MAX_DEGREE, name: str = "degree")
         raise ValueError(f"{name} {m} exceeds the supported ceiling {ceiling}")
 
 
-def mod_m(j: int, m: int) -> int:
-    """Standard residue of j modulo m, in {0, ..., m-1}.
-
-    >>> mod_m(5, 4), mod_m(-1, 4), mod_m(8, 4)
-    (1, 3, 0)
-    """
-    if m < 1:
-        raise ValueError(f"modulus must be positive, got {m}")
-    return j % m
-
-
 def supermod_m(j: int, m: int) -> int:
     """Residue of j modulo m taken in {1, ..., m}: 0 is replaced with m.
 
@@ -174,13 +163,6 @@ def shift(theta: Permutation, k: int) -> Permutation:
     return Permutation(supermod_m(v + k, theta.m) for v in theta)
 
 
-def shift_equivalent(theta: Permutation, other: Permutation) -> bool:
-    """True iff the two permutations differ by a shift."""
-    if theta.m != other.m:
-        raise ValueError(f"degree mismatch: {theta.m} vs {other.m}")
-    return shift(theta, other(1) - theta(1)) == other
-
-
 def gamma(theta: Permutation) -> Permutation:
     """The unique shift of theta whose first value is 1."""
     return shift(theta, 1 - theta(1))
@@ -189,7 +171,7 @@ def gamma(theta: Permutation) -> Permutation:
 def psi(theta: Permutation) -> Permutation:
     """Drop the leading fixed point: (1, t2, ..., tm) -> (t2-1, ..., tm-1).
 
-    Defined only on permutations with theta(1) = 1; inverse of psi_inverse.
+    Defined only on permutations with theta(1) = 1.
     """
     if theta.m < 2:
         raise ValueError("psi needs degree >= 2")
@@ -198,61 +180,10 @@ def psi(theta: Permutation) -> Permutation:
     return Permutation(v - 1 for v in theta.values[1:])
 
 
-def psi_inverse(pi: Permutation) -> Permutation:
-    """Prepend a fixed point: (p1, ..., pn) -> (1, p1+1, ..., pn+1)."""
-    return Permutation((1,) + tuple(v + 1 for v in pi))
-
-
-def delta(theta: Permutation) -> tuple[int, ...]:
-    """The four-term difference sequence Delta_theta(i), i in [m-1].
-
-    Delta_theta(i) = theta(i+1) - theta(i) + [theta(m) <= theta(i)]
-                     - [theta(1) <= theta(i+1)] - (m-1) [theta(i) <= theta(i+1)]
-
-    where [.] is the Iverson bracket.  Constancy of this sequence is the
-    defining property of the class Y_m (m >= 3).
-    """
-    m = theta.m
-    if m < 2:
-        raise ValueError("delta needs degree >= 2")
-    first, last = theta(1), theta(m)
-    vals = theta.values
-    out = []
-    for i in range(m - 1):
-        cur, nxt = vals[i], vals[i + 1]
-        out.append(nxt - cur + (last <= cur) - (first <= nxt) - (m - 1) * (cur <= nxt))
-    return tuple(out)
-
-
-def ascents(theta: Permutation) -> int:
-    """Number of positions i with theta(i) <= theta(i+1)."""
-    return sum(a <= b for a, b in zip(theta.values, theta.values[1:]))
-
-
-def cds(theta: Permutation) -> frozenset[int]:
-    """Congruential difference set {(theta(i+1) - theta(i)) mod m}.
-
-    >>> sorted(cds(Permutation.parse("1342")))
-    [1, 2]
-    """
-    m = theta.m
-    if m < 2:
-        raise ValueError("cds needs degree >= 2")
-    return frozenset((b - a) % m for a, b in zip(theta.values, theta.values[1:]))
-
-
 def in_V(theta: Permutation) -> bool:
     """Congruential recurrence membership (the class V)."""
     m, vals = theta.m, theta.values
     return all((b - a) % m == (vals[0] - (vals[-1] <= a)) % m for a, b in zip(vals, vals[1:]))
-
-
-def inverse(theta: Permutation) -> Permutation:
-    """Group inverse: position of each value."""
-    out = [0] * theta.m
-    for pos, v in enumerate(theta, start=1):
-        out[v - 1] = pos
-    return Permutation(out)
 
 
 def _token_table(tokens: list[str]) -> np.ndarray:

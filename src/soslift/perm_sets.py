@@ -9,8 +9,8 @@ Classes by label:
   X       congruential difference set inside some {k, k+1}
   Sstar   inverses of the Sos permutations (via the Farey interval table)
   SstarTilde  shift closure of Sstar
-  VL0/VL1 affine layers: the rows i -> (a i + b - 1) mod m + 1 of sos.theta_ab,
-          one per a coprime to m, with b = 0 or 1
+  VL0/VL1 affine layers: the rows i -> (a i + b - 1) mod m + 1, one per a coprime
+          to m, with b = 0 or 1
   Vminus  V minus VL1
   SosRec  permutations satisfying the three-case Sos recurrence (exploratory:
           whether it ever exceeds the inverses of V is open; compare it with
@@ -146,7 +146,8 @@ class _Steps:
 
     @cached_property
     def delta(self) -> np.ndarray:
-        """Delta_theta(i), the four-term difference sequence of perm_core.delta"""
+        """Delta_theta(i), the four-term difference sequence: theta(i+1) - theta(i)
+        + [theta(m) <= theta(i)] - [theta(1) <= theta(i+1)] - (m-1) [theta(i) <= theta(i+1)]"""
         return self.d + self.wrap - (self.first <= self.nxt) - (self.m - 1) * self.asc
 
     @cached_property

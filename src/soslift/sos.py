@@ -12,9 +12,9 @@ mediants of the order-m Farey terms, into one (N, m) array: the Farey route
 to the class V, which uses no congruence and no lifting.  verify_invariants
 checks the tau formulas on integer arrays alone: _rank_taus against a
 binary search of the sorted keys (_searched_ranks) at the mediants, and
-against the closed form of tau_explicit at random rationals, and tau just
-below, at and just above each a/m against the affine rows (theta_ab as
-arrays); tau_from_alpha at those fractions gives the same rows.
+against the floor-sum closed form (_closed_form_taus) at random rationals,
+and tau just below, at and just above each a/m against the affine rows
+(affine_rows); tau_from_alpha at those fractions gives the same rows.
 """
 from __future__ import annotations
 
@@ -28,8 +28,7 @@ from math import gcd
 import numpy as np
 
 from .farey import FareyInterval, farey_terms, totient_sum
-from .perm_core import (Permutation, _dtype_for, _row_items, add_record, check_degree,
-                        scratch_rows, supermod_m)
+from .perm_core import Permutation, _dtype_for, _row_items, add_record, check_degree, scratch_rows
 
 
 def _check_angle(m: int, alpha: Fraction) -> None:
@@ -57,43 +56,19 @@ def _keys(m: int, alpha: Fraction) -> list[int]:
     return [(i * p) % q for i in range(1, m + 1)]
 
 
-def sos_from_alpha(m: int, alpha: Fraction) -> Permutation:
-    """The permutation sorting {alpha}, {2 alpha}, ..., {m alpha} increasingly."""
-    keys = _keys(m, alpha)
-    return Permutation(sorted(range(1, m + 1), key=lambda i: keys[i - 1]))
-
-
 def tau_from_alpha(m: int, alpha: Fraction) -> Permutation:
-    """tau_alpha(i) = |{j in [m] : {j alpha} <= {i alpha}}|, the inverse of sos_from_alpha."""
+    """tau_alpha(i) = |{j in [m] : {j alpha} <= {i alpha}}|, the inverse of the
+    permutation that sorts {alpha}, {2 alpha}, ..., {m alpha} increasingly."""
     keys = _keys(m, alpha)
     ranked = sorted(keys)
     return Permutation(bisect_right(ranked, ki) for ki in keys)
 
 
-def tau_explicit(m: int, alpha: Fraction) -> Permutation:
-    """Closed-form tau via floor sums, valid off the order-m Farey sequence.
+def _closed_form_taus(m: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """tau at every p/q off the order-m Farey sequence by its closed form, one row each:
 
     tau_alpha(i) = m (1 - floor(i alpha)) + sum_{j=1}^{m} floor(j alpha)
                    + sum_{j=1}^{m} floor((i-j) alpha)
-
-    The formula is only quoted for alpha that is not an order-m Farey term,
-    so reduced denominators <= m are rejected rather than extrapolated.
-    One row of _closed_form_taus: O(m), in int64 where k*p fits and in
-    Python integers otherwise.
-    """
-    _check_angle(m, alpha)
-    p, q = alpha.numerator, alpha.denominator
-    if q <= m:
-        raise ValueError(
-            f"alpha = {p}/{q} is a term of the order-{m} Farey sequence; "
-            "the closed form is undefined there"
-        )
-    dtype = np.int64 if m * q < 1 << 62 else object
-    return Permutation(_closed_form_taus(m, np.array([p], dtype), np.array([q], dtype))[0].tolist())
-
-
-def _closed_form_taus(m: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """The closed form of tau_explicit at every p/q, one row each.
 
     With F(k) = floor(k p / q) for k in 1-m..m and C(k) = F(1-m) + ... + F(k),
     the two sums of row i are C(m) - C(0) and C(i-1) - C(i-1-m), so a row
@@ -107,20 +82,9 @@ def _closed_form_taus(m: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return m * (1 - floors[:, m:]) + total[:, None] + sums[:, m:2 * m] - sums[:, :m]
 
 
-def theta_ab(m: int, a: int, b: int) -> Permutation:
-    """The affine permutation i -> ((a i + b - 1) mod m) + 1.
-
-    Bijective exactly when gcd(a, m) = 1.
-    """
-    check_degree(m)
-    if gcd(a, m) != 1:
-        raise ValueError(f"theta_ab not invertible: gcd({a}, {m}) != 1")
-    return Permutation(supermod_m(a * i + b, m) for i in range(1, m + 1))
-
-
 def affine_rows(m: int, b: int) -> np.ndarray:
-    """The rows of theta_ab(m, a, b), one per a coprime to m in increasing order,
-    as a (phi(m), m) int32 array: a*i < 2^31 up to MAX_DEGREE."""
+    """The affine rows i -> ((a i + b - 1) mod m) + 1, one per a coprime to m in
+    increasing order, as a (phi(m), m) int32 array: a*i < 2^31 up to MAX_DEGREE."""
     check_degree(m)  # before the (phi(m), m) rows are built
     i = np.arange(1, m + 1, dtype=np.int32)
     return (np.multiply.outer(i[np.gcd(i, m) == 1], i) + (b - 1)) % m + 1
@@ -202,15 +166,13 @@ class SuranyiTable:
         """The tau rows in interval order, a read-only (N, m) array of dtype _dtype_for(m)."""
         return self._rows
 
-    def interval(self, t: int) -> FareyInterval:
-        """The order-m interval of 1-based index t."""
-        lo = Fraction(int(self.num[t - 1]), int(self.den[t - 1]))
-        return FareyInterval(lo, Fraction(int(self.num[t]), int(self.den[t])), t)
-
     @property
     def entries(self) -> Sequence[tuple[FareyInterval, Permutation]]:
-        return _RowView(len(self._rows),
-                        lambda t: (self.interval(t + 1), Permutation(self._rows[t].tolist())))
+        num, den = self.num, self.den
+        return _RowView(len(self._rows), lambda t: (
+            FareyInterval(Fraction(int(num[t]), int(den[t])),
+                          Fraction(int(num[t + 1]), int(den[t + 1])), t + 1),
+            Permutation(self._rows[t].tolist())))
 
 
 def suranyi_table(m: int) -> SuranyiTable:
@@ -258,11 +220,6 @@ def _interior_pq(m: int, rng: random.Random) -> tuple[int, int]:
             return p, q
 
 
-def random_interior_rational(m: int, rng: random.Random) -> Fraction:
-    """A uniform-ish reduced fraction in (0, 1) with denominator in (m, 4m]."""
-    return Fraction(*_interior_pq(m, rng))
-
-
 def _key_rows(m: int, p: np.ndarray, q: np.ndarray) -> np.ndarray:
     """The keys (i*p) mod q, i in [m], at every p/q of the (n,) int64 arrays p, q: (n, m) int64."""
     return np.multiply.outer(p, np.arange(1, m + 1, dtype=np.int64)) % q[:, None]
@@ -283,8 +240,8 @@ def _searched_ranks(keys: np.ndarray) -> np.ndarray:
 def verify_invariants(m_max: int, samples: int = 200, seed: int = 1729) -> list[dict]:
     """Exact cross-checks of the tau formulas, one report record per check.
 
-    Covers: tau_from_alpha = inverse(sos_from_alpha) at every order-m
-    mediant; tau_explicit = tau_from_alpha on seeded random interior
+    Covers: tau as the inverse of the sorting permutation at every order-m
+    mediant; the floor-sum closed form of tau on seeded random interior
     rationals with the first/last-term identities; the degree-compatibility
     psi(gamma(tau_m)) = tau_{m-1}; and the behavior of tau around each
     boundary fraction a/m.  Every check compares two integer arrays computed
@@ -312,7 +269,7 @@ def verify_invariants(m_max: int, samples: int = 200, seed: int = 1729) -> list[
         ok_exp = ok_fl = True
         block_rows = scratch_rows(m)
         for start in range(0, samples, block_rows):
-            # the same rationals, in the same order, as random_interior_rational
+            # one seeded stream of rationals, the same whatever the block size
             n = min(block_rows, samples - start)
             p, q = np.array([_interior_pq(m, rng) for _ in range(n)], dtype=np.int64).T
             sample_tau = _rank_taus(m, p, q).astype(np.int64)  # the identities below wrap in uint8
@@ -330,7 +287,7 @@ def verify_invariants(m_max: int, samples: int = 200, seed: int = 1729) -> list[
             ok = np.array_equal(((tau - tau[:, :1]) % m)[:, 1:], _searched_ranks(keys[:, :-1]))
             record(m, "psi(gamma(tau_m)) = tau_{m-1} at mediants", ok, f"{len(tau)} mediants")
 
-        # just below a/m is theta_ab(m, a, 0), at and just above it theta_ab(m, a, 1):
+        # just below a/m is the affine row of a with b = 0, at and just above it b = 1:
         # (2am -+ 1)/(2m^2) are reduced, as no prime factor of m divides 2am -+ 1
         a = np.arange(1, m + 1, dtype=np.int64)
         a = a[np.gcd(a, m) == 1]

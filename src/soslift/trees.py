@@ -142,7 +142,7 @@ def _division(m: int, parent_rows: np.ndarray, parent_index: np.ndarray, tags: n
     if not bad.any():
         return True, ""
     k = int(np.argmax(bad))
-    interval = parents.interval(k + 1)
+    interval = farey_labels(pnum[k:k + 2], pden[k:k + 2])[1][0]
     if not branching[k]:
         return False, f"single child of {interval} moved"
     if no_singleton[k]:

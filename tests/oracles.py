@@ -1,4 +1,13 @@
-"""Per-row membership predicates: the test oracles for the class rules.
+"""Per-row definitions and membership predicates: the test oracles.
+
+The paper's per-row definitions are stated here on one Permutation at a
+time, as the references that the array code of the package is checked
+against: the difference sequence delta, the ascent count, the congruential
+difference set cds, group inverse, psi_inverse, shift equivalence, the Sos
+permutation of an angle and the closed-form tau (tau_explicit, one row of
+sos._closed_form_taus), the affine rows theta_ab, random interior rationals
+(the draws of sos._interior_pq) and the mediant of a Farey interval.  No
+command runs them.
 
 Each predicate reads one Permutation and states its class's rule directly
 from the definition.  The library states the same rules once, column-wise,
@@ -12,10 +21,130 @@ lifting.Level.rows.
 """
 from __future__ import annotations
 
+import random
+from fractions import Fraction
+from math import gcd
+
 import numpy as np
 
+from soslift.farey import FareyInterval
 from soslift.lifting import Level, lift_level
-from soslift.perm_core import Permutation, _dtype_for, ascents, cds, delta
+from soslift.perm_core import Permutation, _dtype_for, check_degree, shift, supermod_m
+from soslift.sos import _check_angle, _closed_form_taus, _interior_pq, _keys
+
+
+def shift_equivalent(theta: Permutation, other: Permutation) -> bool:
+    """True iff the two permutations differ by a shift."""
+    if theta.m != other.m:
+        raise ValueError(f"degree mismatch: {theta.m} vs {other.m}")
+    return shift(theta, other(1) - theta(1)) == other
+
+
+def psi_inverse(pi: Permutation) -> Permutation:
+    """Prepend a fixed point: (p1, ..., pn) -> (1, p1+1, ..., pn+1)."""
+    return Permutation((1,) + tuple(v + 1 for v in pi))
+
+
+def delta(theta: Permutation) -> tuple[int, ...]:
+    """The four-term difference sequence Delta_theta(i), i in [m-1].
+
+    Delta_theta(i) = theta(i+1) - theta(i) + [theta(m) <= theta(i)]
+                     - [theta(1) <= theta(i+1)] - (m-1) [theta(i) <= theta(i+1)]
+
+    where [.] is the Iverson bracket.  Constancy of this sequence is the
+    defining property of the class Y_m (m >= 3).
+    """
+    m = theta.m
+    if m < 2:
+        raise ValueError("delta needs degree >= 2")
+    first, last = theta(1), theta(m)
+    vals = theta.values
+    out = []
+    for i in range(m - 1):
+        cur, nxt = vals[i], vals[i + 1]
+        out.append(nxt - cur + (last <= cur) - (first <= nxt) - (m - 1) * (cur <= nxt))
+    return tuple(out)
+
+
+def ascents(theta: Permutation) -> int:
+    """Number of positions i with theta(i) <= theta(i+1)."""
+    return sum(a <= b for a, b in zip(theta.values, theta.values[1:]))
+
+
+def cds(theta: Permutation) -> frozenset[int]:
+    """Congruential difference set {(theta(i+1) - theta(i)) mod m}.
+
+    >>> sorted(cds(Permutation.parse("1342")))
+    [1, 2]
+    """
+    m = theta.m
+    if m < 2:
+        raise ValueError("cds needs degree >= 2")
+    return frozenset((b - a) % m for a, b in zip(theta.values, theta.values[1:]))
+
+
+def inverse(theta: Permutation) -> Permutation:
+    """Group inverse: position of each value."""
+    out = [0] * theta.m
+    for pos, v in enumerate(theta, start=1):
+        out[v - 1] = pos
+    return Permutation(out)
+
+
+def sos_from_alpha(m: int, alpha: Fraction) -> Permutation:
+    """The permutation sorting {alpha}, {2 alpha}, ..., {m alpha} increasingly."""
+    keys = _keys(m, alpha)
+    return Permutation(sorted(range(1, m + 1), key=lambda i: keys[i - 1]))
+
+
+def tau_explicit(m: int, alpha: Fraction) -> Permutation:
+    """Closed-form tau via floor sums, valid off the order-m Farey sequence.
+
+    tau_alpha(i) = m (1 - floor(i alpha)) + sum_{j=1}^{m} floor(j alpha)
+                   + sum_{j=1}^{m} floor((i-j) alpha)
+
+    The formula is only quoted for alpha that is not an order-m Farey term,
+    so reduced denominators <= m are rejected rather than extrapolated.
+    One row of _closed_form_taus: O(m), in int64 where k*p fits and in
+    Python integers otherwise.
+    """
+    _check_angle(m, alpha)
+    p, q = alpha.numerator, alpha.denominator
+    if q <= m:
+        raise ValueError(
+            f"alpha = {p}/{q} is a term of the order-{m} Farey sequence; "
+            "the closed form is undefined there"
+        )
+    dtype = np.int64 if m * q < 1 << 62 else object
+    return Permutation(_closed_form_taus(m, np.array([p], dtype), np.array([q], dtype))[0].tolist())
+
+
+def theta_ab(m: int, a: int, b: int) -> Permutation:
+    """The affine permutation i -> ((a i + b - 1) mod m) + 1.
+
+    Bijective exactly when gcd(a, m) = 1.
+    """
+    check_degree(m)
+    if gcd(a, m) != 1:
+        raise ValueError(f"theta_ab not invertible: gcd({a}, {m}) != 1")
+    return Permutation(supermod_m(a * i + b, m) for i in range(1, m + 1))
+
+
+def random_interior_rational(m: int, rng: random.Random) -> Fraction:
+    """A uniform-ish reduced fraction in (0, 1) with denominator in (m, 4m]."""
+    return Fraction(*_interior_pq(m, rng))
+
+
+def mediant(interval: FareyInterval) -> Fraction:
+    """Mediant (p+p')/(q+q') of the interval endpoints.
+
+    For an order-m Farey interval the mediant lies strictly inside and its
+    denominator exceeds m, so the m fractional parts {i*alpha} are distinct.
+    """
+    return Fraction(
+        interval.lo.numerator + interval.hi.numerator,
+        interval.lo.denominator + interval.hi.denominator,
+    )
 
 
 def in_W(theta: Permutation) -> bool:

@@ -13,12 +13,12 @@ import numpy as np
 
 from soslift.farey import totient_sum, totients
 from soslift.lifting import Level, generate_up_to, lift_fibers
-from soslift.perm_core import PermClass, Permutation, inverse, shift_closure
+from soslift.perm_core import PermClass, Permutation, shift_closure
 from soslift.perm_sets import enumerate_class
 from soslift.sos import suranyi_table, verify_invariants
 from soslift.trees import build_gen_tree, check_isomorphism
 
-from oracles import satisfies_sos_recurrence
+from oracles import inverse, satisfies_sos_recurrence
 
 GOLDEN_LEVELS = [
     ["1"],

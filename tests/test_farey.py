@@ -12,11 +12,12 @@ from soslift.farey import (
     farey_sequence,
     farey_terms,
     format_fraction,
-    mediant,
     parse_fraction,
     totient_sum,
     totients,
 )
+
+from oracles import mediant
 
 
 def test_sequence_small_orders_frozen() -> None:

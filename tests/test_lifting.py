@@ -30,16 +30,13 @@ from soslift.perm_core import (
     PermClass,
     Permutation,
     _dtype_for,
-    cds,
     format_rows,
     in_V,
-    psi_inverse,
     shift,
 )
 from soslift.perm_sets import _lex_perms, enumerate_class
-from soslift.sos import theta_ab
 
-from oracles import rows_by_columns
+from oracles import cds, psi_inverse, rows_by_columns, theta_ab
 
 
 def _p(text: str) -> Permutation:

@@ -21,17 +21,15 @@ import soslift
 
 ROOT = Path(__file__).resolve().parents[1]
 
-# the names the package exported when it imported every module at once
+# the package's public names, by the module that defines each
 EXPORTS = {
     "farey": ("FareyInterval", "farey_intervals", "farey_sequence", "farey_terms",
-              "format_fraction", "mediant", "parse_fraction", "totient_sum", "totients"),
+              "format_fraction", "parse_fraction", "totient_sum", "totients"),
     "lifting": ("Level", "generate_up_to", "iter_levels", "lift_fibers", "lift_level", "project"),
-    "perm_core": ("PermClass", "Permutation", "ascents", "cds", "delta", "gamma", "inverse",
-                  "mod_m", "psi", "psi_inverse", "shift", "shift_closure", "shift_equivalent",
+    "perm_core": ("PermClass", "Permutation", "gamma", "psi", "shift", "shift_closure",
                   "supermod_m"),
     "perm_sets": ("enumerate_class", "in_V", "verify_theorems"),
-    "sos": ("SuranyiTable", "sos_from_alpha", "suranyi_table", "tau_explicit", "tau_from_alpha",
-            "theta_ab", "verify_invariants"),
+    "sos": ("SuranyiTable", "suranyi_table", "tau_from_alpha", "verify_invariants"),
     "trees": ("Tree", "build_farey_tree", "build_gen_tree", "check_isomorphism", "export_tree"),
 }
 

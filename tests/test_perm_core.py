@@ -13,21 +13,16 @@ from soslift.perm_core import (
     PermClass,
     Permutation,
     _dtype_for,
-    ascents,
-    cds,
-    delta,
     format_rows,
     gamma,
-    inverse,
-    mod_m,
     psi,
-    psi_inverse,
     shift,
     shift_closure,
-    shift_equivalent,
     supermod_m,
 )
 from soslift.sos import affine_rows
+
+from oracles import ascents, cds, delta, inverse, psi_inverse, shift_equivalent
 
 
 def _cls(label: str, *texts: str) -> PermClass:
@@ -44,9 +39,6 @@ def _sym(m: int) -> list[Permutation]:
 
 
 def test_mod_and_supermod_values() -> None:
-    assert mod_m(7, 4) == 3
-    assert mod_m(-1, 4) == 3
-    assert mod_m(8, 4) == 0
     assert supermod_m(0, 4) == 4
     assert supermod_m(4, 4) == 4
     assert supermod_m(5, 4) == 1
@@ -56,8 +48,6 @@ def test_mod_and_supermod_values() -> None:
 
 
 def test_mod_rejects_nonpositive_modulus() -> None:
-    with pytest.raises(ValueError, match="modulus must be positive"):
-        mod_m(3, 0)
     with pytest.raises(ValueError, match="modulus must be positive"):
         supermod_m(3, -1)
 
@@ -380,10 +370,11 @@ def test_shift_closure_past_degree_255_is_uint16(m: int) -> None:
 def test_docstring_examples() -> None:
     import doctest
 
+    import oracles
     import soslift.farey
     import soslift.perm_core
 
-    for module in (soslift.perm_core, soslift.farey):
+    for module in (soslift.perm_core, soslift.farey, oracles):
         result = doctest.testmod(module)
         assert result.attempted > 0
         assert result.failed == 0

@@ -10,7 +10,7 @@ from soslift import lifting, perm_core, perm_sets
 from soslift.farey import totients, totient_sum
 from soslift.cli import main
 from soslift.lifting import lift_level
-from soslift.perm_core import PermClass, Permutation, _dtype_for, inverse, shift_closure
+from soslift.perm_core import PermClass, Permutation, _dtype_for, shift_closure
 from soslift.perm_sets import (
     DEFAULT_MAX_BRUTE_M,
     ENV_MAX_BRUTE_M,
@@ -24,14 +24,16 @@ from soslift.perm_sets import (
     report_passed,
     verify_theorems,
 )
-from soslift.sos import suranyi_table, theta_ab
+from soslift.sos import suranyi_table
 
 from oracles import (
     in_W,
     in_X,
     in_Y,
     in_Yprime,
+    inverse,
     satisfies_sos_recurrence,
+    theta_ab,
     x_pair,
     x_pairs_of_v,
     x_rows_by_prefix,

@@ -9,20 +9,19 @@ import numpy as np
 import pytest
 
 from soslift import perm_core, sos
-from soslift.farey import farey_intervals, farey_terms, mediant, totient_sum
-from soslift.perm_core import MAX_DEGREE, Permutation, _dtype_for, gamma, inverse, psi
-from soslift.sos import (
-    SuranyiTable,
-    random_interior_rational,
-    sos_from_alpha,
-    suranyi_table,
-    tau_explicit,
-    tau_from_alpha,
-    theta_ab,
-    verify_invariants,
-)
+from soslift.farey import farey_intervals, farey_terms, totient_sum
+from soslift.perm_core import MAX_DEGREE, Permutation, _dtype_for, gamma, psi
+from soslift.sos import SuranyiTable, suranyi_table, tau_from_alpha, verify_invariants
 
-from oracles import satisfies_sos_recurrence
+from oracles import (
+    inverse,
+    mediant,
+    random_interior_rational,
+    satisfies_sos_recurrence,
+    sos_from_alpha,
+    tau_explicit,
+    theta_ab,
+)
 
 
 def _p(text: str) -> Permutation:

@@ -279,6 +279,31 @@ def test_check_isomorphism_names_the_split_that_moved(monkeypatch: pytest.Monkey
                          "passed": False, "detail": "split of (0/1, 1/2) is not at 1/3"}]
 
 
+def _swap_single_children(level, parent_index, tags):
+    # the only children of the first two non-branching parents trade parents
+    parent_index = parent_index.copy()
+    a, b = np.flatnonzero(tags == TAG_SINGLE)[:2]
+    parent_index[[a, b]] = parent_index[[b, a]]
+    return level, parent_index, tags
+
+
+def test_check_isomorphism_names_the_single_child_that_moved(
+        monkeypatch: pytest.MonkeyPatch) -> None:
+    real = trees.iter_levels
+
+    def faulty(M, force=False):
+        for m, out in enumerate(real(M, force), start=1):
+            yield _swap_single_children(*out) if m == 4 else out
+
+    monkeypatch.setattr(trees, "iter_levels", faulty)
+    division = [r for r in check_isomorphism(4) if r["check"].startswith("interval division")]
+    # 231 on (1/3, 1/2) and 213 on (1/2, 2/3) do not branch at degree 4; the
+    # only child of (1/3, 1/2) is now the one on (1/2, 2/3)
+    assert division[-1] == {"m": 4, "check": "interval division at branching/non-branching parents",
+                            "passed": False, "detail": "single child of (1/3, 1/2) moved"}
+    assert all(r["passed"] for r in division[:-1])
+
+
 def test_division_names_a_branching_parent_without_singleton_difference_set() -> None:
     (v3, _, _), (_, parent_index, tags) = list(iter_levels(4))[2:]
     rows = v3.rows().copy()
