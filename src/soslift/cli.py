@@ -28,12 +28,40 @@ from itertools import islice
 import numpy as np
 
 from . import lifting
-from .lifting import (MAX_LIFT_DEGREE, Level, check_lift_degree, lift_fibers, lift_level, project,
-                      sorted_blocks)
+from .lifting import MAX_LIFT_DEGREE, Level, lift_fibers, lift_level, project, sorted_blocks
 from .perm_core import (LABELS, METHODS, Permutation, _json_values, _rows_in, check_degree,
                         format_rows, report_passed, scratch_rows)
 
 DEFAULT_SEED = 1729
+# the commands' size policy, not the library's: --force above FORCE_THRESHOLD for a lift or
+# a Farey table, and a brute-force cap of ENV_MAX_BRUTE_M if set, else DEFAULT_MAX_BRUTE_M
+FORCE_THRESHOLD = 500
+DEFAULT_MAX_BRUTE_M = 10
+ENV_MAX_BRUTE_M = "SOSLIFT_MAX_BRUTE_M"
+
+
+def _check_force(M: int, force: bool) -> None:
+    """Refuse target degrees below 1, above 2000, and above 500 without --force."""
+    check_degree(M, MAX_LIFT_DEGREE, "target degree")
+    if M > FORCE_THRESHOLD and not force:
+        raise ValueError(f"degree {M} > {FORCE_THRESHOLD} needs force=True "
+                         "(soslift lift --force, soslift enumerate --force)")
+
+
+def _check_brute_cap(m: int, verify: bool = False) -> None:
+    """Refuse brute force above the cap; for verify, an m_max outside [2, cap], named so."""
+    raw = os.environ.get(ENV_MAX_BRUTE_M)
+    try:
+        cap = DEFAULT_MAX_BRUTE_M if raw is None else int(raw)
+    except ValueError:
+        raise ValueError(f"{ENV_MAX_BRUTE_M} must be an integer, got {raw!r}") from None
+    check_degree(cap, None, ENV_MAX_BRUTE_M)
+    if verify and not 2 <= m <= cap:
+        raise ValueError(f"m_max must lie in [2, {cap}] for exhaustive checks, got {m}; "
+                         f"set {ENV_MAX_BRUTE_M} to raise the cap")
+    if m > cap:
+        raise ValueError(f"method 'brute' refused at degree {m} (cap {cap}); "
+                         f"set {ENV_MAX_BRUTE_M} to raise it")
 
 
 def _print_rows(blocks, m: int, fmt: str) -> None:
@@ -65,11 +93,15 @@ def _print_report(records: list[dict], fmt: str) -> int:
 
 def _cmd_enumerate(args) -> int:
     from . import perm_sets
+    perm_sets.check_route(args.set, args.m, args.method)
+    if args.method != "brute":
+        _check_force(args.m, args.force)
+    elif args.set not in ("VL0", "VL1"):
+        _check_brute_cap(args.m)
     if args.method == "lift":  # streamed as lift streams it, one block at a time
-        perm_sets.check_route(args.set, args.m, args.method, args.force)
-        _print_rows(sorted_blocks(lifting.lift_level(args.m, args.force)), args.m, args.format)
+        _print_rows(sorted_blocks(lifting.lift_level(args.m)), args.m, args.format)
         return 0
-    cls = perm_sets.enumerate_class(args.set, args.m, args.method, args.force)
+    cls = perm_sets.enumerate_class(args.set, args.m, args.method)
     _print_rows([cls.as_array()], cls.m, args.format)
     return 0
 
@@ -108,11 +140,11 @@ def _cmd_lift(args) -> int:
         check_degree(args.from_m, None, "source degree")  # the target degree has the ceiling
     if args.input and args.from_m is None:
         raise ValueError("--input holds V of degree --from-m and cannot be combined with --to-m")
+    target = args.to_m if args.to_m is not None else args.from_m + 1
+    _check_force(target, args.force)
     if args.input:
-        m = args.from_m
-        check_lift_degree(m + 1, args.force)
         try:
-            parents = _read_parents(args.input, m)
+            parents = _read_parents(args.input, args.from_m)
         except (OSError, KeyError, TypeError, ValueError, OverflowError, RecursionError) as exc:
             # ValueError covers undecodable bytes, bad JSON, rows outside V and
             # rows whose degree is not --from-m; OverflowError, values beyond int64;
@@ -122,7 +154,7 @@ def _cmd_lift(args) -> int:
             raise ValueError(f"no permutations read from {args.input}")
         level = lift_fibers(parents)[0]
     else:
-        level = lift_level(args.to_m if args.to_m is not None else args.from_m + 1, args.force)
+        level = lift_level(target)
     _print_rows(sorted_blocks(level), level.m, args.format)
     return 0
 
@@ -170,6 +202,7 @@ def _cmd_tree(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    _check_brute_cap(args.m_max, verify=True)
     from .perm_sets import verify_theorems
     from .sos import verify_invariants
     records = verify_theorems(args.m_max)
@@ -186,6 +219,8 @@ def _cmd_sosrec(args) -> int:
     import json
 
     from .perm_sets import enumerate_class
+    check_degree(args.m, None)
+    _check_brute_cap(args.m)
     found, v = (enumerate_class(label, args.m).as_array() for label in ("SosRec", "V"))
     v_inverses = np.empty_like(v)  # inverse(theta)(theta(i)) = i; distinct as the rows of V
     v_inverses[np.arange(len(v))[:, None], v - 1] = np.arange(1, args.m + 1)

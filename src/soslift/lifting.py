@@ -36,7 +36,6 @@ import numpy as np
 from .perm_core import (SCRATCH_BYTES, PermClass, Permutation, _dtype_for, _misses_a_value,
                         _sort_rows, check_degree, gamma, in_V, psi)
 
-FORCE_THRESHOLD = 500
 MAX_LIFT_DEGREE = 2000
 # sorted_blocks decodes at most this many bytes of rows per block, unless
 # one theta(1) group alone is larger
@@ -183,25 +182,14 @@ def lift_fibers(parents: Level) -> tuple[Level, np.ndarray, np.ndarray]:
     return Level(m, child_first, child_last), parent_index, tags
 
 
-def check_lift_degree(M: int, force: bool = False) -> None:
-    """Refuse degrees below 1, above 2000, and above 500 without force=True.
-
-    Both routes to V_M that build whole levels, lifting and the Farey
-    table, take their degree through this guard.
-    """
-    check_degree(M, MAX_LIFT_DEGREE, "target degree")
-    if M > FORCE_THRESHOLD and not force:
-        raise ValueError(f"degree {M} > {FORCE_THRESHOLD} needs force=True "
-                         "(soslift lift --force, soslift enumerate --force)")
-
-
-def iter_levels(M: int, force: bool = False) -> Iterator[tuple[Level, np.ndarray, np.ndarray]]:
+def iter_levels(M: int) -> Iterator[tuple[Level, np.ndarray, np.ndarray]]:
     """Yield lift_fibers' (level, parent_index, tags) for degrees 1..M.
 
     Degree 1 is the row [1] with parent 0 and tag TAG_SINGLE.  Only the
-    previous level is held.  The degree guard runs on the first next().
+    previous level is held.  M is refused outside 1..MAX_LIFT_DEGREE on the
+    first next().
     """
-    check_lift_degree(M, force)
+    check_degree(M, MAX_LIFT_DEGREE, "target degree")
     one = np.ones(1, dtype=_dtype_for(1))
     level = Level(1, one, one)
     yield level, np.zeros(1, dtype=np.int64), np.array([TAG_SINGLE], dtype=np.int8)
@@ -210,9 +198,9 @@ def iter_levels(M: int, force: bool = False) -> Iterator[tuple[Level, np.ndarray
         yield level, parent_index, tags
 
 
-def lift_level(M: int, force: bool = False) -> Level:
+def lift_level(M: int) -> Level:
     """The class V of degree M as a Level in generation order, lifted from degree 1."""
-    for level, _, _ in iter_levels(M, force):
+    for level, _, _ in iter_levels(M):
         pass
     return level
 
@@ -242,10 +230,10 @@ def sorted_blocks(level: Level) -> Iterator[np.ndarray]:
         yield _sort_rows("V", m, grouped.rows(start, stop))
 
 
-def generate_up_to(M: int, force: bool = False) -> list[PermClass]:
+def generate_up_to(M: int) -> list[PermClass]:
     """Every level of the recursion from degree 1, each a PermClass (sorted and
     checked when built): about M^4/13 bytes in all, where lift_level keeps one."""
-    return [PermClass("V", level.m, level.rows()) for level, _, _ in iter_levels(M, force)]
+    return [PermClass("V", level.m, level.rows()) for level, _, _ in iter_levels(M)]
 
 
 def project(theta: Permutation) -> Permutation:

@@ -34,16 +34,15 @@ here: the tests hold per-row predicates, written from the definitions, as
 the reference for the walk.  Sstar is the Farey table itself, read with no
 search, as is SstarTilde, its shift closure.  VL0 and VL1 are built as
 arrays from their affine rows (sos.affine_rows), to MAX_DEGREE.
-Method 'brute' is capped at m = 10 for the other labels, in enumerate_class
-and verify_theorems alike (_check_brute_guard), unless SOSLIFT_MAX_BRUTE_M,
-a positive integer, raises it; no value of it admits m above MAX_DEGREE.
+Every search refuses degrees above MAX_DEGREE and nothing below it: the
+cap on how large a search a command runs unasked (SOSLIFT_MAX_BRUTE_M) is
+the command line's policy (cli).
 enumerate_class is the one function that enumerates a class by label:
 verify_theorems and the sosrec command call it once per class and degree.
 """
 from __future__ import annotations
 
 import math
-import os
 from functools import cached_property, partial
 from itertools import permutations as _sym_group
 from typing import Callable, NamedTuple
@@ -57,30 +56,6 @@ from .perm_core import (LABELS, MAX_DEGREE, METHODS, PermClass, _dtype_for, _mis
                         _row_items, _rows_in, _shifts, add_record, check_degree, in_V,
                         report_passed, shift_closure)
 from .sos import affine_rows, suranyi_table
-
-DEFAULT_MAX_BRUTE_M = 10
-ENV_MAX_BRUTE_M = "SOSLIFT_MAX_BRUTE_M"
-
-
-def _check_brute_guard(m: int, name: str = "degree") -> None:
-    """Refuse brute force at degree m, before any work, above the cap and
-    outside 1..MAX_DEGREE whatever the cap.  The cap is SOSLIFT_MAX_BRUTE_M,
-    which must be a positive integer, or 10.  verify_theorems passes name
-    "m_max", which also refuses 1 and names the range."""
-    raw = os.environ.get(ENV_MAX_BRUTE_M)
-    try:
-        cap = DEFAULT_MAX_BRUTE_M if raw is None else int(raw)
-    except ValueError:
-        raise ValueError(f"{ENV_MAX_BRUTE_M} must be an integer, got {raw!r}") from None
-    check_degree(cap, None, ENV_MAX_BRUTE_M)
-    if name == "m_max" and not 2 <= m <= cap:
-        raise ValueError(f"m_max must lie in [2, {cap}] for exhaustive checks, got {m}; "
-                         f"set {ENV_MAX_BRUTE_M} to raise the cap")
-    if m > cap:
-        raise ValueError(f"method 'brute' refused at degree {m} (cap {cap}); "
-                         f"set {ENV_MAX_BRUTE_M} to raise it")
-    check_degree(m, MAX_DEGREE, name)
-
 
 def _lex_perms(k: int) -> np.ndarray:
     """All permutations of 0..k-1 as rows of a uint8 array, in lexicographic order."""
@@ -389,7 +364,7 @@ def _solve(rule: _Rule, m: int) -> np.ndarray:
         return np.ones((1, 1), dtype=dtype)  # no steps to fail
     # the indices of theta that a start fixes (theta(2) is theta(m) at m = 2);
     # every value a rule computes lies within 3m + 2 of 0, which int16 holds
-    # up to MAX_DEGREE (_check_brute_guard)
+    # up to MAX_DEGREE (enumerate_class)
     fixed = sorted({0, m - 1} | ({1} if rule.carry else set()))
     total = math.perm(m, len(fixed))
     block = max(1, lifting.BLOCK_BYTES // (m * dtype.itemsize + m + 1))
@@ -445,12 +420,12 @@ def _passing(label: str, rows: np.ndarray) -> np.ndarray:
     return rows[_accepts(label, _Block(rows, rows.shape[1]))]
 
 
-def check_route(label: str, m: int, method: str, force: bool = False) -> None:
+def check_route(label: str, m: int, method: str) -> None:
     """Refuse a label, method or degree that enumerate_class refuses, before any work.
 
     Methods 'lift' and 'farey' apply to V and Sstar only, and refuse degrees
-    above 500 unless force=True, and above 2000 (lifting.check_lift_degree);
-    the brute-force routes have their own ceilings.
+    above lifting.MAX_LIFT_DEGREE; the brute-force routes refuse degrees
+    above MAX_DEGREE, later, in enumerate_class.
     """
     if label not in LABELS:
         raise ValueError(f"unknown class label {label!r}; expected one of {LABELS}")
@@ -460,26 +435,25 @@ def check_route(label: str, m: int, method: str, force: bool = False) -> None:
     if method in ("lift", "farey"):
         if label not in ("V", "Sstar"):
             raise ValueError(f"method {method!r} only enumerates V or Sstar, not {label}")
-        lifting.check_lift_degree(m, force)
+        check_degree(m, lifting.MAX_LIFT_DEGREE, "target degree")
 
 
-def enumerate_class(label: str, m: int, method: str = "brute", force: bool = False) -> PermClass:
+def enumerate_class(label: str, m: int, method: str = "brute") -> PermClass:
     """Enumerate one labeled class of degree m, refused as check_route refuses it.
 
     method 'brute' solves the class from its step rule, builds the affine
-    layers, or reads the Farey table for Sstar and SstarTilde (guarded alike;
-    see module doc), 'lift' runs the degree-lifting recursion, and 'farey'
-    reads the interval table.
+    layers, or reads the Farey table for Sstar and SstarTilde, 'lift' runs
+    the degree-lifting recursion, and 'farey' reads the interval table.
     """
-    check_route(label, m, method, force)
+    check_route(label, m, method)
     if method in ("lift", "farey"):
-        rows = lifting.lift_level(m, force).rows() if method == "lift" else suranyi_table(m).as_array()
+        rows = lifting.lift_level(m).rows() if method == "lift" else suranyi_table(m).as_array()
         return PermClass(label, m, rows)
 
     if label in ("VL0", "VL1"):
         return PermClass(label, m, affine_rows(m, int(label[-1])))
 
-    _check_brute_guard(m)
+    check_degree(m, MAX_DEGREE)
     if label in WALK_LABELS:
         return PermClass(label, m, _search(label, m))
     if label == "Vminus":
@@ -495,7 +469,9 @@ def verify_theorems(m_max: int) -> list[dict]:
     Returns one record per check: {"m", "check", "passed", "detail"}.
     Failures become records, not exceptions.
     """
-    _check_brute_guard(m_max, "m_max")
+    if m_max < 2:
+        raise ValueError(f"m_max must be at least 2, got {m_max}")
+    check_degree(m_max, MAX_DEGREE, "m_max")
     phi = totients(m_max)
     records = []
     record = partial(add_record, records)

@@ -74,7 +74,7 @@ def _contained(pnum: np.ndarray, pden: np.ndarray, num: np.ndarray, den: np.ndar
 def build_gen_tree(M: int) -> Tree:
     """Lift level by level from the single degree-1 node."""
     check_degree(M, MAX_LIFT_DEGREE, "depth")
-    levels, parents, tags = zip(*iter_levels(M, force=True))
+    levels, parents, tags = zip(*iter_levels(M))
     offsets = tuple(_offsets(p, len(level)) for level, p in zip(levels, parents[1:] + (_LEAVES,)))
     rows = tuple(level.rows() for level in levels)
     labels = tuple(format_rows(r, m, "oneline").splitlines() for m, r in enumerate(rows, start=1))
@@ -167,7 +167,7 @@ def check_isomorphism(M: int) -> list[dict]:
     records: list[dict] = []
     divisions: list[dict] = []
     prev_level = prev_table = None
-    for m, (lifted, parent_index, tags) in enumerate(iter_levels(M, force=True), start=1):
+    for m, (lifted, parent_index, tags) in enumerate(iter_levels(M), start=1):
         level = lifted.rows()
         table = sos.suranyi_table(m)
         if prev_table is not None:

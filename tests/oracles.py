@@ -202,7 +202,7 @@ def x_pairs_of_v(m: int) -> np.ndarray:
     theta(1) = 1 has the pair (f - 1, m - l), or (f, m - 1) when l = m and
     every residue is f.  Members that are shifts of each other give one pair.
     """
-    level = lift_level(m, force=True)
+    level = lift_level(m)
     f, l = level.first.astype(np.int64), level.last.astype(np.int64)
     pairs = np.stack([np.where(l == m, f, f - 1), np.where(l == m, m - 1, m - l)])
     return np.unique(pairs, axis=1)

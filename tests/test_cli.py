@@ -70,7 +70,7 @@ def test_raised_brute_cap_stops_at_the_degree_ceiling(
         argv: list[str], message: str) -> None:
     # no value of the variable admits brute force past MAX_DEGREE: the call is
     # refused before any work, so it allocates next to nothing
-    monkeypatch.setenv(perm_sets.ENV_MAX_BRUTE_M, BIG)
+    monkeypatch.setenv(cli.ENV_MAX_BRUTE_M, BIG)
     tracemalloc.start()
     try:
         status = main(argv)
@@ -94,7 +94,7 @@ def test_raised_brute_cap_stops_at_the_degree_ceiling(
 def test_brute_cap_must_be_a_positive_integer(
         monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture,
         argv: list[str], value: str, message: str) -> None:
-    monkeypatch.setenv(perm_sets.ENV_MAX_BRUTE_M, value)
+    monkeypatch.setenv(cli.ENV_MAX_BRUTE_M, value)
     assert main(argv) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -287,7 +287,7 @@ def test_class_output_rejects_a_non_permutation_row(
 ) -> None:
     level = lifting.Level(3, np.array([1, 2, bad_row[0]], dtype=np.uint8),
                           np.array([3, 1, bad_row[1]], dtype=np.uint8))
-    monkeypatch.setattr(cli, "lift_level", lambda M, force=False: level)
+    monkeypatch.setattr(cli, "lift_level", lambda M: level)
     assert main(["lift", "--to-m", "3", "--format", fmt]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -303,7 +303,7 @@ def test_lift_output_stops_before_the_block_with_a_bad_row(
     # last block fails its check after the first two are written
     level = lifting.Level(3, np.array([1, 2, 3, 3, 3], dtype=np.uint8),
                           np.array([3, 1, 2, 1, 3], dtype=np.uint8))
-    monkeypatch.setattr(cli, "lift_level", lambda M, force=False: level)
+    monkeypatch.setattr(cli, "lift_level", lambda M: level)
     monkeypatch.setattr(lifting, "BLOCK_BYTES", 1)
     assert main(["lift", "--to-m", "3", "--format", fmt]) == 2
     captured = capsys.readouterr()
@@ -350,19 +350,19 @@ def test_enumerate_force_admits_degree_501(monkeypatch: pytest.MonkeyPatch,
     identity = np.arange(1, 502, dtype=np.uint16)[None, :]  # a member of V_501
     built = []
 
-    def lift_level(M, force=False):
-        built.append((M, force))
+    def lift_level(M):
+        built.append(M)
         return lifting.Level(M, identity[:, 0], identity[:, -1])
 
     def suranyi_table(m):
-        built.append((m, None))
+        built.append(m)
         return type("Table", (), {"as_array": lambda self: identity})()
 
     monkeypatch.setattr(lifting, "lift_level", lift_level)
     monkeypatch.setattr(perm_sets, "suranyi_table", suranyi_table)
     assert main(["enumerate", "--set", "V", "--m", "501", "--method", method, "--force"]) == 0
     assert capsys.readouterr().out == " ".join(map(str, range(1, 502))) + "\n"
-    assert built == [(501, True if method == "lift" else None)]
+    assert built == [501]
 
 
 def test_lift_force_gate(capsys: pytest.CaptureFixture) -> None:
@@ -946,7 +946,97 @@ def test_verify_past_the_cap_is_byte_identical(monkeypatch: pytest.MonkeyPatch,
                                                capsys: pytest.CaptureFixture) -> None:
     # at 16 X is decoded from its 72 pairs (k, s) and shift-closed, and Y's
     # one-shift closure test reads classes of thousands of rows
-    monkeypatch.setenv(perm_sets.ENV_MAX_BRUTE_M, "16")
+    monkeypatch.setenv(cli.ENV_MAX_BRUTE_M, "16")
     assert main(["verify", "--m-max", "16"]) == 0
     assert hashlib.sha256(capsys.readouterr().out.encode()).hexdigest() == (
         "0d6cfbe14d3d3e3b7a913569a3f965f16adce49a66bd01c9d11957798139197e")
+
+
+# The refusal grid: every command that takes a size policy, at each degree,
+# under each value of SOSLIFT_MAX_BRUTE_M and with and without --force.  The
+# refusals come in this order: argparse, the route (label, method, degree
+# >= 1 and the ceiling of 2000 for lifted and Farey levels), the --force
+# threshold of 500 or the brute-force cap, then the library's own ceilings.
+# verify reads the cap before anything else.  Accepted calls are run only up
+# to degree 11, where each takes well under a second.
+GRID_COMMANDS = {
+    "enumerate-V": "enumerate --set V --m {m}",
+    "enumerate-VL1": "enumerate --set VL1 --m {m}",
+    "enumerate-Sstar": "enumerate --set Sstar --m {m}",
+    "enumerate-lift": "enumerate --set V --m {m} --method lift",
+    "enumerate-farey": "enumerate --set V --m {m} --method farey",
+    "lift-to-m": "lift --to-m {m}",
+    "lift-from-m": "lift --from-m {m} --input {input}",
+    "sosrec": "sosrec --m {m}",
+    "verify": "verify --m-max {m}",
+}
+GRID_DEGREES = (0, 10, 11, 500, 501, 2000, 2001, 10001)
+GRID_CAPS = (None, "abc", "0", "16", BIG)
+NEEDS_FORCE = "needs force=True (soslift lift --force, soslift enumerate --force)"
+
+
+def _grid_refusal(command: str, m: int, cap_text: str | None, force: bool) -> str | None:
+    """The one error line of a grid call, or None when the call is accepted."""
+    if force and command in ("sosrec", "verify"):
+        return "soslift: error: unrecognized arguments: --force"
+    if command in ("lift-to-m", "lift-from-m", "enumerate-lift", "enumerate-farey"):
+        name = {"lift-to-m": "target degree", "lift-from-m": "source degree"}.get(command, "degree")
+        if m < 1:
+            return f"{name} must be positive, got {m}"
+        target = m + (command == "lift-from-m")
+        if target > 2000:
+            return f"target degree {target} exceeds the supported ceiling 2000"
+        return f"degree {target} > 500 {NEEDS_FORCE}" if target > 500 and not force else None
+    if m < 1 and command != "verify":
+        return f"degree must be positive, got {m}"
+    if command == "enumerate-VL1":
+        return f"degree {m} exceeds the supported ceiling 10000" if m > 10000 else None
+    if cap_text == "abc":
+        return "SOSLIFT_MAX_BRUTE_M must be an integer, got 'abc'"
+    if cap_text == "0":
+        return "SOSLIFT_MAX_BRUTE_M must be positive, got 0"
+    cap = 10 if cap_text is None else int(cap_text)
+    name = "degree"
+    if command == "verify":
+        name = "m_max"
+        if not 2 <= m <= cap:
+            return (f"m_max must lie in [2, {cap}] for exhaustive checks, got {m}; "
+                    "set SOSLIFT_MAX_BRUTE_M to raise the cap")
+    elif m > cap:
+        return f"method 'brute' refused at degree {m} (cap {cap}); set SOSLIFT_MAX_BRUTE_M to raise it"
+    return f"{name} {m} exceeds the supported ceiling 10000" if m > 10000 else None
+
+
+def _grid_cases():
+    for command in GRID_COMMANDS:
+        for m in GRID_DEGREES:
+            for cap in GRID_CAPS:
+                for force in (False, True):
+                    line = _grid_refusal(command, m, cap, force)
+                    if line is not None or m <= 11:
+                        yield pytest.param(command, m, cap, force, line,
+                                           id=f"{command}-{m}-{cap}-{'force' if force else 'plain'}")
+
+
+@pytest.mark.parametrize("command, m, cap, force, line", _grid_cases())
+def test_refusal_grid(monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture,
+                      tmp_path: Path, command: str, m: int, cap: str | None, force: bool,
+                      line: str | None) -> None:
+    source = tmp_path / "v.jsonl"  # V of degree m where the grid lifts from it, else no rows
+    source.write_text(perm_core.format_rows(lift_level(m).rows(), m, "json") if 1 <= m <= 11 else "",
+                      encoding="utf-8")
+    monkeypatch.delenv("SOSLIFT_MAX_BRUTE_M", raising=False)
+    if cap is not None:
+        monkeypatch.setenv("SOSLIFT_MAX_BRUTE_M", cap)
+    argv = GRID_COMMANDS[command].format(m=m, input=source).split() + ["--force"] * force
+    try:
+        status = main(argv)
+    except SystemExit as exc:  # argparse's own usage error
+        status = exc.code
+    err = capsys.readouterr().err
+    if line is None:
+        assert (status, err) == (0, "")
+    else:
+        assert status == 2
+        assert err.splitlines()[-1] == (line if line.startswith("soslift:") else f"error: {line}")
+        assert line.startswith("soslift:") or err == f"error: {line}\n"

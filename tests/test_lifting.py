@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import ast
 import hashlib
+import inspect
 import itertools
 import tracemalloc
 from math import gcd
@@ -13,7 +14,6 @@ import pytest
 from soslift import cli, lifting
 from soslift.farey import totients, totient_sum
 from soslift.lifting import (
-    FORCE_THRESHOLD,
     MAX_LIFT_DEGREE,
     TAG_LEFT,
     TAG_RIGHT,
@@ -171,12 +171,12 @@ def test_generate_up_to_levels() -> None:
 
 
 def test_generate_up_to_guards() -> None:
+    # the library refuses only its ceiling; the --force threshold is the command line's
+    assert list(inspect.signature(generate_up_to).parameters) == ["M"]
     with pytest.raises(ValueError, match="target degree must be positive"):
         generate_up_to(0)
-    with pytest.raises(ValueError, match="needs force"):
-        generate_up_to(FORCE_THRESHOLD + 1)
     with pytest.raises(ValueError, match="^target degree 2001 exceeds the supported ceiling 2000$"):
-        generate_up_to(MAX_LIFT_DEGREE + 1, force=True)
+        generate_up_to(MAX_LIFT_DEGREE + 1)
 
 
 def test_iter_levels_matches_generate_up_to_row_for_row() -> None:
@@ -212,16 +212,15 @@ def test_largest_first_value_group_is_half_the_degree() -> None:
 
 
 def test_iter_levels_and_lift_to_guards() -> None:
-    levels = iter_levels(FORCE_THRESHOLD + 1)  # the guard runs on the first next()
-    with pytest.raises(ValueError, match="needs force"):
+    for function in (iter_levels, lift_level):
+        assert list(inspect.signature(function).parameters) == ["M"]
+    levels = iter_levels(MAX_LIFT_DEGREE + 1)  # the guard runs on the first next()
+    with pytest.raises(ValueError, match="^target degree 2001 exceeds the supported ceiling 2000$"):
         next(levels)
     with pytest.raises(ValueError, match="target degree must be positive"):
         lift_level(0)
-    with pytest.raises(ValueError, match=r"needs force=True "
-                       r"\(soslift lift --force, soslift enumerate --force\)"):
-        lift_level(FORCE_THRESHOLD + 1)
     with pytest.raises(ValueError, match="^target degree 2001 exceeds the supported ceiling 2000$"):
-        lift_level(MAX_LIFT_DEGREE + 1, force=True)
+        lift_level(MAX_LIFT_DEGREE + 1)
 
 
 def test_lifting_imports_only_numpy_and_perm_core() -> None:
@@ -274,7 +273,7 @@ def test_levels_to_200_equal_the_full_row_kernel() -> None:
 def test_branching_parents_are_those_with_first_plus_last_m() -> None:
     phi = totients(500)
     parents = None
-    for level, parent_index, tags in iter_levels(500, force=True):
+    for level, parent_index, tags in iter_levels(500):
         m = level.m
         assert level.shape == (totient_sum(m), m)
         if parents is not None:
@@ -338,7 +337,7 @@ def test_rows_equal_the_column_decoder() -> None:
     # each level past 60 spans several tiles of rows and ends in a part tile,
     # as the slabs of every m not a multiple of 16 end in a part slab
     degrees = {*range(1, 61), 254, 255, 256, 257, 300, 600}
-    for level, _, _ in iter_levels(max(degrees), force=True):
+    for level, _, _ in iter_levels(max(degrees)):
         m, n = level.m, len(level)
         if m not in degrees:
             continue
@@ -431,7 +430,7 @@ def test_lift_output_equals_the_sorted_class(monkeypatch: pytest.MonkeyPatch,
     for level, _, _ in iter_levels(max(STREAM_DEGREES)):
         if level.m not in STREAM_DEGREES:
             continue
-        monkeypatch.setattr(cli, "lift_level", lambda M, force=False: level)
+        monkeypatch.setattr(cli, "lift_level", lambda M: level)
         assert cli.main(["lift", "--to-m", str(level.m), "--format", fmt]) == 0
         rows = PermClass("V", level.m, level.rows()).as_array()
         assert capsys.readouterr().out == format_rows(rows, level.m, fmt), level.m
@@ -444,7 +443,7 @@ def test_enumerate_lift_prints_the_bytes_of_lift(monkeypatch: pytest.MonkeyPatch
         if level.m not in STREAM_DEGREES:
             continue
         for module in (cli, lifting):
-            monkeypatch.setattr(module, "lift_level", lambda M, force=False: level)
+            monkeypatch.setattr(module, "lift_level", lambda M: level)
         assert cli.main(["lift", "--to-m", str(level.m), "--format", fmt]) == 0
         lifted = capsys.readouterr().out
         for label in ("V", "Sstar"):

@@ -8,12 +8,10 @@ import pytest
 
 from soslift import lifting, perm_core, perm_sets
 from soslift.farey import totients, totient_sum
-from soslift.cli import main
+from soslift.cli import DEFAULT_MAX_BRUTE_M, ENV_MAX_BRUTE_M, main
 from soslift.lifting import lift_level
 from soslift.perm_core import PermClass, Permutation, _dtype_for, shift_closure
 from soslift.perm_sets import (
-    DEFAULT_MAX_BRUTE_M,
-    ENV_MAX_BRUTE_M,
     LABELS,
     METHODS,
     _brute,
@@ -230,19 +228,21 @@ def test_v_search_lift_and_farey_table_agree_at_degree_151() -> None:
     assert len(solved) == totient_sum(m)
 
 
-def test_sstar_classes_are_read_from_the_farey_table(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_sstar_classes_are_read_from_the_farey_table(monkeypatch: pytest.MonkeyPatch,
+                                                     capsys: pytest.CaptureFixture) -> None:
     def no_walk(m):
         raise AssertionError("walked S_m")
     monkeypatch.setattr(perm_sets, "_sym", no_walk)
     monkeypatch.delenv(ENV_MAX_BRUTE_M, raising=False)
-    for m in range(1, 11):
+    for m in range(1, 12):
         sstar = enumerate_class("Sstar", m, method="farey")
         assert enumerate_class("Sstar", m) == sstar
         assert enumerate_class("SstarTilde", m) == shift_closure(sstar)
-    # the table takes no walk, but the brute-force cap stays in front of both labels
+    # the table takes no walk, but the command line caps both labels as it caps a search
     for label in ("Sstar", "SstarTilde"):
-        with pytest.raises(ValueError, match=r"method 'brute' refused at degree 11 \(cap 10\)"):
-            enumerate_class(label, 11)
+        assert main(["enumerate", "--set", label, "--m", "11"]) == 2
+        assert capsys.readouterr().err == (
+            "error: method 'brute' refused at degree 11 (cap 10); set SOSLIFT_MAX_BRUTE_M to raise it\n")
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -340,24 +340,41 @@ def test_enumerate_rejects_bad_arguments() -> None:
         enumerate_class("Y", 4, method="lift")
     with pytest.raises(ValueError, match="Yprime needs degree >= 3"):
         enumerate_class("Yprime", 2)
+    # the searches' one ceiling, whatever the environment
+    for label in ("V", "Sstar"):
+        with pytest.raises(ValueError, match="^degree 10001 exceeds the supported ceiling 10000$"):
+            enumerate_class(label, 10001)
 
 
-def test_brute_force_guard_env_override(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_brute_force_guard_env_override(monkeypatch: pytest.MonkeyPatch,
+                                        capsys: pytest.CaptureFixture) -> None:
+    # the variable sets the command line's cap; the library reads no environment
     monkeypatch.setenv(ENV_MAX_BRUTE_M, "3")
-    with pytest.raises(ValueError, match=r"refused at degree 4 \(cap 3\)"):
-        enumerate_class("V", 4)
-    assert len(enumerate_class("V", 3)) == 4
-    assert len(enumerate_class("V", 12, method="farey")) == totient_sum(12)
+    assert main(["enumerate", "--set", "V", "--m", "4"]) == 2
+    assert "refused at degree 4 (cap 3)" in capsys.readouterr().err
+    assert main(["enumerate", "--set", "V", "--m", "3"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 4
+    assert len(enumerate_class("V", 4)) == totient_sum(4)
     monkeypatch.setenv(ENV_MAX_BRUTE_M, "not-a-number")
-    with pytest.raises(ValueError, match="must be an integer"):
-        enumerate_class("V", 2)
+    assert main(["enumerate", "--set", "V", "--m", "2"]) == 2
+    assert "must be an integer" in capsys.readouterr().err
+    assert len(enumerate_class("V", 2)) == 2
 
 
-def test_default_guard_value(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_default_guard_value(monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture) -> None:
     monkeypatch.delenv(ENV_MAX_BRUTE_M, raising=False)
     assert DEFAULT_MAX_BRUTE_M == 10
-    with pytest.raises(ValueError, match=r"method 'brute' refused at degree 11 \(cap 10\)"):
-        enumerate_class("V", DEFAULT_MAX_BRUTE_M + 1)
+    assert main(["enumerate", "--set", "V", "--m", str(DEFAULT_MAX_BRUTE_M + 1)]) == 2
+    assert "method 'brute' refused at degree 11 (cap 10)" in capsys.readouterr().err
+
+
+def test_library_applies_no_size_policy(monkeypatch: pytest.MonkeyPatch) -> None:
+    # with the variable unset and no force argument, the library runs past the
+    # command line's cap and threshold, up to its own ceilings
+    monkeypatch.delenv(ENV_MAX_BRUTE_M, raising=False)
+    assert enumerate_class("V", 12) == enumerate_class("V", 12, "lift")
+    assert report_passed(verify_theorems(11))
+    assert len(lift_level(501)) == totient_sum(501)
 
 
 def test_labels_and_methods_tuples() -> None:
@@ -443,16 +460,21 @@ def test_verify_theorems_reports_a_y_missing_a_shift_as_failed(monkeypatch: pyte
     assert passed == {2: False, 3: True, 4: False, 5: True}
 
 
-def test_verify_theorems_validates_range(monkeypatch: pytest.MonkeyPatch) -> None:
+def test_verify_theorems_validates_range(monkeypatch: pytest.MonkeyPatch,
+                                         capsys: pytest.CaptureFixture) -> None:
     monkeypatch.delenv(ENV_MAX_BRUTE_M, raising=False)
-    with pytest.raises(ValueError, match="m_max must lie in"):
+    with pytest.raises(ValueError, match="^m_max must be at least 2, got 1$"):
         verify_theorems(1)
-    with pytest.raises(ValueError, match=r"m_max must lie in \[2, 10\].*SOSLIFT_MAX_BRUTE_M"):
-        verify_theorems(11)
+    with pytest.raises(ValueError, match="^m_max 10001 exceeds the supported ceiling 10000$"):
+        verify_theorems(10001)
+    # the cap and its range text are the verify command's
+    assert main(["verify", "--m-max", "11"]) == 2
+    assert "m_max must lie in [2, 10]" in capsys.readouterr().err
     monkeypatch.setenv(ENV_MAX_BRUTE_M, "4")
-    with pytest.raises(ValueError, match=r"m_max must lie in \[2, 4\].*SOSLIFT_MAX_BRUTE_M"):
-        verify_theorems(5)
-    assert report_passed(verify_theorems(4))
+    assert main(["verify", "--m-max", "5"]) == 2
+    err = capsys.readouterr().err
+    assert "m_max must lie in [2, 4]" in err and "SOSLIFT_MAX_BRUTE_M" in err
+    assert report_passed(verify_theorems(5))
 
 
 def test_report_passed() -> None:

@@ -14,11 +14,11 @@ import numpy as np
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from soslift.cli import main
+from soslift.cli import ENV_MAX_BRUTE_M, main
 from soslift.lifting import Level, lift_fibers, lift_level, project
 from soslift.perm_core import (PermClass, Permutation, _dtype_for, format_rows, gamma, psi,
                                shift, shift_closure)
-from soslift.perm_sets import ENV_MAX_BRUTE_M, LABELS, METHODS
+from soslift.perm_sets import LABELS, METHODS
 
 from oracles import psi_inverse, shift_equivalent
 

@@ -10,7 +10,7 @@ from soslift import trees
 from soslift.farey import farey_intervals, totient_sum
 from soslift.lifting import TAG_LEFT, TAG_RIGHT, TAG_SINGLE, Level, iter_levels
 from soslift.perm_core import Permutation
-from soslift.sos import suranyi_table
+from soslift.sos import SuranyiTable, suranyi_table
 from soslift.trees import (
     Tree,
     build_farey_tree,
@@ -254,8 +254,8 @@ def test_check_isomorphism_reports_injected_faults(
 ) -> None:
     real = trees.iter_levels
 
-    def faulty(M, force=False):
-        for m, out in enumerate(real(M, force), start=1):
+    def faulty(M):
+        for m, out in enumerate(real(M), start=1):
             yield fault(*out) if m == max(degree, 6) else out
 
     monkeypatch.setattr(trees, "iter_levels", faulty)
@@ -268,8 +268,8 @@ def test_check_isomorphism_reports_injected_faults(
 def test_check_isomorphism_names_the_split_that_moved(monkeypatch: pytest.MonkeyPatch) -> None:
     real = trees.iter_levels
 
-    def faulty(M, force=False):
-        for m, out in enumerate(real(M, force), start=1):
+    def faulty(M):
+        for m, out in enumerate(real(M), start=1):
             yield _flip_tags(*out) if m == 3 else out
 
     monkeypatch.setattr(trees, "iter_levels", faulty)
@@ -291,8 +291,8 @@ def test_check_isomorphism_names_the_single_child_that_moved(
         monkeypatch: pytest.MonkeyPatch) -> None:
     real = trees.iter_levels
 
-    def faulty(M, force=False):
-        for m, out in enumerate(real(M, force), start=1):
+    def faulty(M):
+        for m, out in enumerate(real(M), start=1):
             yield _swap_single_children(*out) if m == 4 else out
 
     monkeypatch.setattr(trees, "iter_levels", faulty)
@@ -314,13 +314,47 @@ def test_division_names_a_branching_parent_without_singleton_difference_set() ->
         False, "branching parent 132 lacks singleton difference set")
 
 
+def _degree_4_division_inputs():
+    """_division's arguments at degree 4, but m: the rows, edges and tags of
+    the lifted levels 3 and 4, and the order-3 and order-4 tables.  Parent 0
+    is 123 on (0/1, 1/3); its (0)-child is on (0/1, 1/4), its (1)-child on
+    (1/4, 1/3)."""
+    (v3, _, _), (_, parent_index, tags) = list(iter_levels(4))[2:]
+    children = suranyi_table(4)
+    assert (parent_index[:2].tolist(), tags[:2].tolist()) == ([0, 0], [TAG_LEFT, TAG_RIGHT])
+    assert (children.num[:3].tolist(), children.den[:3].tolist()) == ([0, 1, 1], [1, 4, 3])
+    return v3.rows(), parent_index, tags, suranyi_table(3), children
+
+
+def test_division_refuses_a_0_child_that_keeps_its_parents_interval() -> None:
+    # the order-4 table without the term 1/4, the generation side without the
+    # (1)-child of 123: the (0)-child then spans (0/1, 1/3), its left end
+    # kept but its right end not the split
+    rows, parent_index, tags, parents, children = _degree_4_division_inputs()
+    table = SuranyiTable(4, np.delete(children.num, 1), np.delete(children.den, 1),
+                         np.delete(children.as_array(), 1, axis=0))
+    assert trees._division(4, rows, np.delete(parent_index, 1), np.delete(tags, 1), parents,
+                           table) == (False, "split of (0/1, 1/3) is not at 1/4")
+
+
+def test_division_refuses_a_1_child_whose_left_end_is_not_over_m() -> None:
+    # the order-4 table with the term 1/3 twice, the generation side with a
+    # second (1)-child of 123 on the empty interval (1/3, 1/3): its left end
+    # has the split's numerator 1, over 3 and not over 4
+    rows, parent_index, tags, parents, children = _degree_4_division_inputs()
+    num, den = (np.insert(a, 2, a[2]) for a in (children.num, children.den))
+    table = SuranyiTable(4, num, den, np.insert(children.as_array(), 2, children.as_array()[1], axis=0))
+    assert trees._division(4, rows, np.insert(parent_index, 2, 0), np.insert(tags, 2, TAG_RIGHT),
+                           parents, table) == (False, "split of (0/1, 1/3) is not at 1/4")
+
+
 def test_check_isomorphism_holds_two_levels(monkeypatch: pytest.MonkeyPatch) -> None:
     real = trees.iter_levels
     held = []
 
-    def watched(M, force=False):
+    def watched(M):
         refs = []
-        for level, parent_index, tags in real(M, force):
+        for level, parent_index, tags in real(M):
             held.append(sum(ref() is not None for ref in refs))
             refs.append(weakref.ref(level))
             yield level, parent_index, tags
