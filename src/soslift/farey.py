@@ -1,9 +1,10 @@
 """Order-m Farey sequences, their open intervals, and totient sums.
 
 All arithmetic is exact: the terms come as int64 numerator and denominator
-arrays (farey_terms), or as ``fractions.Fraction`` values, which are stored
-reduced and compare exactly.  Text form is always "p/q" (so 0 and
-1 print as "0/1" and "1/1"); JSON form is ``{"num": p, "den": q}``.
+arrays (farey_terms, the reduced fractions sorted by one integer key), or as
+``fractions.Fraction`` values, which are stored reduced and compare exactly.
+Text form is always "p/q" (so 0 and 1 print as "0/1" and "1/1"); JSON form
+is ``{"num": p, "den": q}``.
 """
 from __future__ import annotations
 
@@ -51,25 +52,22 @@ class FareyInterval:
 def farey_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
     """Numerators and denominators of the order-m Farey terms, as int64 arrays.
 
-    The terms are the reduced fractions p/q with 0 <= p <= q <= m, ascending.
-    Uses the classic next-term recurrence: from consecutive terms a/b < c/d
-    the successor is (kc - a)/(kd - b) with k = (m + b) // d, so the whole
-    sequence costs O(N) after the first two terms.
+    The terms are the reduced fractions p/q with 0 <= p <= q <= m, ascending,
+    built by that definition: the grid pairs (q, p) with p <= q and
+    gcd(p, q) = 1, sorted by the integer key floor(p * m^2 / q).  Distinct
+    terms differ by at least 1/m^2, so their keys differ by at least 1 and the
+    order is exact, with no float; the key fits int64 for m below 2 * 10^6.
 
     >>> [f"{p}/{q}" for p, q in zip(*farey_terms(3))]
     ['0/1', '1/3', '1/2', '2/3', '1/1']
     """
     check_degree(m, None, "order")
-    a, b, c, d = 0, 1, 1, m
-    num, den = [0], [1]
-    while c <= m and not (c == 1 and d == 1):
-        num.append(c)
-        den.append(d)
-        k = (m + b) // d
-        a, b, c, d = c, d, k * c - a, k * d - b
-    num.append(1)
-    den.append(1)
-    return np.array(num, dtype=np.int64), np.array(den, dtype=np.int64)
+    # int64 before any product, as a 32-bit intp would overflow the key
+    den, num = (a.astype(np.int64, copy=False) for a in np.nonzero(np.tri(m + 1, dtype=bool)))
+    reduced = np.gcd(num, den) == 1
+    num, den = num[reduced], den[reduced]
+    order = np.argsort(num * (m * m) // den)
+    return num[order], den[order]
 
 
 def farey_labels(num: np.ndarray, den: np.ndarray) -> tuple[list[str], list[str]]:

@@ -237,7 +237,7 @@ def _searched_ranks(keys: np.ndarray) -> np.ndarray:
     return np.searchsorted(ranked, raised, side="right") - np.arange(0, n * m, m, dtype=np.int64)[:, None]
 
 
-def verify_invariants(m_max: int, samples: int = 200, seed: int = 1729) -> list[dict]:
+def verify_invariants(m_max: int, *, samples: int, seed: int) -> list[dict]:
     """Exact cross-checks of the tau formulas, one report record per check.
 
     Covers: tau as the inverse of the sorting permutation at every order-m

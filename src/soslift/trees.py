@@ -307,7 +307,8 @@ def write_tree(write: Callable[[str], object], *trees: Tree, format: str = "dot"
     under their kinds.  with_y_levels puts the lifted row (1, pi+1) between
     each generation-tree node pi and its children.  Each call to write takes
     one level of DOT lines, or the text of about PIECES JSON pieces, so the
-    document is never held whole; an unknown format writes nothing.
+    document is never held whole.  An unknown format raises ValueError
+    before anything is written.
     """
     if format not in ("dot", "json"):
         raise ValueError(f"format must be 'dot' or 'json', got {format!r}")

@@ -67,6 +67,20 @@ def test_sequence_is_the_fractions_of_the_term_arrays() -> None:
         assert farey_sequence(m) == [Fraction(p, q) for p, q in zip(num.tolist(), den.tolist())]
 
 
+@pytest.mark.parametrize("m", [*range(1, 121), 300, 1000, 2000])
+def test_term_arrays_are_every_reduced_fraction_in_order(m: int) -> None:
+    # ascending, reduced, in [0, 1] with denominators <= m, and 1 + totient_sum(m)
+    # of them: exactly the order-m Farey terms, whatever builds them
+    num, den = farey_terms(m)
+    assert num.dtype == den.dtype == np.int64
+    assert (num[0], den[0], num[-1], den[-1]) == (0, 1, 1, 1)
+    assert np.all((0 <= num) & (num <= den) & (den <= m))
+    assert np.all(np.gcd(num, den) == 1)
+    assert np.all(num[:-1] * den[1:] < num[1:] * den[:-1])
+    assert np.all(den[:-1] * num[1:] - num[:-1] * den[1:] == 1)
+    assert len(num) == len(den) == 1 + totient_sum(m)
+
+
 def test_sequence_rejects_nonpositive_order() -> None:
     with pytest.raises(ValueError, match="order must be positive"):
         farey_sequence(0)
