@@ -24,6 +24,13 @@ so the branching parents are exactly those with f' + l' = m, phi(m) of them.
 A level costs O(N) to lift, and Level.rows decodes full rows, column by
 column, only where they are printed or compared.
 
+A decoded row is a walk: with 1 <= theta(1) <= m, each value is t + 1 for a
+state t in [0, m - 1] and the next state is one map T of t, fixed by theta(1)
+and theta(m).  Once a walk repeats a state it is periodic, so when the m
+values are not all distinct, theta(m) = theta(m - c) for its period c: a
+decoded row is a permutation exactly when its last value does not occur
+earlier (_repeats_last_value).
+
 This module deliberately depends on nothing but the permutation core: no
 fractions, no angles, no sorting of fractional parts anywhere.
 """
@@ -33,8 +40,8 @@ from typing import Iterator
 
 import numpy as np
 
-from .perm_core import (SCRATCH_BYTES, PermClass, Permutation, _dtype_for, _misses_a_value,
-                        _sort_rows, check_degree, gamma, in_V, psi)
+from .perm_core import (SCRATCH_BYTES, PermClass, Permutation, _dtype_for, _refuse, _sort_rows,
+                        check_degree, gamma, in_V, psi)
 
 MAX_LIFT_DEGREE = 2000
 # sorted_blocks decodes at most this many bytes of rows per block, unless
@@ -135,13 +142,32 @@ def _outside_V(array: np.ndarray) -> np.ndarray:
     """Mask of the rows of an (N, m) integer array that are not members of V.
 
     A row is a member when the congruence run from its first and last
-    values gives it back and is a permutation of 1..m.  The decoded rows
-    lie in 1..m whatever the input, so they, not the input, are scattered.
+    values gives it back and is a permutation of 1..m.  The ends are clipped
+    into 1..m, so the decoded rows are walks, and they, not the input, are
+    checked by their last value.
     """
     m = array.shape[1]
     ends = np.clip(array[:, [0, -1]].astype(np.int64), 1, m).astype(_dtype_for(m))
     decoded = Level(m, ends[:, 0], ends[:, 1]).rows()
-    return (decoded != array).any(axis=1) | _misses_a_value(decoded)
+    return (decoded != array).any(axis=1) | _repeats_last_value(decoded)
+
+
+def _repeats_last_value(rows: np.ndarray) -> np.ndarray:
+    """Mask of the rows of an (N, m) array whose last value occurs earlier in the row.
+
+    On rows that Level.rows decodes from theta(1) in 1..m (walks of one map,
+    see the module docstring) it marks exactly the rows that are not
+    permutations; on other rows it proves nothing: (1, 2, 2, 3) passes.  The
+    comparison runs in tiles of rows whose (rows, m - 1) mask is at most
+    SCRATCH_BYTES.
+    """
+    n, m = rows.shape
+    tile = max(1, SCRATCH_BYTES // m)
+    repeats = np.empty(n, dtype=bool)
+    for start in range(0, n, tile):
+        part = rows[start:start + tile]
+        np.any(part[:, :-1] == part[:, -1:], axis=1, out=repeats[start:start + tile])
+    return repeats
 
 
 def lift_fibers(parents: Level) -> tuple[Level, np.ndarray, np.ndarray]:
@@ -212,22 +238,33 @@ def sorted_blocks(level: Level) -> Iterator[np.ndarray]:
     theta(1), so the (first, last) pairs are put in theta(1) order by a
     stable argsort (a counting sort) and cut into blocks of whole theta(1)
     groups, of at most BLOCK_BYTES of rows unless one group is larger.  Each
-    block is decoded into the buffer that _sort_rows sorts, deduplicates and
-    checks (a ValueError for a row that is not a permutation), so the blocks
-    in turn are the rows of the class, and one block of rows is held at a time.
+    block is decoded into the buffer that _sort_rows sorts and deduplicates,
+    so the blocks in turn are the rows of the class, and one block of rows is
+    held at a time.  The decoded rows are walks once theta(1) lies in 1..m,
+    which the ends of the sorted first column show; each block is then
+    checked by _repeats_last_value.  Either check raises a ValueError.
     """
     m = level.m
     order = np.argsort(level.first, kind="stable")
     grouped = Level(m, level.first[order], level.last[order])
+    if len(grouped) and not (1 <= grouped.first[0] and grouped.first[-1] <= m):
+        outside = grouped.first[0] if grouped.first[0] < 1 else grouped.first[-1]
+        raise ValueError(f"not a permutation of 1..{m} in V: theta(1) = {outside}")
     block_rows = BLOCK_BYTES // (m * _dtype_for(m).itemsize)
     start = stop = 0
     for end in np.cumsum(np.bincount(grouped.first)).tolist():  # where each group ends
         if end - start > block_rows and stop > start:
-            yield _sort_rows("V", m, grouped.rows(start, stop))
+            yield _checked_block(m, grouped.rows(start, stop))
             start = stop
         stop = end
     if stop > start:
-        yield _sort_rows("V", m, grouped.rows(start, stop))
+        yield _checked_block(m, grouped.rows(start, stop))
+
+
+def _checked_block(m: int, decoded: np.ndarray) -> np.ndarray:
+    """The decoded walks of a block of sorted_blocks, sorted, deduplicated and checked."""
+    rows = _sort_rows(m, decoded)
+    return _refuse("V", rows, _repeats_last_value(rows))
 
 
 def generate_up_to(M: int) -> list[PermClass]:

@@ -297,7 +297,9 @@ def _sorted_rows(label: str, m: int, array: np.ndarray) -> np.ndarray:
     """The rows of an (N, m) integer array as the members of a class: in
     lexicographic order, deduplicated, of dtype _dtype_for(m), and each
     checked to be a permutation of 1..m (ValueError naming the label if not).
-    The array is borrowed, so _sort_rows sorts one C-contiguous copy of it.
+    The array is borrowed, so _sort_rows sorts one C-contiguous copy of it, and
+    the sorted rows are checked by _misses_a_value, which holds for rows from
+    any caller (lifting.sorted_blocks checks its decoded walks more cheaply).
     """
     check_degree(m, name=f"{label} degree")
     if array.ndim != 2 or array.shape[1] != m or not np.issubdtype(array.dtype, np.integer):
@@ -305,12 +307,14 @@ def _sorted_rows(label: str, m: int, array: np.ndarray) -> np.ndarray:
                          f"got shape {array.shape} of {array.dtype}")
     if len(array) and (array.min() < 1 or array.max() > m):
         _refuse(label, array, ((array < 1) | (array > m)).any(axis=1))
-    return _sort_rows(label, m, np.array(array, dtype=_dtype_for(m), order="C"))
+    rows = _sort_rows(m, np.array(array, dtype=_dtype_for(m), order="C"))
+    return _refuse(label, rows, _misses_a_value(rows))
 
 
-def _sort_rows(label: str, m: int, rows: np.ndarray) -> np.ndarray:
-    """_sorted_rows of a C-contiguous (N, m) array of dtype _dtype_for(m) and values
-    in 1..m that the caller hands over, in its own buffer, which the result views.
+def _sort_rows(m: int, rows: np.ndarray) -> np.ndarray:
+    """A C-contiguous (N, m) array of dtype _dtype_for(m) that the caller hands
+    over, in lexicographic order and deduplicated, in its own buffer, which the
+    result views; the rows are not checked, so each caller checks the result.
     The rows are sorted as big-endian byte items (_row_items), so uint16 rows on a
     little-endian machine are byte-swapped in place before the sort and after it.
     """
@@ -320,8 +324,7 @@ def _sort_rows(label: str, m: int, rows: np.ndarray) -> np.ndarray:
     distinct = items[1:] != items[:-1]
     if not distinct.all():
         items = items[np.concatenate(([True], distinct))]
-    rows = _in_place_as(_dtype_for(m), items.view(big_endian).reshape(len(items), m))
-    return _refuse(label, rows, _misses_a_value(rows))
+    return _in_place_as(_dtype_for(m), items.view(big_endian).reshape(len(items), m))
 
 
 def _in_place_as(dtype: np.dtype, rows: np.ndarray) -> np.ndarray:

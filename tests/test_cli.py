@@ -212,18 +212,21 @@ def test_lift_input_is_checked_once_and_only_the_output_is_sorted(
     src = tmp_path / "v60.jsonl"
     assert main(["lift", "--to-m", "60", "--format", "json"]) == 0
     src.write_text(capsys.readouterr().out, encoding="utf-8")
-    misses, items = [], []
+    repeats, misses, items = [], [], []
 
     def recording(calls, original):
         return lambda rows: calls.append(rows.shape[1]) or original(rows)
 
-    for module in (lifting, perm_core):
-        monkeypatch.setattr(module, "_misses_a_value", recording(misses, perm_core._misses_a_value))
+    monkeypatch.setattr(lifting, "_repeats_last_value",
+                        recording(repeats, lifting._repeats_last_value))
+    monkeypatch.setattr(perm_core, "_misses_a_value", recording(misses, perm_core._misses_a_value))
     monkeypatch.setattr(perm_core, "_row_items", recording(items, perm_core._row_items))
     assert main(["lift", "--from-m", "60", "--input", str(src)]) == 0
     assert len(capsys.readouterr().out.splitlines()) == totient_sum(61)
-    # the input is checked once, by Level.from_rows; the output class checks its own rows
-    assert misses == [60, 61]
+    # the input is checked once, by Level.from_rows; sorted_blocks checks the
+    # output's decoded walks; neither needs the scatter test
+    assert repeats == [60, 61]
+    assert misses == []
     assert items == [61]
 
 
@@ -420,12 +423,12 @@ def test_farey_output_builds_the_sequence_once(monkeypatch: pytest.MonkeyPatch,
                                                capsys: pytest.CaptureFixture) -> None:
     """farey prints, from one build of the sequence, the bytes that a build for
     the terms and another for the intervals printed, and as JSON the bytes of
-    json.dumps(indent=2).  Order 120 has 4387 terms, so its JSON is written in
-    two pieces of each list."""
+    json.dumps(indent=2).  Orders 115, 120 and 164 have 4073, 4387 and 8235
+    terms, so they are written in one, two and three pieces of each list."""
     builds = []
     farey_terms = farey.farey_terms
     monkeypatch.setattr(farey, "farey_terms", lambda m: builds.append(m) or farey_terms(m))
-    for m in [*range(1, 31), 120]:
+    for m in [*range(1, 31), 115, 120, 164]:
         terms, intervals = farey.farey_sequence(m), farey.farey_intervals(m)
         text = " ".join(map(farey.format_fraction, terms)) + "\n" + "".join(f"{iv}\n" for iv in intervals)
         doc = {
@@ -441,6 +444,19 @@ def test_farey_output_builds_the_sequence_once(monkeypatch: pytest.MonkeyPatch,
         assert main(["farey", "--m", str(m), "--format", "json"]) == 0
         assert capsys.readouterr().out == json.dumps(doc, indent=2) + "\n"
         assert builds == [m, m]
+
+
+def test_farey_text_is_labelled_4096_terms_at_a_time(
+        monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture) -> None:
+    # order 164 has 8235 terms: slices 0..4095, 4095..8190 and 8190..8234,
+    # labelled once for the terms line and once for the intervals
+    sizes = []
+    farey_labels = farey.farey_labels
+    monkeypatch.setattr(farey, "farey_labels",
+                        lambda num, den: sizes.append(len(num)) or farey_labels(num, den))
+    assert main(["farey", "--m", "164"]) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 8235
+    assert sizes == [4096, 4096, 45] * 2
 
 
 def test_commands_build_no_fraction_list_of_the_farey_sequence(

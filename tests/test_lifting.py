@@ -30,6 +30,7 @@ from soslift.perm_core import (
     PermClass,
     Permutation,
     _dtype_for,
+    _misses_a_value,
     format_rows,
     in_V,
     shift,
@@ -465,3 +466,45 @@ def test_sorted_blocks_hold_whole_theta_one_groups(monkeypatch: pytest.MonkeyPat
     assert all(b.nbytes <= 200 * 1000 for b in blocks)
     assert len(blocks) < 2 * len(rows) * 200 // (200 * 1000) + 2  # the blocks are nearly full
     assert np.array_equal(np.concatenate(blocks), rows)
+
+
+@pytest.mark.parametrize("m", [*range(1, 61), 97, 128, 255, 256, 257, 300])
+def test_a_decoded_walk_is_a_permutation_exactly_when_its_last_value_is_new(m: int) -> None:
+    # every (theta(1), theta(m)) with theta(1) in 1..m and theta(m) in 0..m+1,
+    # decoded 8192 rows at a time
+    first, last = np.divmod(np.arange(m * (m + 2)), m + 2)
+    first += 1
+    flagged = members = 0
+    for start in range(0, len(first), 8192):
+        ends = last[start:start + 8192]
+        rows = Level(m, first[start:start + 8192].astype(_dtype_for(m)), ends).rows()
+        repeats = lifting._repeats_last_value(rows)
+        assert np.array_equal(repeats, _misses_a_value(rows))
+        flagged += int(repeats.sum())
+        members += int((~repeats & (rows[:, -1] == ends)).sum())
+    assert flagged > 0 or m == 1
+    # a permutation that ends at its own theta(m) is a member of V, found once
+    assert members == totient_sum(m)
+
+
+def test_a_row_that_is_no_walk_passes_the_last_value_test() -> None:
+    # why PermClass, whose rows come from any caller, keeps the scatter test
+    row = np.array([[1, 2, 2, 3]], dtype=np.uint8)
+    assert not lifting._repeats_last_value(row).any()
+    assert _misses_a_value(row).all()
+    with pytest.raises(ValueError, match=r"not a permutation of 1\.\.4 in V: \(1, 2, 2, 3\)"):
+        PermClass("V", 4, row)
+
+
+@pytest.mark.parametrize("outside", [0, 4])
+@pytest.mark.parametrize("fmt", ["oneline", "json"])
+def test_lift_refuses_a_level_whose_theta_one_lies_outside_1_to_m(
+        monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture, outside: int,
+        fmt: str) -> None:
+    # a decoded row is a walk, checked by its last value, only from theta(1) in 1..m
+    level = Level(3, np.array([1, outside, 2], dtype=np.uint8), np.array([3, 2, 1], dtype=np.uint8))
+    monkeypatch.setattr(cli, "lift_level", lambda M: level)
+    assert cli.main(["lift", "--to-m", "3", "--format", fmt]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: not a permutation of 1..3 in V: theta(1) = {outside}\n"
