@@ -181,14 +181,14 @@ def _cmd_farey(args) -> int:
         for piece in farey.farey_json_pieces(args.m, num, den):
             sys.stdout.write(piece)
         sys.stdout.write("\n")
-    else:  # slices of 4096 terms, each after the first starting at the last of the one before
-        slices = [(num[s:s + 4096], den[s:s + 4096]) for s in range(0, len(num) - 1, 4095)]
-        for k, part in enumerate(slices):
-            terms = farey.farey_labels(*part)[0]
-            sys.stdout.write(" ".join(terms) if k == 0 else " " + " ".join(terms[1:]))
+    else:  # labelled 4096 terms at a time, and each pass builds only the labels it writes
+        for start in range(0, len(num), 4096):
+            terms = farey.term_labels(num[start:start + 4096], den[start:start + 4096])
+            sys.stdout.write((" " if start else "") + " ".join(terms))
         sys.stdout.write("\n")
-        for part in slices:
-            sys.stdout.write("\n".join(farey.farey_labels(*part)[1]) + "\n")
+        for start in range(0, len(num) - 1, 4095):  # each slice starts at the last of the one before
+            terms = farey.term_labels(num[start:start + 4096], den[start:start + 4096])
+            sys.stdout.write("\n".join(farey.interval_labels(terms)) + "\n")
     return 0
 
 

@@ -70,14 +70,22 @@ def farey_terms(m: int) -> tuple[np.ndarray, np.ndarray]:
     return num[order], den[order]
 
 
-def farey_labels(num: np.ndarray, den: np.ndarray) -> tuple[list[str], list[str]]:
-    """The terms of farey_terms as "p/q" and their open intervals as "(a/b, c/d)".
+def term_labels(num: np.ndarray, den: np.ndarray) -> list[str]:
+    """The terms of farey_terms as "p/q".
 
-    >>> farey_labels(*farey_terms(2))
-    (['0/1', '1/2', '1/1'], ['(0/1, 1/2)', '(1/2, 1/1)'])
+    >>> term_labels(*farey_terms(2))
+    ['0/1', '1/2', '1/1']
     """
-    terms = [f"{p}/{q}" for p, q in zip(num.tolist(), den.tolist())]
-    return terms, [f"({lo}, {hi})" for lo, hi in zip(terms, terms[1:])]
+    return [f"{p}/{q}" for p, q in zip(num.tolist(), den.tolist())]
+
+
+def interval_labels(terms: list[str]) -> list[str]:
+    """The open intervals between consecutive term labels as "(a/b, c/d)".
+
+    >>> interval_labels(term_labels(*farey_terms(2)))
+    ['(0/1, 1/2)', '(1/2, 1/1)']
+    """
+    return [f"({lo}, {hi})" for lo, hi in zip(terms, terms[1:])]
 
 
 def farey_json_pieces(m: int, num: np.ndarray, den: np.ndarray) -> Iterator[str]:

@@ -188,16 +188,21 @@ def lift_fibers(parents: Level) -> tuple[Level, np.ndarray, np.ndarray]:
     # every parent's first child is (f', s), or (f'+1, s+1-m) when s > m; a
     # branching parent's (1)-child (f'+1, 1) follows it, so the k-th
     # (1)-child lands k rows past its parent, and every other row is a
-    # parent's first child in parent order
+    # parent's first child in parent order.  The first children's values are
+    # made in place in first and s, s - up * (m - 1) in s's own dtype (int16,
+    # or int32 past degree 256), and each column is one mask scatter of them
+    # (cheaper than a gather through the int64 parent_index at every size)
     right_rows = branching + np.arange(1, len(branching) + 1)
     n = len(s) + len(branching)
     first_rows = np.ones(n, dtype=bool)
     first_rows[right_rows] = False
+    first += up
+    s -= np.multiply(up, m - 1, dtype=s.dtype)
     dtype = _dtype_for(m)
     child_first, child_last = np.empty(n, dtype=dtype), np.empty(n, dtype=dtype)
-    child_first[first_rows] = first + up
+    child_first[first_rows] = first
     child_first[right_rows] = first[branching] + 1
-    child_last[first_rows] = np.where(up, s + (1 - m), s)
+    child_last[first_rows] = s
     child_last[right_rows] = 1
     parent_index = np.empty(n, dtype=np.int64)
     parent_index[first_rows] = np.arange(len(s))

@@ -218,16 +218,21 @@ def format_rows(rows: np.ndarray, m: int, fmt: str) -> str:
     in a table of NUL-padded tokens, the last column in a second table of
     "v" + tail + newline, the head goes in front of every row, and the
     padding is deleted from the bytes of the whole block (no token holds a
-    NUL).  A block takes up to 8 bytes per value, several times over, so
-    callers pass blocks of bounded size.
+    NUL).  With no head and one token width for both tables (oneline from
+    degree 10), the whole block is one gather from the inner table, its last
+    column overwritten in place.  A block takes up to 8 bytes per value,
+    several times over, so callers pass blocks of bounded size.
     """
     rows = np.asarray(rows)
-    n = len(rows)
     head_bytes, inner, last = _encoding(m, fmt)
-    # take() returns C-contiguous (n, k) arrays, which view as (n, k*w) bytes
-    inner, last = inner.take(rows[:, :-1]), last.take(rows[:, -1:])
-    block = np.concatenate([np.broadcast_to(head_bytes, (n, len(head_bytes))),
-                            inner.view(np.uint8), last.view(np.uint8)], axis=1)
+    if len(head_bytes) or inner.dtype != last.dtype:
+        # take() returns C-contiguous (n, k) arrays, which view as (n, k*w) bytes
+        inner, last = inner.take(rows[:, :-1]), last.take(rows[:, -1:])
+        block = np.concatenate([np.broadcast_to(head_bytes, (len(rows), len(head_bytes))),
+                                inner.view(np.uint8), last.view(np.uint8)], axis=1)
+    else:
+        block = inner.take(rows)
+        block[:, -1] = last.take(rows[:, -1])
     return block.tobytes().translate(None, b"\0").decode("ascii")
 
 

@@ -24,7 +24,7 @@ import numpy as np
 # while a caller had wrapped the function (as the benchmark's tracer does)
 # would keep the wrapper after the caller restored the original
 from . import sos
-from .farey import farey_labels, farey_terms
+from .farey import farey_terms, interval_labels, term_labels
 from .lifting import MAX_LIFT_DEGREE, TAG_LEFT, TAG_RIGHT, TAG_SINGLE, iter_levels
 from .perm_core import add_record, check_degree, format_rows
 from .sos import SuranyiTable
@@ -95,7 +95,7 @@ def build_farey_tree(M: int) -> Tree:
             raise AssertionError(f"an order-{m} interval escapes its parent")
         if not np.isin(np.diff(first), (1, 2)).all():
             raise AssertionError(f"an order-{m - 1} interval has neither 1 nor 2 children")
-    levels = tuple(farey_labels(num, den)[1] for num, den in terms)
+    levels = tuple(interval_labels(term_labels(num, den)) for num, den in terms)
     tags = tuple(np.full(len(level), TAG_SINGLE, dtype=np.int8) for level in levels)
     return Tree("farey", M, levels, tags, offsets)
 
@@ -142,7 +142,7 @@ def _division(m: int, parent_rows: np.ndarray, parent_index: np.ndarray, tags: n
     if not bad.any():
         return True, ""
     k = int(np.argmax(bad))
-    interval = farey_labels(pnum[k:k + 2], pden[k:k + 2])[1][0]
+    interval = interval_labels(term_labels(pnum[k:k + 2], pden[k:k + 2]))[0]
     if not branching[k]:
         return False, f"single child of {interval} moved"
     if no_singleton[k]:

@@ -17,7 +17,8 @@ as the reference for perm_sets._x_pairs, and the rows of X with theta(1) = 1
 are found by a prefix search (x_rows_by_prefix), the reference for
 perm_sets._x_rows.  The rows of a lifted level are also decoded column by
 column into a column-major array (rows_by_columns), the reference for
-lifting.Level.rows.
+lifting.Level.rows, and lifted with each (1)-child put in by np.insert
+(lift_fibers_by_insert), the reference for lifting.lift_fibers.
 """
 from __future__ import annotations
 
@@ -28,7 +29,7 @@ from math import gcd
 import numpy as np
 
 from soslift.farey import FareyInterval
-from soslift.lifting import Level, lift_level
+from soslift.lifting import TAG_LEFT, TAG_RIGHT, TAG_SINGLE, Level, lift_level
 from soslift.perm_core import Permutation, _dtype_for, check_degree, shift, supermod_m
 from soslift.sos import _check_angle, _closed_form_taus, _interior_pq, _keys
 
@@ -273,3 +274,22 @@ def rows_by_columns(level: Level, start: int = 0, stop: int | None = None) -> np
         np.minimum(t, wrapped, out=t)
         np.add(t, 1, out=column, casting="unsafe")
     return columns.T
+
+
+def lift_fibers_by_insert(parents: Level) -> tuple[Level, np.ndarray, np.ndarray]:
+    """The reference lift kernel: each (1)-child inserted after its (0)-child with np.insert."""
+    m = parents.m + 1
+    first = parents.first.astype(np.int16)
+    s = first + parents.last
+    up = s > m
+    branching = np.flatnonzero(s == m)
+    after = branching + 1
+    dtype = _dtype_for(m)
+    children = Level(m, np.insert(first + up, after, first[branching] + 1).astype(dtype),
+                     np.insert(np.where(up, s + (1 - m), s), after, 1).astype(dtype))
+    parent_index = np.insert(np.arange(len(s), dtype=np.int64), after, branching)
+    left_rows = branching + np.arange(len(branching))
+    tags = np.full(len(parent_index), TAG_SINGLE, dtype=np.int8)
+    tags[left_rows] = TAG_LEFT
+    tags[left_rows + 1] = TAG_RIGHT
+    return children, parent_index, tags

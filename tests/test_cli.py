@@ -448,15 +448,20 @@ def test_farey_output_builds_the_sequence_once(monkeypatch: pytest.MonkeyPatch,
 
 def test_farey_text_is_labelled_4096_terms_at_a_time(
         monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture) -> None:
-    # order 164 has 8235 terms: slices 0..4095, 4095..8190 and 8190..8234,
-    # labelled once for the terms line and once for the intervals
-    sizes = []
-    farey_labels = farey.farey_labels
-    monkeypatch.setattr(farey, "farey_labels",
-                        lambda num, den: sizes.append(len(num)) or farey_labels(num, den))
+    # order 164 has 8235 terms: the terms line labels slices 0..4095,
+    # 4096..8191 and 8192..8234 and no interval; the intervals label slices
+    # 0..4095, 4095..8190 and 8190..8234, each sharing its first term with
+    # the slice before, and join each slice's term labels into intervals
+    terms, intervals = [], []
+    term_labels, interval_labels = farey.term_labels, farey.interval_labels
+    monkeypatch.setattr(farey, "term_labels",
+                        lambda num, den: terms.append(len(num)) or term_labels(num, den))
+    monkeypatch.setattr(farey, "interval_labels",
+                        lambda labels: intervals.append(len(labels)) or interval_labels(labels))
     assert main(["farey", "--m", "164"]) == 0
     assert len(capsys.readouterr().out.splitlines()) == 8235
-    assert sizes == [4096, 4096, 45] * 2
+    assert terms == [4096, 4096, 43, 4096, 4096, 45]
+    assert intervals == [4096, 4096, 45]
 
 
 def test_commands_build_no_fraction_list_of_the_farey_sequence(

@@ -8,11 +8,12 @@ import pytest
 from soslift.farey import (
     FareyInterval,
     farey_intervals,
-    farey_labels,
     farey_sequence,
     farey_terms,
     format_fraction,
+    interval_labels,
     parse_fraction,
+    term_labels,
     totient_sum,
     totients,
 )
@@ -109,7 +110,8 @@ def test_interval_membership_is_strict() -> None:
 
 def test_farey_labels_are_the_text_of_the_fraction_intervals() -> None:
     for m in range(1, 41):
-        terms, intervals = farey_labels(*farey_terms(m))
+        terms = term_labels(*farey_terms(m))
+        intervals = interval_labels(terms)
         assert terms == [format_fraction(f) for f in farey_sequence(m)]
         assert intervals == [str(iv) for iv in farey_intervals(m)]
 

@@ -37,7 +37,7 @@ from soslift.perm_core import (
 )
 from soslift.perm_sets import _lex_perms, enumerate_class
 
-from oracles import cds, psi_inverse, rows_by_columns, theta_ab
+from oracles import cds, lift_fibers_by_insert, psi_inverse, rows_by_columns, theta_ab
 
 
 def _p(text: str) -> Permutation:
@@ -386,35 +386,35 @@ def test_lift_runs_the_kernel_once_per_degree(monkeypatch: pytest.MonkeyPatch,
     assert [int((tags == 0).sum()) for _, _, tags in calls] == totients(40)[2:]
 
 
-def _lift_fibers_by_insert(parents: Level) -> tuple[Level, np.ndarray, np.ndarray]:
-    """The reference kernel: each (1)-child inserted after its (0)-child with np.insert."""
-    m = parents.m + 1
-    first = parents.first.astype(np.int16)
-    s = first + parents.last
-    up = s > m
-    branching = np.flatnonzero(s == m)
-    after = branching + 1
-    dtype = _dtype_for(m)
-    children = Level(m, np.insert(first + up, after, first[branching] + 1).astype(dtype),
-                     np.insert(np.where(up, s + (1 - m), s), after, 1).astype(dtype))
-    parent_index = np.insert(np.arange(len(s), dtype=np.int64), after, branching)
-    left_rows = branching + np.arange(len(branching))
-    tags = np.full(len(parent_index), TAG_SINGLE, dtype=np.int8)
-    tags[left_rows] = TAG_LEFT
-    tags[left_rows + 1] = TAG_RIGHT
-    return children, parent_index, tags
-
-
 def test_lift_fibers_equals_the_insert_kernel_to_degree_300() -> None:
     parents = None
     for level, parent_index, tags in iter_levels(300):
         if parents is not None:
-            ref_level, ref_index, ref_tags = _lift_fibers_by_insert(parents)
+            ref_level, ref_index, ref_tags = lift_fibers_by_insert(parents)
             for got, want in ((level.first, ref_level.first), (level.last, ref_level.last),
                               (parent_index, ref_index), (tags, ref_tags)):
                 assert got.dtype == want.dtype, level.m
                 assert np.array_equal(got, want), level.m
         parents = level
+
+
+def test_lift_fibers_holds_no_wide_value_temporary() -> None:
+    """Beyond its outputs (13 bytes a child: two uint16 columns, the int64
+    parent_index and the int8 tags), one lift to degree 600 holds the int64
+    arange of the parent_index scatter and its int16 first, int32 s and bool
+    columns: a traced peak of 15.0 bytes a child beyond the outputs, bound
+    here by 16.  Promoting first, and so s, to int64 takes it to 25."""
+    parents = lift_level(599)
+    tracemalloc.start()
+    try:
+        children, parent_index, tags = lift_fibers(parents)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    n = len(children)
+    assert n == totient_sum(600)
+    assert children.nbytes + parent_index.nbytes + tags.nbytes == 13 * n
+    assert peak - 13 * n <= 16 * n
 
 
 # every degree to 60, a stride to 300, and the uint8/uint16 boundary
